@@ -1,5 +1,5 @@
-(** The known-bad queues the explorer is validated against, each a
-    Michael-Scott + ROP variant with one seeded defect. Test-only: neither
+(** The known-bad queues the explorer is validated against, each the
+    Michael-Scott + ROP reclaimer with one seeded defect. Test-only: neither
     is in the [Hqueue] registry. *)
 
 val maker : Hqueue.Intf.maker

@@ -3,6 +3,7 @@
 
 module Intf = Queue_intf
 module Htm_queue = Htm_queue
+module Ms_core = Ms_core
 module Ms_queue = Ms_queue
 module Ms_rop_queue = Ms_rop_queue
 module Ms_collect_queue = Ms_collect_queue

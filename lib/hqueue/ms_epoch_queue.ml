@@ -10,7 +10,8 @@
     the current value, and a bucket is freed only once the global epoch
     is two ahead of it — two grace periods, so a reader that announced an
     epoch can never hold a pointer into anything freed while it is
-    active.
+    active. Inside an epoch every node reachable at entry stays allocated,
+    so the traversal itself needs no announcements: plain reads suffice.
 
     The price EBR pays, which the ROP scan never does: a single stalled
     (or killed) reader parks the epoch forever and limbo grows without
@@ -19,43 +20,44 @@
     schedule explorer's [broken-epoch] scenario catches its
     use-after-free. *)
 
-let off_val = 0
-let off_next = 1
-let node_words = 2
-
-(* head, tail and the global epoch each get their own cache line *)
-let hdr_head = 0
-let hdr_tail = 8
-let hdr_epoch = 16
-let hdr_words = 24
+(* the global epoch gets its own cache line after head and tail *)
+let hdr_epoch = Ms_core.hdr_words
 
 (* Limbo buckets per thread: with two grace periods, at most three epochs
    (current, current-1, current-2) can hold unreclaimed nodes at once. *)
 let buckets = 3
 
 type t = {
-  htm : Htm.t;
+  mem : Simmem.t;
   hdr : int;
   ann : int; (* announcement array: one word per slot, 0 = quiescent *)
   num_threads : int;
   grace : int; (* epochs a retired node must age; 2 = safe, 1 = the seeded bug *)
   advance_every : int; (* retires between epoch-advance attempts *)
-  (* per-thread limbo: [buckets] stacks in flat arrays, tagged with the
-     epoch their nodes were retired in (0 = empty/never used) *)
-  limbo : int array array; (* [(slot * buckets) + b] -> node stack *)
-  limbo_n : int array;
+  (* per-thread limbo: [buckets] stacks, tagged with the epoch their
+     nodes were retired in (0 = empty/never used) *)
+  limbo : Ms_core.stacks; (* [(slot * buckets) + b] -> node stack *)
   limbo_epoch : int array;
   since_advance : int array; (* per-slot retires since the last attempt *)
-  deq_val : int array; (* per-thread value of the last successful dequeue *)
 }
 
-let slot_index t ctx =
-  let tid = Sim.tid ctx in
-  if tid = Sim.boot_tid then t.num_threads
-  else if tid < t.num_threads then tid
-  else invalid_arg "Ms_epoch_queue: thread id outside the declared range"
+let init ~grace ~advance_every htm ctx ~num_threads ~hdr ~array =
+  let mem = Htm.mem htm in
+  Simmem.write mem ctx (hdr + hdr_epoch) 1;
+  let slots = Sim.max_threads + 1 in
+  {
+    mem;
+    hdr;
+    ann = array;
+    num_threads;
+    grace;
+    advance_every;
+    limbo = Ms_core.stacks (slots * buckets);
+    limbo_epoch = Array.make (slots * buckets) 0;
+    since_advance = Array.make slots 0;
+  }
 
-let ann_addr t slot = t.ann + slot
+let slot r ctx = Ms_core.slot_index ~num_threads:r.num_threads ctx
 
 (* The announcement must be globally visible before the thread starts
    traversing, or a reclaimer can scan past it and advance the epoch with
@@ -63,48 +65,26 @@ let ann_addr t slot = t.ann + slot
    per operation. *)
 let fence_cost = 60
 
-let create htm ctx ~num_threads ~grace ~advance_every =
-  let mem = Htm.mem htm in
-  let hdr = Simmem.malloc mem ctx hdr_words in
-  let ann = Simmem.malloc mem ctx (num_threads + 1) in
-  let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+EBR.header" ~base:hdr ~words:hdr_words;
-  Simmem.label mem ~name:"MSQueue+EBR.epochs" ~base:ann ~words:(num_threads + 1);
-  Simmem.label mem ~name:"MSQueue+EBR.node" ~base:sentinel ~words:node_words;
-  Simmem.write mem ctx (hdr + hdr_head) sentinel;
-  Simmem.write mem ctx (hdr + hdr_tail) sentinel;
-  Simmem.write mem ctx (hdr + hdr_epoch) 1;
-  let slots = Sim.max_threads + 1 in
-  {
-    htm;
-    hdr;
-    ann;
-    num_threads;
-    grace;
-    advance_every;
-    limbo = Array.make (slots * buckets) [||];
-    limbo_n = Array.make (slots * buckets) 0;
-    limbo_epoch = Array.make (slots * buckets) 0;
-    since_advance = Array.make slots 0;
-    deq_val = Array.make slots 0;
-  }
+let enter r ctx =
+  let e = Simmem.read r.mem ctx (r.hdr + hdr_epoch) in
+  Simmem.write r.mem ctx (r.ann + slot r ctx) e;
+  Sim.fence ~cost:fence_cost ctx
+
+(* Quiescing is a plain (possibly buffered) store: a scanner reading the
+   stale announcement merely delays the advance — the conservative
+   direction — so no fence is needed, and that asymmetry is most of
+   EBR's performance advantage. *)
+let exit r ctx ~slots:_ = Simmem.write r.mem ctx (r.ann + slot r ctx) 0
 
 (* Free this thread's limbo buckets whose epoch has aged out: retired in
-   epoch [tag], freeable once the global epoch is [grace] ahead. Frees
-   newest-first within a bucket (the LIFO order the allocator's own free
-   lists expect). *)
-let free_eligible t ctx slot epoch =
-  let mem = Htm.mem t.htm in
+   epoch [tag], freeable once the global epoch is [grace] ahead. *)
+let free_eligible r ctx epoch =
   for b = 0 to buckets - 1 do
-    let k = (slot * buckets) + b in
-    let tag = t.limbo_epoch.(k) in
-    if tag > 0 && tag <= epoch - t.grace then begin
-      let r = t.limbo.(k) in
-      for i = t.limbo_n.(k) - 1 downto 0 do
-        Simmem.free mem ctx r.(i)
-      done;
-      t.limbo_n.(k) <- 0;
-      t.limbo_epoch.(k) <- 0
+    let k = (slot r ctx * buckets) + b in
+    let tag = r.limbo_epoch.(k) in
+    if tag > 0 && tag <= epoch - r.grace then begin
+      Ms_core.free_all r.mem ctx (Ms_core.stack r.limbo k);
+      r.limbo_epoch.(k) <- 0
     end
   done
 
@@ -113,176 +93,55 @@ let free_eligible t ctx slot epoch =
    reader might hold pointers into the previous epoch's retirees). The
    CAS makes at most one step; losing it means someone else advanced,
    which is just as good. Either way, reclaim what aged out. *)
-let try_advance t ctx =
-  let mem = Htm.mem t.htm in
-  let e = Simmem.read mem ctx (t.hdr + hdr_epoch) in
+let try_advance r ctx =
+  let e = Simmem.read r.mem ctx (r.hdr + hdr_epoch) in
   let all_current = ref true in
-  for s = 0 to t.num_threads do
-    let a = Simmem.read mem ctx (ann_addr t s) in
+  for s = 0 to r.num_threads do
+    let a = Simmem.read r.mem ctx (r.ann + s) in
     if a <> 0 && a <> e then all_current := false
   done;
   if !all_current then begin
     let (_ : bool) =
-      Simmem.cas mem ctx (t.hdr + hdr_epoch) ~expected:e ~desired:(e + 1)
+      Simmem.cas r.mem ctx (r.hdr + hdr_epoch) ~expected:e ~desired:(e + 1)
     in
     ()
   end;
-  let e' = Simmem.read mem ctx (t.hdr + hdr_epoch) in
-  free_eligible t ctx (slot_index t ctx) e'
+  free_eligible r ctx (Simmem.read r.mem ctx (r.hdr + hdr_epoch))
 
-let enter t ctx =
-  let mem = Htm.mem t.htm in
-  let e = Simmem.read mem ctx (t.hdr + hdr_epoch) in
-  Simmem.write mem ctx (ann_addr t (slot_index t ctx)) e;
-  Sim.fence ~cost:fence_cost ctx
-
-(* Quiescing is a plain (possibly buffered) store: a scanner reading the
-   stale announcement merely delays the advance — the conservative
-   direction — so no fence is needed, and that asymmetry is most of
-   EBR's performance advantage. *)
-let exit_epoch t ctx =
-  Simmem.write (Htm.mem t.htm) ctx (ann_addr t (slot_index t ctx)) 0
-
-let retire t ctx node =
-  let mem = Htm.mem t.htm in
-  let slot = slot_index t ctx in
-  let e = Simmem.read mem ctx (t.hdr + hdr_epoch) in
+let retire r ctx node =
+  let slot = slot r ctx in
+  let e = Simmem.read r.mem ctx (r.hdr + hdr_epoch) in
   let k = (slot * buckets) + (e mod buckets) in
+  let bucket = Ms_core.stack r.limbo k in
   (* A stale bucket with this residue holds epoch [e - buckets] retirees
      or older — long past both grace periods; make room. *)
-  if t.limbo_epoch.(k) <> 0 && t.limbo_epoch.(k) <> e then begin
-    let r = t.limbo.(k) in
-    for i = t.limbo_n.(k) - 1 downto 0 do
-      Simmem.free mem ctx r.(i)
-    done;
-    t.limbo_n.(k) <- 0
-  end;
-  t.limbo_epoch.(k) <- e;
-  let n = t.limbo_n.(k) in
-  if n = Array.length t.limbo.(k) then begin
-    let bigger = Array.make (max 8 (2 * n)) 0 in
-    Array.blit t.limbo.(k) 0 bigger 0 n;
-    t.limbo.(k) <- bigger
-  end;
-  t.limbo.(k).(n) <- node;
-  t.limbo_n.(k) <- n + 1;
-  t.since_advance.(slot) <- t.since_advance.(slot) + 1;
-  if t.since_advance.(slot) >= t.advance_every then begin
-    t.since_advance.(slot) <- 0;
-    try_advance t ctx
+  if r.limbo_epoch.(k) <> 0 && r.limbo_epoch.(k) <> e then
+    Ms_core.free_all r.mem ctx bucket;
+  r.limbo_epoch.(k) <- e;
+  Sim.Ibuf.add bucket node;
+  r.since_advance.(slot) <- r.since_advance.(slot) + 1;
+  if r.since_advance.(slot) >= r.advance_every then begin
+    r.since_advance.(slot) <- 0;
+    try_advance r ctx
   end
 
-(* One randomized backoff delay, same scheme as the ROP queue. *)
-let backoff_base = 50
-let backoff_cap = 4096
+let drain r ctx = Ms_core.free_stacks r.mem ctx r.limbo
 
-let backoff_once ctx bound =
-  Sim.tick ctx ((bound / 2) + Sim.Rng.int (Sim.rng ctx) (max 1 (bound / 2)));
-  min backoff_cap (bound * 2)
+let reclaimer =
+  { Ms_core.defaults with
+    label = Some "MSQueue+EBR";
+    hdr_words = hdr_epoch + 8;
+    array = Some ("epochs", fun num_threads -> num_threads + 1);
+    enter;
+    exit;
+    retire;
+    drain }
 
-(* The Michael-Scott protocol itself, stripped of ROP's per-step
-   announce/validate pairs: inside an epoch every node reachable at entry
-   stays allocated, so plain reads suffice. *)
-let rec enq_loop t mem ctx node bound =
-  let tail = Simmem.read mem ctx (t.hdr + hdr_tail) in
-  let next = Simmem.read mem ctx (tail + off_next) in
-  if Simmem.read mem ctx (t.hdr + hdr_tail) <> tail then
-    enq_loop t mem ctx node (backoff_once ctx bound)
-  else if next <> 0 then begin
-    let (_ : bool) =
-      Simmem.cas mem ctx (t.hdr + hdr_tail) ~expected:tail ~desired:next
-    in
-    enq_loop t mem ctx node (backoff_once ctx bound)
-  end
-  else if Simmem.cas mem ctx (tail + off_next) ~expected:0 ~desired:node then begin
-    let (_ : bool) =
-      Simmem.cas mem ctx (t.hdr + hdr_tail) ~expected:tail ~desired:node
-    in
-    ()
-  end
-  else enq_loop t mem ctx node (backoff_once ctx bound)
-
-let enqueue t ctx v =
-  let mem = Htm.mem t.htm in
-  let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+EBR.node" ~base:node ~words:node_words;
-  Simmem.write mem ctx (node + off_val) v;
-  enter t ctx;
-  enq_loop t mem ctx node backoff_base;
-  exit_epoch t ctx
-
-let rec deq_loop t mem ctx bound =
-  let head = Simmem.read mem ctx (t.hdr + hdr_head) in
-  let tail = Simmem.read mem ctx (t.hdr + hdr_tail) in
-  let next = Simmem.read mem ctx (head + off_next) in
-  if Simmem.read mem ctx (t.hdr + hdr_head) <> head then
-    deq_loop t mem ctx (backoff_once ctx bound)
-  else if head = tail then begin
-    if next = 0 then false
-    else begin
-      let (_ : bool) =
-        Simmem.cas mem ctx (t.hdr + hdr_tail) ~expected:tail ~desired:next
+let mk_maker ?(grace = 2) ?advance_every name =
+  Ms_core.maker name reclaimer (fun htm ctx ~num_threads ->
+      let advance_every =
+        Option.value advance_every ~default:((2 * (num_threads + 1)) + 2)
       in
-      deq_loop t mem ctx (backoff_once ctx bound)
-    end
-  end
-  else begin
-    let v = Simmem.read mem ctx (next + off_val) in
-    if Simmem.cas mem ctx (t.hdr + hdr_head) ~expected:head ~desired:next then begin
-      t.deq_val.(Sim.tid ctx) <- v;
-      retire t ctx head;
-      true
-    end
-    else deq_loop t mem ctx (backoff_once ctx bound)
-  end
-
-let dequeue_drop t ctx =
-  enter t ctx;
-  let r = deq_loop t (Htm.mem t.htm) ctx backoff_base in
-  exit_epoch t ctx;
-  r
-
-let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
-
-let destroy t ctx =
-  let mem = Htm.mem t.htm in
-  for k = 0 to Array.length t.limbo - 1 do
-    let r = t.limbo.(k) in
-    for i = t.limbo_n.(k) - 1 downto 0 do
-      Simmem.free mem ctx r.(i)
-    done;
-    t.limbo_n.(k) <- 0;
-    t.limbo_epoch.(k) <- 0
-  done;
-  let rec free_from node =
-    if node <> 0 then begin
-      let next = Simmem.read mem ctx (node + off_next) in
-      Simmem.free mem ctx node;
-      free_from next
-    end
-  in
-  free_from (Simmem.read mem ctx (t.hdr + hdr_head));
-  Simmem.free mem ctx t.ann;
-  Simmem.free mem ctx t.hdr
-
-let mk_maker ?(grace = 2) ?advance_every name : Queue_intf.maker =
-  {
-    queue_name = name;
-    reclaims = true;
-    make =
-      (fun htm ctx ~num_threads ->
-        let advance_every =
-          match advance_every with Some n -> n | None -> (2 * (num_threads + 1)) + 2
-        in
-        let t = create htm ctx ~num_threads ~grace ~advance_every in
-        {
-          Queue_intf.name;
-          enqueue = enqueue t;
-          dequeue = dequeue t;
-          dequeue_drop = dequeue_drop t;
-          destroy = destroy t;
-        });
-  }
+      init ~grace ~advance_every htm ctx ~num_threads)
 
 let maker = mk_maker "MichaelScott+EBR"

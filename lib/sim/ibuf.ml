@@ -20,6 +20,22 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ibuf.get: index out of bounds";
   t.data.(i)
 
+let pop t =
+  if t.len = 0 then invalid_arg "Ibuf.pop: empty";
+  t.len <- t.len - 1;
+  t.data.(t.len)
+
+let filter_in_place p t =
+  let kept = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    if p x then begin
+      t.data.(!kept) <- x;
+      incr kept
+    end
+  done;
+  t.len <- !kept
+
 let clear t = t.len <- 0
 
 let reset_to t n =

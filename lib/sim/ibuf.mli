@@ -12,6 +12,13 @@ val add : t -> int -> unit
 val get : t -> int -> int
 (** @raise Invalid_argument on out-of-bounds access. *)
 
+val pop : t -> int
+(** Remove and return the last element.
+    @raise Invalid_argument if the buffer is empty. *)
+
+val filter_in_place : (int -> bool) -> t -> unit
+(** Keep only the elements satisfying the predicate, in their order. *)
+
 val clear : t -> unit
 (** Reset length to zero, keeping storage. *)
 

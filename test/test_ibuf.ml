@@ -47,6 +47,15 @@ let test_iter_fold () =
   Alcotest.(check (list int)) "iter order" [ 30; 20; 10 ] !seen;
   Alcotest.(check int) "fold sum" 60 (Sim.Ibuf.fold ( + ) 0 b)
 
+let test_pop () =
+  let b = Sim.Ibuf.create () in
+  List.iter (Sim.Ibuf.add b) [ 1; 2; 3 ];
+  Alcotest.(check int) "last in" 3 (Sim.Ibuf.pop b);
+  Alcotest.(check (list int)) "rest" [ 1; 2 ] (Sim.Ibuf.to_list b);
+  Sim.Ibuf.clear b;
+  Alcotest.check_raises "empty" (Invalid_argument "Ibuf.pop: empty")
+    (fun () -> ignore (Sim.Ibuf.pop b))
+
 let prop_model =
   QCheck.Test.make ~name:"Ibuf behaves like a list" ~count:300
     QCheck.(list small_int)
@@ -65,6 +74,16 @@ let prop_reset_prefix =
       Sim.Ibuf.reset_to b n;
       Sim.Ibuf.to_list b = List.filteri (fun i _ -> i < n) xs)
 
+let prop_filter =
+  QCheck.Test.make ~name:"filter_in_place is List.filter" ~count:300
+    QCheck.(pair (list small_int) small_nat)
+    (fun (xs, m) ->
+      let p x = x mod (m + 2) <> 0 in
+      let b = Sim.Ibuf.create ~capacity:1 () in
+      List.iter (Sim.Ibuf.add b) xs;
+      Sim.Ibuf.filter_in_place p b;
+      Sim.Ibuf.to_list b = List.filter p xs)
+
 let () =
   Alcotest.run "ibuf"
     [
@@ -76,7 +95,8 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear_keeps_storage;
           Alcotest.test_case "reset_to" `Quick test_reset_to;
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
+          Alcotest.test_case "pop" `Quick test_pop;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_model; prop_reset_prefix ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_model; prop_reset_prefix; prop_filter ] );
     ]

@@ -10,8 +10,13 @@
    a heap word per simulated access would put tens of words per operation
    on the GC and show up as thousands of words per thousand accesses. *)
 
-let run_fig1_cell ~threads ~duration =
-  let mk = Option.get (Hqueue.find_maker "HTM") in
+(* The fig1 queues whose hot paths carry the budgets: the HTM queue, and
+   the pooled and hazard-pointer Michael-Scott queues, whose reclamation
+   hooks are dispatched through the shared skeleton on every operation. *)
+let fig1_queues = [ "HTM"; "MichaelScott"; "MichaelScott+ROP" ]
+
+let run_fig1_cell name ~threads ~duration =
+  let mk = Option.get (Hqueue.find_maker name) in
   Workload.Queue_bench.run_one mk ~threads ~duration ~prefill:64 ~seed:11
 
 (* Minor words allocated by [f], with the workload warmed so one-time
@@ -42,36 +47,43 @@ let accesses_of f =
 
 let test_zero_alloc_per_access () =
   Workload.Driver.set_obs Workload.Driver.no_obs;
-  let f () = run_fig1_cell ~threads:16 ~duration:50_000 in
-  let accesses = accesses_of f in
-  Alcotest.(check bool) "cell performs real work" true (accesses > 1_000);
-  let _, words = minor_delta f in
-  (* The non-access overhead (spawn, malloc'd queue nodes' labels, the
-     result) is bounded by a small constant per thread and operation;
-     budget half a word per access on top and the old per-access cost
-     (event records, Queue.t cells, closures: tens of words each) still
-     trips the assertion with an order of magnitude to spare. *)
-  let budget = 50_000.0 +. (0.5 *. float_of_int accesses) in
-  if words > budget then
-    Alcotest.failf
-      "fig1 cell allocated %.0f minor words for %d simulated accesses (budget %.0f): \
-       the no-observer hot path is allocating again"
-      words accesses budget
+  List.iter
+    (fun name ->
+      let f () = run_fig1_cell name ~threads:16 ~duration:50_000 in
+      let accesses = accesses_of f in
+      Alcotest.(check bool) (name ^ ": cell performs real work") true (accesses > 1_000);
+      let _, words = minor_delta f in
+      (* The non-access overhead (spawn, malloc'd queue nodes' labels, the
+         result) is bounded by a small constant per thread and operation;
+         budget half a word per access on top and the old per-access cost
+         (event records, Queue.t cells, closures: tens of words each) still
+         trips the assertion with an order of magnitude to spare. *)
+      let budget = 50_000.0 +. (0.5 *. float_of_int accesses) in
+      if words > budget then
+        Alcotest.failf
+          "%s fig1 cell allocated %.0f minor words for %d simulated accesses (budget \
+           %.0f): the no-observer hot path is allocating again"
+          name words accesses budget)
+    fig1_queues
 
 let test_zero_alloc_single_thread () =
   Workload.Driver.set_obs Workload.Driver.no_obs;
-  (* One thread, no contention, no retries: the strictest amortized bound.
-     Everything here is steady-state loop; the budget is purely the
-     per-cell fixed cost. *)
-  let f () = run_fig1_cell ~threads:1 ~duration:100_000 in
-  let accesses = accesses_of f in
-  Alcotest.(check bool) "cell performs real work" true (accesses > 500);
-  let _, words = minor_delta f in
-  let budget = 20_000.0 in
-  if words > budget then
-    Alcotest.failf
-      "single-thread fig1 cell allocated %.0f minor words for %d accesses (budget %.0f)"
-      words accesses budget
+  List.iter
+    (fun name ->
+      (* One thread, no contention, no retries: the strictest amortized
+         bound. Everything here is steady-state loop; the budget is purely
+         the per-cell fixed cost. *)
+      let f () = run_fig1_cell name ~threads:1 ~duration:100_000 in
+      let accesses = accesses_of f in
+      Alcotest.(check bool) (name ^ ": cell performs real work") true (accesses > 500);
+      let _, words = minor_delta f in
+      let budget = 20_000.0 in
+      if words > budget then
+        Alcotest.failf
+          "single-thread %s fig1 cell allocated %.0f minor words for %d accesses \
+           (budget %.0f)"
+          name words accesses budget)
+    fig1_queues
 
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on

@@ -1,4 +1,4 @@
-(* Tests for the three concurrent FIFO queues: sequential semantics,
+(* Tests for the concurrent FIFO queues: sequential semantics,
    concurrent safety (exactly-once delivery, per-producer order), and the
    reclamation properties the paper contrasts. *)
 
@@ -8,7 +8,7 @@ let make_q ?(num_threads = 8) (mk : Hqueue.Intf.maker) =
   let boot = Sim.boot () in
   (mem, boot, mk.make htm boot ~num_threads)
 
-let forall f () = List.iter (fun mk -> f mk) Hqueue.all_with_extensions
+let forall f () = List.iter (fun mk -> f mk) (Hqueue.all_with_extensions @ [ Hqueue.ebr ])
 
 let name_of (mk : Hqueue.Intf.maker) = mk.queue_name
 

@@ -141,5 +141,5 @@ let () =
                     (fun s ->
                       [ prop_concurrent_exactly_once mk s; prop_per_producer_fifo mk s ])
                     strategies))
-          Hqueue.all_with_extensions );
+          (Hqueue.all_with_extensions @ [ Hqueue.ebr ]) );
     ]
