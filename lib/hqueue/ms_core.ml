@@ -119,9 +119,9 @@ let announced snap node =
 let free_all mem ctx b = reclaim mem ctx ~keep:(fun _ -> false) b
 let free_stacks mem ctx (s : stacks) = Array.iter (Option.iter (free_all mem ctx)) s
 
-(* One randomized backoff delay, inlined from [Sim.Backoff.once] (same
-   draw, same tick) so the retry loops below carry the bound as a plain
-   argument instead of allocating a [Backoff.t] per operation. *)
+(* One randomized backoff delay — the draw of [Sim.Backoff.delay] for the
+   attempt whose envelope is [bound] — returning the next attempt's bound,
+   so the retry loops below carry it as a plain argument. *)
 let backoff_base = 50
 let backoff_cap = 4096
 

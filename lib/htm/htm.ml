@@ -23,7 +23,7 @@ type stm_mode = Stm_never | Stm_after of int
    a line the transaction read dooms it, including stores to *other
    words* of that line — the false-sharing abort channel the placement
    ablation measures. *)
-type granularity = Word | Line
+type granularity = Simmem.granularity = Word | Line
 
 type config = {
   store_buffer : int;
@@ -163,9 +163,7 @@ and tx = {
   mutable busy : bool; (* bound to a running [atomic]; nesting gets a fresh tx *)
   mutable mode : mode;
   mutable attempt : int;
-  mutable raddr : int array;
-  mutable rver : int array;
-  mutable nreads : int;
+  reads : Simmem.Read_set.t;
   mutable waddr : int array;
   mutable wval : int array;
   mutable nwrites : int;
@@ -331,7 +329,7 @@ let tx_tid tx = Sim.tid tx.ctx
 let reset_tx tx mode attempt =
   tx.mode <- mode;
   tx.attempt <- attempt;
-  tx.nreads <- 0;
+  Simmem.Read_set.reset tx.reads;
   tx.nwrites <- 0;
   tx.nstores <- 0;
   tx.nfrees <- 0;
@@ -344,9 +342,7 @@ let fresh_tx h ctx =
     busy = false;
     mode = Hw;
     attempt = 0;
-    raddr = Array.make 64 0;
-    rver = Array.make 64 0;
-    nreads = 0;
+    reads = Simmem.Read_set.create h.hmem h.cfg.granularity;
     waddr = Array.make 32 0;
     wval = Array.make 32 0;
     nwrites = 0;
@@ -373,54 +369,6 @@ let get_tx h ctx =
     h.pool.(tid) <- Some tx;
     tx
 
-(* Read-set validation. Under [Word] the noted versions are word
-   versions; under [Line] they are the covering line's versions, so a
-   committed store anywhere on a read line fails the check. The
-   transaction's own writes are buffered until after commit validation
-   and so can never doom it on either plane. *)
-let validate_reads tx =
-  let mem = tx.h.hmem in
-  let ok = ref true in
-  (match tx.h.cfg.granularity with
-   | Word ->
-     for i = 0 to tx.nreads - 1 do
-       if not (Simmem.Tx_plane.validate mem tx.raddr.(i) tx.rver.(i)) then
-         ok := false
-     done
-   | Line ->
-     for i = 0 to tx.nreads - 1 do
-       if Simmem.line_version mem (Simmem.line_of tx.raddr.(i)) <> tx.rver.(i)
-       then ok := false
-     done);
-  !ok
-
-(* The version to note for a read of [addr]: the word's version (already
-   in hand) or its line's, per the configured granularity. *)
-let noted_ver tx addr ver =
-  match tx.h.cfg.granularity with
-  | Word -> ver
-  | Line -> Simmem.line_version tx.h.hmem (Simmem.line_of addr)
-
-let grow_reads tx =
-  let n = Array.length tx.raddr in
-  let raddr = Array.make (2 * n) 0 and rver = Array.make (2 * n) 0 in
-  Array.blit tx.raddr 0 raddr 0 n;
-  Array.blit tx.rver 0 rver 0 n;
-  tx.raddr <- raddr;
-  tx.rver <- rver
-
-let note_read tx addr ver =
-  let known = ref false and i = ref 0 in
-  while (not !known) && !i < tx.nreads do
-    if tx.raddr.(!i) = addr then known := true else incr i
-  done;
-  if not !known then begin
-    if tx.nreads = Array.length tx.raddr then grow_reads tx;
-    tx.raddr.(tx.nreads) <- addr;
-    tx.rver.(tx.nreads) <- ver;
-    tx.nreads <- tx.nreads + 1
-  end
-
 (* Newest write-buffer slot holding [addr], or -1. *)
 let find_buffered_idx tx addr =
   let found = ref (-1) and i = ref (tx.nwrites - 1) in
@@ -435,26 +383,8 @@ let find_buffered_idx tx addr =
    read on the doomed line; the aggressor may have written a different
    word of it (false sharing), in which case journal attribution can be
    stale — the line index in the witness is authoritative. *)
-let first_invalid tx =
-  let mem = tx.h.hmem in
-  let found = ref (-1) and i = ref 0 in
-  (match tx.h.cfg.granularity with
-   | Word ->
-     while !found < 0 && !i < tx.nreads do
-       if not (Simmem.Tx_plane.validate mem tx.raddr.(!i) tx.rver.(!i)) then
-         found := tx.raddr.(!i)
-       else incr i
-     done
-   | Line ->
-     while !found < 0 && !i < tx.nreads do
-       if Simmem.line_version mem (Simmem.line_of tx.raddr.(!i)) <> tx.rver.(!i)
-       then found := tx.raddr.(!i)
-       else incr i
-     done);
-  !found
-
 let capture_conflict tx site =
-  let addr = first_invalid tx in
+  let addr = Simmem.Read_set.first_invalid tx.reads in
   if addr >= 0 then begin
     let wrote = find_buffered_idx tx addr >= 0 in
     tx.witness <-
@@ -476,12 +406,16 @@ let read tx addr =
     if bi >= 0 then tx.wval.(bi)
     else begin
       let mem = tx.h.hmem in
-      let ver = Simmem.Tx_plane.read_ver mem tx.ctx addr in
-      if ver < 0 then illegal tx addr
+      if Simmem.Tx_plane.read_ver mem tx.ctx addr < 0 then illegal tx addr
       else begin
         let v = Simmem.Tx_plane.read_value mem in
-        note_read tx addr (noted_ver tx addr ver);
-        if not (validate_reads tx) then begin
+        (* Opacity: the whole read set must still hold after every load.
+           Under [Line] the noted versions are the read lines', so a
+           committed store anywhere on a read line fails the check. The
+           transaction's own writes are buffered until after commit
+           validation and so can never doom it on either plane. *)
+        Simmem.Read_set.note tx.reads addr;
+        if not (Simmem.Read_set.validate tx.reads) then begin
           capture_conflict tx "htm.read";
           raise (Aborted Conflict)
         end;
@@ -542,7 +476,7 @@ let defer_free tx base =
    transaction is atomic in virtual time. *)
 let commit tx =
   let mem = tx.h.hmem in
-  if not (validate_reads tx) then begin
+  if not (Simmem.Read_set.validate tx.reads) then begin
     capture_conflict tx "htm.commit";
     raise (Aborted Conflict)
   end;
@@ -748,7 +682,12 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
        | Some _ ->
          emit h ctx
            (Tx_commit
-              { tx_reads = tx.nreads; tx_writes = tx.nwrites; tx_path = P_hw; tx_attempt = n }));
+              {
+                tx_reads = Simmem.Read_set.length tx.reads;
+                tx_writes = tx.nwrites;
+                tx_path = P_hw;
+                tx_attempt = n;
+              }));
       (match tr with
        | None -> ()
        | Some sink ->
@@ -756,7 +695,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
            ~args:
              [
                ("attempt", Obs.Json.Int n);
-               ("reads", Obs.Json.Int tx.nreads);
+               ("reads", Obs.Json.Int (Simmem.Read_set.length tx.reads));
                ("writes", Obs.Json.Int tx.nwrites);
              ]
            t_att (Sim.clock ctx));

@@ -83,7 +83,7 @@ type stm_mode =
     "The Influence of Malloc Placement on TSX Hardware Transactional
     Memory" measures, and what [bench placement] ablates against the
     {!Simmem.placement} policies. *)
-type granularity = Word | Line
+type granularity = Simmem.granularity = Word | Line
 
 type config = {
   store_buffer : int;  (** stores per transaction; Rock: 32 *)

@@ -642,19 +642,6 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
   Array.iter (fun c -> c.sched <- None) ctxs
 
 module Backoff = struct
-  type bctx = tctx
-
-  type t = { ctx : bctx; base : int; cap : int; mutable bound : int }
-
-  let create ?(base = 50) ?(cap = 4096) ctx = { ctx; base; cap; bound = base }
-
-  let once b =
-    let d = (b.bound / 2) + Rng.int b.ctx.ctx_rng (max 1 (b.bound / 2)) in
-    tick b.ctx d;
-    b.bound <- min b.cap (b.bound * 2)
-
-  let reset b = b.bound <- b.base
-
   (* The pure retry-backoff envelope shared by the transaction layers
      ({!Htm}, {!Stm}): exponential in the attempt number, clamped at [cap]
      (the shift itself saturates at 9 so the envelope is total for any

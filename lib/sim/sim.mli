@@ -286,20 +286,10 @@ val advance_to : tctx -> int -> unit
 val stop : unit -> 'a
 (** Terminate the current thread ([raise Stop_thread]). *)
 
-(** Randomized exponential backoff for retry loops (CAS loops, helping
-    loops). Delays are charged to the owning thread's virtual clock. *)
+(** Randomized exponential backoff for retry loops (transaction retries,
+    CAS loops). Pure: the caller carries the attempt number and ticks the
+    delay onto its own clock. *)
 module Backoff : sig
-  type t
-
-  val create : ?base:int -> ?cap:int -> tctx -> t
-  (** Defaults: [base = 50] cycles, [cap = 4096]. *)
-
-  val once : t -> unit
-  (** Wait a randomized delay and double the bound (up to [cap]). *)
-
-  val reset : t -> unit
-  (** Restore the initial bound (call after a success). *)
-
   val bound : base:int -> cap:int -> int -> int
   (** [bound ~base ~cap n] is the pure backoff envelope for retry attempt
       [n]: [min cap (base lsl min n 9)]. Monotone in [n] until it reaches

@@ -209,6 +209,11 @@ type t = {
      store and is invisible to virtual time. *)
   mutable lversions : int array;
   mutable lw_tid : int array; (* per line: tid of the last version bump, -1 never *)
+  (* Machine-wide count of version bumps. Word and line versions change
+     only in [bump_version] and only grow, so an unchanged count proves
+     that no version anywhere has moved: {!Read_set} uses it to skip
+     revalidations whose result is already known. *)
+  mutable bumps : int;
   (* Scratch cell for {!Tx_plane.read_ver}: the value read, valid when the
      returned version is >= 0. Lets the transactional read path return an
      unboxed int instead of [Some (v, ver)]. *)
@@ -296,6 +301,7 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     fl_head = Array.make 64 0;
     lversions = Array.make ((initial_words lsr line_shift) + 1) 0;
     lw_tid = Array.make ((initial_words lsr line_shift) + 1) (-1);
+    bumps = 0;
     txr_val = 0;
     mreg;
     c_reads = Obs.Metrics.counter ~per_thread:true mreg "mem.reads";
@@ -555,7 +561,8 @@ let bump_version t ctx addr =
   Array.unsafe_set t.versions addr (Array.unsafe_get t.versions addr + 1);
   let line = addr lsr line_shift in
   Array.unsafe_set t.lversions line (Array.unsafe_get t.lversions line + 1);
-  Array.unsafe_set t.lw_tid line (Sim.tid ctx)
+  Array.unsafe_set t.lw_tid line (Sim.tid ctx);
+  t.bumps <- t.bumps + 1
 
 let check_live t addr =
   if addr <= 0 || addr >= t.extent then raise (Fault (Unallocated addr))
@@ -1172,8 +1179,6 @@ module Tx_plane = struct
     let ver = read_ver t ctx addr in
     if ver < 0 then None else Some (t.txr_val, ver)
 
-  let validate t addr v = t.versions.(addr) = v
-
   let commit_write t ctx addr v =
     if addr <= 0 || addr >= t.extent || word_state t addr <> st_live then false
     else begin
@@ -1184,6 +1189,135 @@ module Tx_plane = struct
         note_write t ctx addr Op_commit;
         emit t ctx (Write { addr; value = v })
       end;
+      true
+    end
+end
+
+type granularity = Word | Line
+
+module Read_set = struct
+  (* Entries are (address, version noted when it was read). Two filters
+     keep the per-access cost flat however long the set grows:
+
+     - [checked] is the heap's bump count at the last successful full
+       check. Versions change only in [bump_version], which advances the
+       count, and every entry notes the version current when it was
+       added; so an unchanged count means every entry still holds and the
+       scan would return [true]. Any bump at all forces the full scan.
+
+     - Past [index_min] entries, membership goes through an
+       open-addressing table ([keys]/[stamps], load at most 1/2) instead
+       of a linear scan. A slot is occupied iff its stamp equals [gen];
+       re-indexing bumps [gen], which empties the table without clearing
+       it. The table is allocated the first time a set grows that long,
+       so short transactions never pay for it. *)
+  type nonrec t = {
+    mem : t;
+    gran : granularity;
+    mutable addrs : int array;
+    mutable vers : int array;
+    mutable n : int;
+    mutable checked : int;
+    mutable gen : int;
+    mutable keys : int array;
+    mutable stamps : int array;
+  }
+
+  let index_min = 16
+
+  let create mem gran =
+    {
+      mem;
+      gran;
+      addrs = Array.make 64 0;
+      vers = Array.make 64 0;
+      n = 0;
+      checked = -1;
+      gen = 0;
+      keys = [||];
+      stamps = [||];
+    }
+
+  let reset rs =
+    rs.n <- 0;
+    rs.checked <- -1
+
+  let length rs = rs.n
+  let addr rs i = rs.addrs.(i)
+
+  let version rs addr =
+    match rs.gran with
+    | Word -> rs.mem.versions.(addr)
+    | Line -> rs.mem.lversions.(addr lsr line_shift)
+
+  let slot keys addr =
+    let h = addr * 0x9E3779B1 in
+    (h lxor (h lsr 17)) land (Array.length keys - 1)
+
+  (* Insert [addr] into the index; [false] if it was already there. *)
+  let rec index_add rs addr i =
+    if rs.stamps.(i) <> rs.gen then begin
+      rs.keys.(i) <- addr;
+      rs.stamps.(i) <- rs.gen;
+      true
+    end
+    else if rs.keys.(i) = addr then false
+    else index_add rs addr ((i + 1) land (Array.length rs.keys - 1))
+
+  let reindex rs =
+    let cap = 2 * Array.length rs.addrs in
+    if Array.length rs.keys < cap then begin
+      rs.keys <- Array.make cap 0;
+      rs.stamps <- Array.make cap 0
+    end;
+    rs.gen <- rs.gen + 1;
+    for i = 0 to rs.n - 1 do
+      ignore (index_add rs rs.addrs.(i) (slot rs.keys rs.addrs.(i)))
+    done
+
+  let grow rs =
+    let n = Array.length rs.addrs in
+    let addrs = Array.make (2 * n) 0 and vers = Array.make (2 * n) 0 in
+    Array.blit rs.addrs 0 addrs 0 n;
+    Array.blit rs.vers 0 vers 0 n;
+    rs.addrs <- addrs;
+    rs.vers <- vers;
+    reindex rs
+
+  let push rs addr =
+    let n = rs.n in
+    rs.addrs.(n) <- addr;
+    rs.vers.(n) <- version rs addr;
+    rs.n <- n + 1
+
+  let rec known rs addr i = i < rs.n && (rs.addrs.(i) = addr || known rs addr (i + 1))
+
+  let note rs addr =
+    if rs.n < index_min then begin
+      if not (known rs addr 0) then begin
+        push rs addr;
+        if rs.n = index_min then reindex rs
+      end
+    end
+    else begin
+      if rs.n = Array.length rs.addrs then grow rs;
+      if index_add rs addr (slot rs.keys addr) then push rs addr
+    end
+
+  (* The first entry, in first-read order, whose version moved, or -1. *)
+  let rec scan rs i =
+    if i >= rs.n then -1
+    else if version rs rs.addrs.(i) <> rs.vers.(i) then rs.addrs.(i)
+    else scan rs (i + 1)
+
+  let first_invalid rs = scan rs 0
+
+  let validate rs =
+    let bumps = rs.mem.bumps in
+    if rs.checked = bumps then true
+    else if scan rs 0 >= 0 then false
+    else begin
+      rs.checked <- bumps;
       true
     end
 end

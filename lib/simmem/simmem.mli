@@ -368,11 +368,57 @@ module Tx_plane : sig
   (** [(value, version)] — {!read_ver} boxed, for callers off the hot
       path. *)
 
-  val validate : t -> int -> int -> bool
-  (** [validate t addr v] is true iff the word's version is still [v]. *)
-
   val commit_write : t -> Sim.tctx -> int -> int -> bool
   (** Apply one committed store: pays the store cost {e without yielding}
       (commit is atomic in virtual time), writes, bumps the version.
       Returns [false] if the word is no longer allocated. *)
+end
+
+(** {1 Transactional read sets} *)
+
+type granularity = Word | Line
+(** Which version plane a read set validates against: per-word versions,
+    or the covering cache line's (see {!line_version}). *)
+
+module Read_set : sig
+  (** The read set shared by the transaction layers ({!Htm}, {!Stm}): the
+      distinct addresses a transaction attempt has read, each with the
+      version it had when first read. Reusable across attempts via
+      {!reset}; allocates nothing in steady state.
+
+      Both hot operations are O(1) in the set's size when nothing
+      changed: {!validate} returns at once when no version on the heap
+      has been bumped since its last successful full check, and {!note}
+      de-duplicates through a hash index once the set passes a few
+      entries. Neither shortcut changes a result — only scans whose
+      outcome is already known are skipped. *)
+
+  type heap := t
+  type t
+
+  val create : heap -> granularity -> t
+
+  val reset : t -> unit
+  (** Empty the set for a new attempt. *)
+
+  val note : t -> int -> unit
+  (** [note rs addr] adds [addr] with its current version (word or line,
+      per the granularity) unless the set already holds it. Call it
+      right after the transactional load of [addr], before anything can
+      yield, so the noted version is the one the value was read at. *)
+
+  val length : t -> int
+  (** Distinct addresses noted since the last {!reset}. *)
+
+  val addr : t -> int -> int
+  (** [addr rs i] is the [i]-th noted address, [0 <= i < length rs], in
+      first-read order. *)
+
+  val validate : t -> bool
+  (** True iff every entry's version is still the noted one. *)
+
+  val first_invalid : t -> int
+  (** The first address, in first-read order, whose version moved, or
+      [-1]. Always a full scan: meant for abort paths (conflict
+      witnesses). *)
 end

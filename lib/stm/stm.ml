@@ -146,9 +146,7 @@ and tx = {
   mutable busy : bool;
   mutable attempt : int;
   mutable rv : int;
-  mutable raddr : int array;
-  mutable rver : int array;
-  mutable nreads : int;
+  reads : Simmem.Read_set.t;
   mutable waddr : int array;
   mutable wval : int array;
   mutable nwrites : int;
@@ -262,9 +260,7 @@ let fresh_tx s ctx =
     busy = false;
     attempt = 0;
     rv = 0;
-    raddr = Array.make 64 0;
-    rver = Array.make 64 0;
-    nreads = 0;
+    reads = Simmem.Read_set.create s.smem Simmem.Word;
     waddr = Array.make 64 0;
     wval = Array.make 64 0;
     nwrites = 0;
@@ -293,7 +289,7 @@ let get_tx s ctx =
 
 let reset_tx tx attempt =
   tx.attempt <- attempt;
-  tx.nreads <- 0;
+  Simmem.Read_set.reset tx.reads;
   tx.nwrites <- 0;
   tx.nlocks <- 0;
   tx.nfrees <- 0;
@@ -305,44 +301,18 @@ let grow a =
   Array.blit a 0 b 0 n;
   b
 
-let rec read_known tx addr i =
-  i < tx.nreads && (tx.raddr.(i) = addr || read_known tx addr (i + 1))
-
-let note_read tx addr ver =
-  if not (read_known tx addr 0) then begin
-    if tx.nreads = Array.length tx.raddr then begin
-      tx.raddr <- grow tx.raddr;
-      tx.rver <- grow tx.rver
-    end;
-    tx.raddr.(tx.nreads) <- addr;
-    tx.rver.(tx.nreads) <- ver;
-    tx.nreads <- tx.nreads + 1
-  end
-
 (* Newest matching write-buffer entry, or -1. *)
 let rec find_buffered_idx tx addr i =
   if i < 0 then -1
   else if tx.waddr.(i) = addr then i
   else find_buffered_idx tx addr (i - 1)
 
-(* Opacity: like Htm, the whole read set is revalidated against Simmem's
-   word versions on every access, so a doomed transaction never computes
-   on a mixed snapshot — whoever overwrote us (hardware commit, TLE
-   section, plain store, another STM commit's write-back). Validation is
-   pure ([Tx_plane.validate] is a version compare), so the short-circuit
-   changes nothing observable. *)
-let rec validate_from mem tx i =
-  i >= tx.nreads
-  || (Simmem.Tx_plane.validate mem tx.raddr.(i) tx.rver.(i)
-      && validate_from mem tx (i + 1))
-
-let validate_reads tx = validate_from tx.s.smem tx 0
-
 (* Every read-set stripe unheld (or held by us): checked for free via
    [peek]; the cycle cost of the commit-time pass is charged in bulk. *)
 let rec locks_clear_from s me tx i =
-  i >= tx.nreads
-  || (let o = owner_of (Simmem.peek s.smem (lock_of s tx.raddr.(i))) in
+  i >= Simmem.Read_set.length tx.reads
+  || (let la = lock_of s (Simmem.Read_set.addr tx.reads i) in
+      let o = owner_of (Simmem.peek s.smem la) in
       (o = 0 || o = me) && locks_clear_from s me tx (i + 1))
 
 let read_locks_clear tx =
@@ -358,25 +328,16 @@ let set_witness tx ?lookup ?aggressor ~addr ~victim_wrote ~in_read_set
       (Simmem.conflict_witness tx.s.smem tx.ctx ~addr ?lookup ?aggressor
          ~victim_wrote ~in_read_set ~in_write_set ~site ())
 
-let first_invalid tx =
-  let mem = tx.s.smem in
-  let rec go i =
-    if i >= tx.nreads then None
-    else if not (Simmem.Tx_plane.validate mem tx.raddr.(i) tx.rver.(i)) then
-      Some tx.raddr.(i)
-    else go (i + 1)
-  in
-  go 0
-
 let first_locked_read tx =
   let s = tx.s in
   let me = slot_of (Sim.tid tx.ctx) + 1 in
   let rec go i =
-    if i >= tx.nreads then None
+    if i >= Simmem.Read_set.length tx.reads then None
     else
-      let la = lock_of s tx.raddr.(i) in
+      let addr = Simmem.Read_set.addr tx.reads i in
+      let la = lock_of s addr in
       let o = owner_of (Simmem.peek s.smem la) in
-      if o <> 0 && o <> me then Some (tx.raddr.(i), la, o - 1) else go (i + 1)
+      if o <> 0 && o <> me then Some (addr, la, o - 1) else go (i + 1)
   in
   go 0
 
@@ -393,12 +354,12 @@ let first_freed_write tx =
    committed store that bumped the word's version), a read-set stripe
    locked by another owner, a write target freed under us. *)
 let capture_conflict tx site =
-  match first_invalid tx with
-  | Some addr ->
+  match Simmem.Read_set.first_invalid tx.reads with
+  | addr when addr >= 0 ->
     let wrote = find_buffered_idx tx addr (tx.nwrites - 1) >= 0 in
     set_witness tx ~addr ~victim_wrote:wrote ~in_read_set:true ~in_write_set:wrote
       site
-  | None ->
+  | _ ->
     (match first_locked_read tx with
      | Some (addr, la, owner) ->
        set_witness tx ~lookup:la ~aggressor:owner ~addr ~victim_wrote:false
@@ -507,11 +468,14 @@ let read tx addr =
       raise (Aborted Locked)
     end;
     stale tx ~addr ~la ~in_read_set:false (ver_of lw);
-    let mver = Simmem.Tx_plane.read_ver s.smem tx.ctx addr in
-    if mver < 0 then raise (Aborted Illegal);
+    if Simmem.Tx_plane.read_ver s.smem tx.ctx addr < 0 then raise (Aborted Illegal);
     let v = Simmem.Tx_plane.read_value s.smem in
-    note_read tx addr mver;
-    if not (validate_reads tx) then begin
+    (* Opacity: like Htm, the whole read set is revalidated against
+       Simmem's word versions on every access, so a doomed transaction
+       never computes on a mixed snapshot — whoever overwrote us (hardware
+       commit, TLE section, plain store, another STM commit's write-back). *)
+    Simmem.Read_set.note tx.reads addr;
+    if not (Simmem.Read_set.validate tx.reads) then begin
       capture_conflict tx "stm.read";
       raise (Aborted Conflict)
     end;
@@ -648,7 +612,7 @@ let commit tx =
         ~in_write_set:false "stm.commit.fence";
       raise (Aborted Locked)
     end;
-    if not (validate_reads tx && read_locks_clear tx) then begin
+    if not (Simmem.Read_set.validate tx.reads && read_locks_clear tx) then begin
       capture_conflict tx "stm.commit";
       raise (Aborted Conflict)
     end
@@ -680,8 +644,11 @@ let commit tx =
     (* Locks held, nothing written: the window a crash must not wedge —
        the registered kill point for fault plans. *)
     Sim.fault_point ctx "stm.commit";
-    Sim.tick ctx (s.cfg.validate_cost * (tx.nreads + 1));
-    if not (validate_reads tx && read_locks_clear tx && writes_allocated tx)
+    Sim.tick ctx (s.cfg.validate_cost * (Simmem.Read_set.length tx.reads + 1));
+    if
+      not
+        (Simmem.Read_set.validate tx.reads && read_locks_clear tx
+        && writes_allocated tx)
     then begin
       release_owned tx;
       capture_conflict tx "stm.commit";
@@ -711,8 +678,9 @@ let commit tx =
     let fenced = s.fence <> 0 && Simmem.peek s.smem s.fence <> 0 in
     if
       not
-        (!mine && (not fenced) && validate_reads tx && read_locks_clear tx
-        && writes_allocated tx)
+        (!mine && (not fenced)
+        && Simmem.Read_set.validate tx.reads
+        && read_locks_clear tx && writes_allocated tx)
     then begin
       release_owned tx;
       if fenced then
@@ -766,7 +734,12 @@ let rec attempt_loop s ctx tx budget f on_abort tr tid t0 n last =
      | None -> ()
      | Some _ ->
        emit s ctx
-         (Ev_commit { ev_reads = tx.nreads; ev_writes = tx.nwrites; ev_attempt = n }));
+         (Ev_commit
+            {
+              ev_reads = Simmem.Read_set.length tx.reads;
+              ev_writes = tx.nwrites;
+              ev_attempt = n;
+            }));
     (match tr with
      | None -> ()
      | Some sink ->
@@ -774,7 +747,7 @@ let rec attempt_loop s ctx tx budget f on_abort tr tid t0 n last =
          ~args:
            [
              ("attempt", Obs.Json.Int n);
-             ("reads", Obs.Json.Int tx.nreads);
+             ("reads", Obs.Json.Int (Simmem.Read_set.length tx.reads));
              ("writes", Obs.Json.Int tx.nwrites);
            ]
          t_att (Sim.clock ctx));

@@ -193,6 +193,63 @@ let test_opacity () =
     |];
   Alcotest.(check int) "no inconsistent snapshot ever observed" 0 !violations
 
+(* A 40-read transaction parks after its 20th read while a second thread
+   stores [n] to one word (chosen from the read block and an unrelated
+   word by [target]). The read set's shortcuts — skipping revalidation
+   when nothing was stored, hashing membership past 16 entries — must
+   neither hide a conflict on an early read nor invent one. Returns the
+   attempts, the committed sum, the aborts seen by the tap, the storing
+   thread and the stored address. *)
+let forty_reads_vs_store target =
+  let mem, htm, boot = make () in
+  Simmem.track_writers mem;
+  let a = Simmem.malloc mem boot 40 in
+  let unrelated = Simmem.malloc mem boot 8 in
+  let stored = target a unrelated in
+  let aborts = ref [] in
+  Htm.set_tap htm
+    (Some
+       (fun ~tid:_ ~clock:_ -> function
+         | Htm.Tx_abort { ab_reason; ab_witness; _ } ->
+           aborts := (ab_reason, ab_witness) :: !aborts
+         | _ -> ()));
+  let attempts = ref 0 and sum = ref 0 and writer = ref (-1) in
+  Sim.run ~seed:21
+    [|
+      (fun ctx ->
+        sum :=
+          Htm.atomic htm ctx (fun tx ->
+              incr attempts;
+              let s = ref 0 in
+              for i = 0 to 39 do
+                if i = 20 && Htm.attempt_number tx = 0 then Sim.advance_to ctx 50_000;
+                s := !s + Htm.read tx (a + i)
+              done;
+              !s));
+      (fun ctx ->
+        writer := Sim.tid ctx;
+        Sim.advance_to ctx 20_000;
+        Simmem.write mem ctx stored 7);
+    |];
+  (!attempts, !sum, List.rev !aborts, !writer, stored)
+
+let test_long_read_set_conflict () =
+  let attempts, sum, aborts, writer, stored = forty_reads_vs_store (fun a _ -> a + 2) in
+  Alcotest.(check int) "aborted once, then committed" 2 attempts;
+  Alcotest.(check int) "the retry saw the store" 7 sum;
+  match aborts with
+  | [ (Htm.Conflict, Some w) ] ->
+    Alcotest.(check string) "caught at the next read" "htm.read" w.Obs.Forensics.w_site;
+    Alcotest.(check int) "witness on read #3" stored w.w_addr;
+    Alcotest.(check int) "aggressor is the storing thread" writer w.w_aggressor
+  | _ -> Alcotest.fail "expected exactly one conflict abort with a witness"
+
+let test_long_read_set_unrelated () =
+  let attempts, sum, aborts, _, _ = forty_reads_vs_store (fun _ u -> u) in
+  Alcotest.(check int) "committed first time" 1 attempts;
+  Alcotest.(check int) "read values" 0 sum;
+  Alcotest.(check int) "no aborts" 0 (List.length aborts)
+
 let test_defer_free () =
   let mem, htm, boot = make () in
   let a = Simmem.malloc mem boot 2 in
@@ -368,6 +425,10 @@ let () =
           Alcotest.test_case "long txs conflict" `Quick test_long_txs_conflict;
           Alcotest.test_case "strong atomicity" `Quick test_strong_atomicity;
           Alcotest.test_case "opacity" `Quick test_opacity;
+          Alcotest.test_case "40 reads, store to read #3" `Quick
+            test_long_read_set_conflict;
+          Alcotest.test_case "40 reads, unrelated store" `Quick
+            test_long_read_set_unrelated;
         ] );
       ( "store buffer",
         [

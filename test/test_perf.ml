@@ -85,6 +85,43 @@ let test_zero_alloc_single_thread () =
           name words accesses budget)
     fig1_queues
 
+(* A long hardware read set in steady state: a 40-read transaction
+   repeated on one thread. The first attempt allocates the read set's
+   hash index (it passes 16 entries); every later transaction must reuse
+   it and the pooled descriptor, allocating nothing at all. The window
+   is measured from inside the simulated thread, so it covers only the
+   transactions; the 4-word slack is the measurement's own boxed floats,
+   far below one word per transaction. *)
+let test_zero_alloc_long_read_set () =
+  let mem = Simmem.create () in
+  let htm = Htm.create mem in
+  let a = Simmem.malloc mem (Sim.boot ()) 40 in
+  let body tx =
+    let s = ref 0 in
+    for i = 0 to 39 do
+      s := !s + Htm.read tx (a + i)
+    done;
+    !s
+  in
+  let txs = 1_000 in
+  let words = ref 0. in
+  Sim.run ~seed:5
+    [|
+      (fun ctx ->
+        ignore (Htm.atomic htm ctx body);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to txs do
+          ignore (Htm.atomic htm ctx body)
+        done;
+        words := Gc.minor_words () -. w0);
+    |];
+  Alcotest.(check int) "every transaction committed" (txs + 1) (Htm.stats htm).commits;
+  if !words > 4. then
+    Alcotest.failf
+      "%d steady-state 40-read transactions allocated %.0f minor words: the \
+       transactional read path is allocating again"
+      txs !words
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -130,6 +167,8 @@ let () =
             test_zero_alloc_per_access;
           Alcotest.test_case "fig1 x1 cell, strict budget" `Quick
             test_zero_alloc_single_thread;
+          Alcotest.test_case "40-read HTM tx, steady state" `Quick
+            test_zero_alloc_long_read_set;
         ] );
       ( "determinism",
         [

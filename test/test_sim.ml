@@ -119,27 +119,28 @@ let test_charge_no_yield () =
     |];
   Alcotest.(check bool) "atomic section not split" true (!observed = 0 || !observed = 2)
 
+(* Backoff as the retry loops use it: attempt [n] ticks one
+   [Backoff.delay] off the thread's clock. *)
+let backoff_wait ctx ~base ~cap n =
+  let t0 = Sim.clock ctx in
+  Sim.tick ctx (Sim.Backoff.delay ~base ~cap (Sim.rng ctx) n);
+  Sim.clock ctx - t0
+
 let test_backoff_grows_and_resets () =
   Sim.run ~seed:8
     [|
       (fun ctx ->
-        let b = Sim.Backoff.create ~base:10 ~cap:100 ctx in
-        let t0 = Sim.clock ctx in
-        Sim.Backoff.once b;
-        let d1 = Sim.clock ctx - t0 in
+        let wait = backoff_wait ctx ~base:10 ~cap:100 in
+        let d1 = wait 0 in
         Alcotest.(check bool) "first delay within base" true (d1 >= 5 && d1 <= 10);
-        for _ = 1 to 10 do
-          Sim.Backoff.once b
+        for n = 1 to 10 do
+          ignore (wait n)
         done;
-        let t1 = Sim.clock ctx in
-        Sim.Backoff.once b;
-        let dcap = Sim.clock ctx - t1 in
+        let dcap = wait 11 in
         Alcotest.(check bool) "capped" true (dcap <= 100);
-        Sim.Backoff.reset b;
-        let t2 = Sim.clock ctx in
-        Sim.Backoff.once b;
-        let d2 = Sim.clock ctx - t2 in
-        Alcotest.(check bool) "reset restores base" true (d2 >= 5 && d2 <= 10));
+        Alcotest.(check bool) "grown to the cap" true (dcap >= 50);
+        let d2 = wait 0 in
+        Alcotest.(check bool) "attempt 0 restores base" true (d2 >= 5 && d2 <= 10));
     |]
 
 (* Fairness: threads doing equal work end with similar clocks and none is
@@ -171,9 +172,10 @@ let prop_deterministic_final_clocks =
       in
       final () = final ())
 
-(* Backoff obeys its contract for arbitrary base/cap: each delay lands in
-   [bound/2, bound] where the bound doubles per call up to cap, and reset
-   restores the initial bound. *)
+(* Backoff obeys its contract for arbitrary base/cap: the delay of
+   attempt [n] lands in [bound/2, bound], where the bound doubles per
+   attempt up to cap (the doubling saturates after 9 attempts), and
+   attempt 0 again restores the initial bound. *)
 let prop_backoff_bounds =
   QCheck.Test.make ~name:"backoff: delays track the doubling bound up to cap" ~count:200
     QCheck.(triple small_int small_int small_int)
@@ -185,21 +187,16 @@ let prop_backoff_bounds =
       Sim.run ~seed:s
         [|
           (fun ctx ->
-            let b = Sim.Backoff.create ~base ~cap ctx in
+            let wait = backoff_wait ctx ~base ~cap in
             let bound = ref base in
-            for _ = 1 to 14 do
-              let t0 = Sim.clock ctx in
-              Sim.Backoff.once b;
-              let d = Sim.clock ctx - t0 in
+            for n = 0 to 13 do
+              let d = wait n in
               expect (d >= !bound / 2);
               expect (d <= !bound);
               expect (d <= cap);
-              bound := min cap (!bound * 2)
+              if n < 9 then bound := min cap (!bound * 2)
             done;
-            Sim.Backoff.reset b;
-            let t0 = Sim.clock ctx in
-            Sim.Backoff.once b;
-            let d = Sim.clock ctx - t0 in
+            let d = wait 0 in
             expect (d >= base / 2 && d <= base));
         |];
       !ok)

@@ -243,9 +243,12 @@ let test_tx_plane () =
    | None -> Alcotest.fail "live read must succeed"
    | Some (v, ver) ->
      Alcotest.(check int) "value" 42 v;
-     Alcotest.(check bool) "validates" true (Simmem.Tx_plane.validate mem a ver);
+     Alcotest.(check int) "current version" (Simmem.version mem a) ver;
+     let rs = Simmem.Read_set.create mem Simmem.Word in
+     Simmem.Read_set.note rs a;
+     Alcotest.(check bool) "validates" true (Simmem.Read_set.validate rs);
      Simmem.write mem ctx a 43;
-     Alcotest.(check bool) "stale after write" false (Simmem.Tx_plane.validate mem a ver));
+     Alcotest.(check bool) "stale after write" false (Simmem.Read_set.validate rs));
   Simmem.free mem ctx a;
   Alcotest.(check bool) "freed read reports None" true (Simmem.Tx_plane.read mem ctx a = None);
   Alcotest.(check bool) "commit_write to freed fails" false
@@ -277,6 +280,113 @@ let prop_allocator_model =
       st.live_words = expected_words
       && st.live_blocks = Hashtbl.length live
       && Hashtbl.fold (fun b _ acc -> acc && Simmem.is_allocated mem b) live true)
+
+(* Property: the shared transactional read set gives exactly the answers
+   of a naive one — an assoc list in first-read order, fully rescanned on
+   every query — on a live heap whose words are committed, written,
+   CASed, freed and reallocated between queries. Random op streams cross
+   both the hash-index threshold and array growth, and resets exercise
+   the generation-stamped index; both conflict planes are checked. *)
+type rs_op = Note | Commit | Write | Cas_ok | Cas_fail | Toggle | Validate | Reset
+
+let rs_op_label = function
+  | Note -> "note"
+  | Commit -> "commit"
+  | Write -> "write"
+  | Cas_ok -> "cas"
+  | Cas_fail -> "cas-fail"
+  | Toggle -> "free/malloc"
+  | Validate -> "validate"
+  | Reset -> "reset"
+
+let prop_read_set_exact =
+  let nblocks = 20 and bwords = 10 in
+  let op =
+    QCheck.Gen.(
+      pair
+        (frequency
+           [
+             (250, return Note); (20, return Commit); (20, return Write);
+             (10, return Cas_ok); (10, return Cas_fail); (15, return Toggle);
+             (60, return Validate); (1, return Reset);
+           ])
+        (int_range 0 ((nblocks * bwords) - 1)))
+  in
+  let print_op (k, i) = Printf.sprintf "%s %d" (rs_op_label k) i in
+  let arb =
+    QCheck.make
+      ~print:QCheck.Print.(list print_op)
+      ~shrink:QCheck.Shrink.list
+      QCheck.Gen.(list_size (int_range 1 600) op)
+  in
+  let run gran script =
+    let mem, ctx = make () in
+    let bases = Array.init nblocks (fun _ -> Simmem.malloc mem ctx bwords) in
+    let live = Array.make nblocks true in
+    let block_of base =
+      let r = ref (-1) in
+      Array.iteri (fun b x -> if x = base then r := b) bases;
+      !r
+    in
+    let addr_of i = bases.(i / bwords) + (i mod bwords) in
+    let version a =
+      match gran with
+      | Simmem.Word -> Simmem.version mem a
+      | Simmem.Line -> Simmem.line_version mem (Simmem.line_of a)
+    in
+    let rs = Simmem.Read_set.create mem gran in
+    let oracle = ref [] in
+    let oracle_first_invalid () =
+      match List.find_opt (fun (a, v) -> version a <> v) (List.rev !oracle) with
+      | Some (a, _) -> a
+      | None -> -1
+    in
+    let ok = ref true in
+    let expect b = if not b then ok := false in
+    let check_validate () =
+      let expected = oracle_first_invalid () in
+      expect (Simmem.Read_set.validate rs = (expected < 0));
+      expect (Simmem.Read_set.first_invalid rs = expected)
+    in
+    List.iter
+      (fun (k, i) ->
+        let a = addr_of i in
+        let b = i / bwords in
+        let allocated = Simmem.is_allocated mem a in
+        (match k with
+         | Note ->
+           Simmem.Read_set.note rs a;
+           if not (List.mem_assoc a !oracle) then oracle := (a, version a) :: !oracle
+         | Validate -> check_validate ()
+         | Reset ->
+           Simmem.Read_set.reset rs;
+           oracle := []
+         | Toggle when live.(b) ->
+           Simmem.free mem ctx bases.(b);
+           live.(b) <- false
+         | Toggle ->
+           (* same-size LIFO reuse hands back one of our freed bases *)
+           let base = Simmem.malloc mem ctx bwords in
+           live.(block_of base) <- true
+         | (Commit | Write | Cas_ok | Cas_fail) when not allocated -> ()
+         | Commit -> ignore (Simmem.Tx_plane.commit_write mem ctx a (i + 1))
+         | Write -> Simmem.write mem ctx a (i + 2)
+         | Cas_ok ->
+           let cur = Simmem.peek mem a in
+           ignore (Simmem.cas mem ctx a ~expected:cur ~desired:(cur + 1))
+         | Cas_fail ->
+           let cur = Simmem.peek mem a in
+           ignore (Simmem.cas mem ctx a ~expected:(cur + 1) ~desired:0));
+        expect (Simmem.Read_set.length rs = List.length !oracle))
+      script;
+    check_validate ();
+    List.iteri
+      (fun j (a, _) -> expect (Simmem.Read_set.addr rs j = a))
+      (List.rev !oracle);
+    !ok
+  in
+  QCheck.Test.make ~name:"read set agrees with a naive rescanning oracle" ~count:300 arb
+    (fun script -> run Simmem.Word script && run Simmem.Line script)
 
 let () =
   Alcotest.run "simmem"
@@ -312,5 +422,9 @@ let () =
         ] );
       ("counters", [ Alcotest.test_case "access counters" `Quick test_access_counters ]);
       ("tx plane", [ Alcotest.test_case "read/validate/commit" `Quick test_tx_plane ]);
-      ("property", [ QCheck_alcotest.to_alcotest prop_allocator_model ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_allocator_model;
+          QCheck_alcotest.to_alcotest prop_read_set_exact;
+        ] );
     ]

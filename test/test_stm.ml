@@ -359,6 +359,67 @@ let explore_scenario key strategy ~faults () =
 let stall_faults =
   Some { Sim.Fault.none with stall_rate = 0.001; stall_cycles = 2_000 }
 
+(* ------------------------------------------------------------------ *)
+(* Long read sets: the shared read set's shortcuts are exact.          *)
+
+(* The software twin of the HTM case: a 40-read STM transaction parks
+   after its 20th read while a second thread stores to one word. A store
+   to read #3 must abort the attempt as a conflict witnessed on that
+   word; a store elsewhere must let it commit untouched. *)
+let stm_forty_reads_vs_store target =
+  let mem = Simmem.create () in
+  Simmem.track_writers mem;
+  let s = Stm.create mem in
+  let boot = Sim.boot () in
+  let a = Simmem.malloc mem boot 40 in
+  let unrelated = Simmem.malloc mem boot 8 in
+  let stored = target a unrelated in
+  let aborts = ref [] in
+  Stm.set_tap s
+    (Some
+       (fun ~tid:_ ~clock:_ -> function
+         | Stm.Ev_abort { ev_reason; ev_witness; _ } ->
+           aborts := (ev_reason, ev_witness) :: !aborts
+         | _ -> ()));
+  let attempts = ref 0 and sum = ref 0 and writer = ref (-1) in
+  Sim.run ~seed:21
+    [|
+      (fun ctx ->
+        sum :=
+          Stm.atomic s ctx (fun tx ->
+              incr attempts;
+              let acc = ref 0 in
+              for i = 0 to 39 do
+                if i = 20 && Stm.attempt_number tx = 0 then Sim.advance_to ctx 50_000;
+                acc := !acc + Stm.read tx (a + i)
+              done;
+              !acc));
+      (fun ctx ->
+        writer := Sim.tid ctx;
+        Sim.advance_to ctx 20_000;
+        Simmem.write mem ctx stored 7);
+    |];
+  (!attempts, !sum, List.rev !aborts, !writer, stored)
+
+let test_stm_long_read_set_conflict () =
+  let attempts, sum, aborts, writer, stored =
+    stm_forty_reads_vs_store (fun a _ -> a + 2)
+  in
+  Alcotest.(check int) "aborted once, then committed" 2 attempts;
+  Alcotest.(check int) "the retry saw the store" 7 sum;
+  match aborts with
+  | [ (Stm.Conflict, Some w) ] ->
+    Alcotest.(check string) "caught at the next read" "stm.read" w.Obs.Forensics.w_site;
+    Alcotest.(check int) "witness on read #3" stored w.w_addr;
+    Alcotest.(check int) "aggressor is the storing thread" writer w.w_aggressor
+  | _ -> Alcotest.fail "expected exactly one conflict abort with a witness"
+
+let test_stm_long_read_set_unrelated () =
+  let attempts, sum, aborts, _, _ = stm_forty_reads_vs_store (fun _ u -> u) in
+  Alcotest.(check int) "committed first time" 1 attempts;
+  Alcotest.(check int) "read values" 0 sum;
+  Alcotest.(check int) "no aborts" 0 (List.length aborts)
+
 let () =
   Alcotest.run "stm"
     [
@@ -376,6 +437,10 @@ let () =
             (invariant_pair stm_forced);
           Alcotest.test_case "invariant pair vs HW writers" `Quick
             (invariant_pair Htm.default_config);
+          Alcotest.test_case "40 reads, store to read #3" `Quick
+            test_stm_long_read_set_conflict;
+          Alcotest.test_case "40 reads, unrelated store" `Quick
+            test_stm_long_read_set_unrelated;
         ] );
       ( "crash recovery",
         [
