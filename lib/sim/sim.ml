@@ -62,13 +62,7 @@ let mask_threads = 61
 
 type _ Effect.t += Yield : unit Effect.t
 
-type status =
-  | Not_started of (tctx -> unit)
-  | Ready of (unit, unit) Effect.Deep.continuation
-  | Running
-  | Finished
-
-and tctx = {
+type tctx = {
   ctx_tid : int;
   mutable clock : int;
   ctx_rng : Rng.t;
@@ -92,22 +86,26 @@ and tctx = {
 
 and sched = {
   ctxs : tctx array;
-  statuses : status array;
-  (* Runnable threads as a multi-word bitset (62 bits per word), kept in
-     lock-step with [statuses]: the pick loop scans set bits instead of
-     matching every status constructor, so a 256-thread schedule with 4
-     runnable threads touches 5 words, not 256 variant tags. *)
-  runnable : int array;
+  (* The clock each thread parked at, [max_int] while it runs or once it
+     has finished: at once the runnable set and the pick key, so a switch
+     is one int store on each side and the pick one flat scan. *)
+  clocks : int array;
+  (* Each parked thread's continuation; a slot is meaningful only while
+     its [clocks] entry is below [max_int]. *)
+  conts : (unit, unit) Effect.Deep.continuation array;
+  (* Set by a thread's first instruction: only the watchdog diagnostic
+     tells a thread that never ran from a parked one. *)
+  started : bool array;
   srng : Rng.t;
   mutable live : int;
   (* Cached lower bound on the minimal clock among all other runnable
      threads; the running thread keeps going without yielding while its
      clock stays below this, which removes most continuation captures. *)
   mutable min_other : int;
-  (* Scratch written by [pick_min]: the second-smallest runnable clock
+  (* Scratch written by [min_scan]: the second-smallest runnable clock
      (with multiplicity), i.e. the minimum over the other runnable threads
      once the picked one is excluded. Saves the separate min_other scan. *)
-  mutable pick_min2 : int;
+  pick_min2 : int ref;
   wd_budget : int;  (* max_int = no watchdog: one compare per switch, no option match *)
   wd_diag : (unit -> string) option;
   (* Clock of the most recent progress note; the watchdog fires when the
@@ -323,107 +321,74 @@ let deviations r = List.rev r.rev_devs
 let choices r = List.rev r.rev_choices
 let decision_string r = String.concat ";" (List.rev_map string_of_int r.rev_picks)
 
-(* Runnable-bitset plumbing: 62 bits per word, bit [i mod 62] of word
-   [i / 62]. Kept in lock-step with [statuses] at the three transition
-   sites (initial Not_started, Running in the pick loop, Ready in the
-   Yield handler); Finished threads were Running, so their bit is already
-   clear. *)
-let r_bits = 62
-let r_set s i = s.runnable.(i / r_bits) <- s.runnable.(i / r_bits) lor (1 lsl (i mod r_bits))
-
-let r_clear s i =
-  s.runnable.(i / r_bits) <- s.runnable.(i / r_bits) land lnot (1 lsl (i mod r_bits))
-
-(* Index of the only set bit of [b] (a power of two), via a De Bruijn
-   multiply: branch-free, so the pick scan's per-bit cost is flat instead
-   of mispredict-bound when runnable sets are irregular. The table is
-   indexed by the top 6 bits of [b * debruijn] — distinct for each of the
-   62 possible single-bit inputs (bits 0..61 of an OCaml int). *)
-let db_table =
-  let t = Array.make 64 (-1) in
-  let db = 0x03f79d71b4ca8b09 in
-  for i = 0 to 61 do
-    let slot = ((1 lsl i) * db) lsr 57 land 0x3f in
-    (* The constant is a 64-bit De Bruijn sequence; OCaml ints are 63-bit,
-       so injectivity over bits 0..61 is checked here rather than assumed. *)
-    assert (t.(slot) = -1);
-    t.(slot) <- i
+(* [pick_min] (sim.mli) on the scheduler's own arrays: the second minimum
+   lands in [m2], so the run loop's min_other update needs no second
+   scan. The first pass is branch-free, because the clock compares of an
+   in-cell schedule are data-dependent and mispredict as branches; it
+   also flags whether any entry tied the running minimum when visited.
+   Only then (a minority of picks) does the exact reservoir loop run:
+   with no tie it would draw nothing and keep the first argmin, which
+   the first pass already has. *)
+let min_scan rng clocks m2 =
+  let n = Array.length clocks in
+  let m = ref max_int and sec = ref max_int and arg = ref (-1) and tied = ref 0 in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get clocks i in
+    let d = c - !m in
+    let lt = d asr 62 (* -1 when c < m, else 0 *) in
+    (* The sign bit is set when d = 0 and c < max_int: a tie the
+       reservoir scan draws on. *)
+    tied := !tied lor ((d - 1) land lnot (d lor (c + 1)));
+    let t = d land lt in
+    (* [sec] becomes min sec (max c m): [m] itself when c undercuts it. *)
+    let e = c - t - !sec in
+    sec := !sec + (e land (e asr 62));
+    m := !m + t;
+    arg := !arg + ((i - !arg) land lt)
   done;
-  t
+  m2 := !sec;
+  if !tied >= 0 then !arg
+  else begin
+    let best = ref (-1) and best_clock = ref max_int and ties = ref 0 in
+    for i = 0 to n - 1 do
+      let c = clocks.(i) in
+      if c < !best_clock then begin
+        best_clock := c;
+        best := i;
+        ties := 1
+      end
+      else if c = !best_clock && c < max_int then begin
+        incr ties;
+        if Rng.int rng !ties = 0 then best := i
+      end
+    done;
+    !best
+  end
 
-let ntz b = db_table.((b * 0x03f79d71b4ca8b09) lsr 57 land 0x3f)
-
-(* Pick a runnable thread with the minimal clock; break ties with the
-   scheduler RNG so no thread is systematically favoured. One scan over
-   the set bits computes the pick *and* the two smallest runnable clocks
-   (with multiplicity): excluding the picked thread from the minimum
-   leaves exactly the second-smallest, which lands in [s.pick_min2] so
-   the run loop's min_other update needs no second scan. Set bits are
-   visited in ascending index order, so the tie-break RNG draws happen in
-   exactly the order the status-matching scan made them. *)
-let pick_min s =
-  let best = ref (-1) and best_clock = ref max_int and ties = ref 0 in
+let pick_min rng clocks =
   let m2 = ref max_int in
-  let nw = Array.length s.runnable in
-  for wi = 0 to nw - 1 do
-    let w = ref s.runnable.(wi) in
-    if !w <> 0 then begin
-      let base = wi * r_bits in
-      while !w <> 0 do
-        let b = !w land (- !w) in
-        w := !w lxor b;
-        let i = base + ntz b in
-        let c = s.ctxs.(i).clock in
-        if c < !best_clock then begin
-          m2 := !best_clock;
-          best_clock := c;
-          best := i;
-          ties := 1
-        end
-        else begin
-          if c < !m2 then m2 := c;
-          if c = !best_clock then begin
-            incr ties;
-            if Rng.int s.srng !ties = 0 then best := i
-          end
-        end
-      done
-    end
-  done;
-  s.pick_min2 <- !m2;
-  !best
+  let i = min_scan rng clocks m2 in
+  (i, !m2)
 
-let is_runnable s i =
-  match s.statuses.(i) with Not_started _ | Ready _ -> true | Running | Finished -> false
+let is_runnable s i = s.clocks.(i) < max_int
 
 let count_runnable s =
-  let c = ref 0 in
-  for i = 0 to Array.length s.ctxs - 1 do
-    if is_runnable s i then incr c
-  done;
-  !c
+  Array.fold_left (fun n c -> if c < max_int then n + 1 else n) 0 s.clocks
 
 let runnable_mask s =
   let m = ref 0 in
-  for i = 0 to Array.length s.ctxs - 1 do
-    if is_runnable s i then m := !m lor (1 lsl i)
-  done;
+  Array.iteri (fun i c -> if c < max_int then m := !m lor (1 lsl i)) s.clocks;
   !m
 
+(* The [k]th runnable thread in index order, or [-1]. *)
 let nth_runnable s k =
-  let seen = ref 0 and found = ref (-1) in
-  (try
-     for i = 0 to Array.length s.ctxs - 1 do
-       if is_runnable s i then begin
-         if !seen = k then begin
-           found := i;
-           raise Exit
-         end;
-         incr seen
-       end
-     done
-   with Exit -> ());
-  !found
+  let rec go i seen =
+    if i = Array.length s.clocks then -1
+    else if not (is_runnable s i) then go (i + 1) seen
+    else if seen = k then i
+    else go (i + 1) (seen + 1)
+  in
+  go 0 0
 
 (* One scheduling decision. In exploring mode the min-clock pick (and its
    tie-break RNG draws) is computed at every decision even when another
@@ -431,7 +396,7 @@ let nth_runnable s k =
    from min-clock depends on both runs consuming the scheduler RNG
    identically. *)
 let pick s =
-  let d = pick_min s in
+  let d = min_scan s.srng s.clocks s.pick_min2 in
   if not s.explore then d
   else begin
     let nr = count_runnable s in
@@ -494,32 +459,46 @@ let handler s t : (unit, unit) Effect.Deep.handler =
      switches on every contended memory access, so a per-perform closure
      here is a measurable share of the whole simulation's allocation. *)
   let on_yield (k : (unit, unit) Effect.Deep.continuation) =
-    s.statuses.(t.ctx_tid) <- Ready k;
-    r_set s t.ctx_tid
+    s.conts.(t.ctx_tid) <- k;
+    s.clocks.(t.ctx_tid) <- t.clock
   in
   let some_on_yield = Some on_yield in
+  (* A finished thread's [clocks] entry is already [max_int]: it was
+     running. *)
+  let finish () =
+    drain_terminal t;
+    s.live <- s.live - 1
+  in
   {
-    retc =
-      (fun () ->
-        drain_terminal t;
-        s.statuses.(t.ctx_tid) <- Finished;
-        s.live <- s.live - 1);
-    exnc =
-      (fun e ->
-        match e with
-        | Stop_thread ->
-          drain_terminal t;
-          s.statuses.(t.ctx_tid) <- Finished;
-          s.live <- s.live - 1
-        | e -> raise e);
+    retc = finish;
+    exnc = (function Stop_thread -> finish () | e -> raise e);
     effc =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with Yield -> some_on_yield | _ -> None);
   }
 
+(* [conts] is created before any thread has parked, so it needs some
+   continuation to start from: a throwaway fiber parked at its first
+   yield, resumed to completion once every thread has parked in its own
+   slot. *)
+let placeholder () =
+  let slot : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Yield
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Yield -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> slot := Some k)
+          | _ -> None);
+    };
+  Option.get !slot
+
 (* Watchdog diagnostic: the full machine state a livelock post-mortem
-   needs — per-thread clocks, run states, and progress recency. *)
+   needs — per-thread clocks, run states, and progress recency. It runs
+   between slices, so every thread is parked or finished. *)
 let diagnose s frontier =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -528,11 +507,9 @@ let diagnose s frontier =
   Array.iteri
     (fun i t ->
       let st =
-        match s.statuses.(i) with
-        | Not_started _ -> "not-started"
-        | Ready _ -> "ready"
-        | Running -> "running"
-        | Finished -> "finished"
+        if not (is_runnable s i) then "finished"
+        else if s.started.(i) then "ready"
+        else "not-started"
       in
       Buffer.add_string b
         (Printf.sprintf "  thread %d: %-11s clock=%-10d last_progress=%d\n" i st t.clock
@@ -570,7 +547,6 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
           ctx_drains = [];
         })
   in
-  let statuses = Array.init n (fun i -> Not_started bodies.(i)) in
   let strat =
     match strategy with
     | Min_clock -> S_min
@@ -593,18 +569,29 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
       List.iter (fun (k, tid) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k tid) devs;
       S_dev tbl
   in
-  let explore = exploring in
-  let runnable = Array.make ((n + r_bits - 1) / r_bits) 0 in
+  let filler = placeholder () in
   let s =
-    { ctxs; statuses; runnable; srng = Rng.split root; live = n; min_other = 0;
-      pick_min2 = max_int; wd_budget = Option.value watchdog ~default:max_int;
+    { ctxs; clocks = Array.make n max_int; conts = Array.make n filler;
+      started = Array.make n false; srng = Rng.split root; live = n; min_other = 0;
+      pick_min2 = ref max_int; wd_budget = Option.value watchdog ~default:max_int;
       wd_diag = diag; wd_last = 0;
-      strat; explore; recd = record; choice_idx = 0 }
+      strat; explore = exploring; recd = record; choice_idx = 0 }
   in
-  for i = 0 to n - 1 do
-    r_set s i
-  done;
-  Array.iter (fun c -> c.sched <- Some s) ctxs;
+  (* Park every thread before its first instruction, so the loop below
+     only ever resumes. The priming yield is not a switch: it is not
+     counted in [yield_count]. *)
+  Array.iteri
+    (fun i t ->
+      t.sched <- Some s;
+      Effect.Deep.match_with
+        (fun () ->
+          Effect.perform Yield;
+          s.started.(i) <- true;
+          bodies.(i) t;
+          exit_flush t)
+        () (handler s t))
+    ctxs;
+  Effect.Deep.continue filler ();
   let rec loop () =
     if s.live > 0 then begin
       let i = pick s in
@@ -614,22 +601,10 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
         Array.iter (fun c -> c.sched <- None) ctxs;
         raise (Watchdog (diagnose s t.clock))
       end;
-      s.min_other <- (if s.explore then min_int else s.pick_min2);
+      s.min_other <- (if s.explore then min_int else !(s.pick_min2));
       let slice_start = t.clock in
-      (match statuses.(i) with
-       | Not_started f ->
-         statuses.(i) <- Running;
-         r_clear s i;
-         Effect.Deep.match_with
-           (fun () ->
-             f t;
-             exit_flush t)
-           () (handler s t)
-       | Ready k ->
-         statuses.(i) <- Running;
-         r_clear s i;
-         Effect.Deep.continue k ()
-       | Running | Finished -> assert false);
+      s.clocks.(i) <- max_int;
+      Effect.Deep.continue s.conts.(i) ();
       (match sink with
        | None -> ()
        | Some sk ->

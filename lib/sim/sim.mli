@@ -130,6 +130,17 @@ val pct_change_points : seed:int -> depth:int -> length:int -> int list
     positions drawn uniformly from [0, max 1 length), sorted ascending.
     Pure and deterministic in its arguments. *)
 
+val pick_min : Rng.t -> int array -> int * int
+(** [pick_min rng clocks] is the min-clock scheduling decision over an
+    array of parked clocks, where [max_int] marks a thread that cannot run
+    and clocks are never negative: [(tid, second)]. [tid] has the minimal
+    clock ([-1] if none can run); ties are broken by a reservoir scan in
+    ascending index order, in which every entry equal to the running
+    minimum when visited draws [Rng.int rng ties] and is picked on 0.
+    [second] is the second-smallest runnable clock counted with
+    multiplicity ([max_int] if fewer than two can run). {!run} makes
+    exactly this decision, with exactly these draws, at every switch. *)
+
 type recorder
 (** Accumulates the scheduling decisions of one {!run}: the full pick
     sequence and the sparse list of deviations from the min-clock default.

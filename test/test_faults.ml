@@ -121,6 +121,23 @@ let test_watchdog_fires () =
     Alcotest.(check bool) "caller diag section included" true
       (contains msg "extra-diag-section")
 
+(* The diagnostic's run-state words. A negative budget fires at the
+   first pick, before any thread ran; a thread that returned at once is
+   finished while its spinning peers are parked (two of them, so that
+   they keep yielding to each other). *)
+let test_watchdog_state_words () =
+  let spin ctx = while true do Sim.tick ctx 10 done in
+  let diagnostic budget bodies =
+    match Sim.run ~seed:10 ~watchdog:budget bodies with
+    | () -> Alcotest.fail "watchdog never fired"
+    | exception Sim.Watchdog msg -> msg
+  in
+  let fresh = diagnostic (-1) [| spin; spin |] in
+  Alcotest.(check bool) "never-run thread" true (contains fresh "thread 1: not-started");
+  let mixed = diagnostic 1_000 [| (fun _ -> ()); spin; spin |] in
+  Alcotest.(check bool) "returned thread" true (contains mixed "thread 0: finished");
+  Alcotest.(check bool) "parked thread" true (contains mixed "thread 1: ready")
+
 let test_watchdog_silent_with_progress () =
   let worker ctx =
     while Sim.clock ctx < 50_000 do
@@ -292,6 +309,7 @@ let () =
       ( "watchdog",
         [
           Alcotest.test_case "fires with diagnostic" `Quick test_watchdog_fires;
+          Alcotest.test_case "diagnostic state words" `Quick test_watchdog_state_words;
           Alcotest.test_case "silent with progress" `Quick test_watchdog_silent_with_progress;
         ] );
       ( "htm",

@@ -122,6 +122,80 @@ let test_zero_alloc_long_read_set () =
        transactional read path is allocating again"
       txs !words
 
+(* The scheduler's switch path against the runtime's own floor: the
+   continuation the runtime allocates on every [perform]. The floor is
+   measured, not assumed, with a bare deep-handler loop shaped like
+   [Sim.run] (handler hoisted, continuations parked in an array and
+   resumed in turn); that loop also boxes each parked continuation in a
+   [Some], two words, which it subtracts. A [Sim] switch may allocate no
+   more than the floor, so boxing a parked thread's state (two more words
+   per switch) fails this. *)
+type _ Effect.t += Bare_yield : unit Effect.t
+
+let continuation_words ~fibers ~rounds =
+  let conts : (unit, unit) Effect.Deep.continuation option array =
+    Array.make fibers None
+  in
+  let live = ref fibers in
+  let handler i : (unit, unit) Effect.Deep.handler =
+    let some_on_yield = Some (fun k -> conts.(i) <- Some k) in
+    {
+      retc = (fun () -> decr live);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Bare_yield -> some_on_yield | _ -> None);
+    }
+  in
+  let body () =
+    for _ = 1 to rounds do
+      Effect.perform Bare_yield
+    done
+  in
+  for i = 0 to fibers - 1 do
+    Effect.Deep.match_with body () (handler i)
+  done;
+  (* Every fiber is parked at its first yield; count from here. *)
+  let w0 = Gc.minor_words () in
+  while !live > 0 do
+    for i = 0 to fibers - 1 do
+      match conts.(i) with
+      | Some k ->
+        conts.(i) <- None;
+        Effect.Deep.continue k ()
+      | None -> ()
+    done
+  done;
+  let per_perform = (Gc.minor_words () -. w0) /. float_of_int (fibers * (rounds - 1)) in
+  per_perform -. 2.
+
+let test_switch_alloc_floor () =
+  let fibers = 16 and ticks = 20_000 in
+  let floor = continuation_words ~fibers ~rounds:ticks in
+  (* Equal tick costs keep every clock tied, so each tick yields and each
+     pick takes the tie-break path. *)
+  let body ctx =
+    for _ = 1 to ticks do
+      Sim.tick ctx 1
+    done
+  in
+  let y0 = !Sim.yield_count in
+  let w0 = Gc.minor_words () in
+  Sim.run ~seed:3 (Array.make fibers body);
+  let words = Gc.minor_words () -. w0 in
+  let switches = !Sim.yield_count - y0 in
+  Alcotest.(check bool) "every tick switched" true (switches >= fibers * (ticks - 1));
+  let per_switch = words /. float_of_int switches in
+  (* 0.1 word covers the run's fixed setup spread over the switches. *)
+  let budget = floor +. 0.1 in
+  if per_switch > budget then
+    Alcotest.failf
+      "a 16-fiber tick loop allocated %.2f minor words per switch; the runtime's \
+       per-perform continuation is %.2f (budget %.2f): the switch path is allocating \
+       again"
+      per_switch floor budget
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -169,6 +243,8 @@ let () =
             test_zero_alloc_single_thread;
           Alcotest.test_case "40-read HTM tx, steady state" `Quick
             test_zero_alloc_long_read_set;
+          Alcotest.test_case "16-fiber switch, runtime floor" `Quick
+            test_switch_alloc_floor;
         ] );
       ( "determinism",
         [

@@ -172,6 +172,51 @@ let prop_deterministic_final_clocks =
       in
       final () = final ())
 
+(* The min-clock pick against a naive oracle: a list scan over the
+   runnable entries with the reservoir tie-break, in ascending index
+   order, that the scheduler has always made. Clocks come from a tiny
+   range so ties are dense, with [max_int] holes for threads that cannot
+   run. The pick, the second minimum and the RNG state afterwards (the
+   next [Rng.bits]) must all agree. *)
+let oracle_pick rng clocks =
+  let runnable =
+    List.filter (fun (_, c) -> c <> max_int)
+      (List.mapi (fun i c -> (i, c)) (Array.to_list clocks))
+  in
+  let pick, _, _ =
+    List.fold_left
+      (fun (best, best_clock, ties) (i, c) ->
+        if c < best_clock then (i, c, 1)
+        else if c = best_clock then
+          let ties = ties + 1 in
+          ((if Sim.Rng.int rng ties = 0 then i else best), best_clock, ties)
+        else (best, best_clock, ties))
+      (-1, max_int, 0) runnable
+  in
+  let second =
+    match List.sort Int.compare (List.map snd runnable) with _ :: c :: _ -> c | _ -> max_int
+  in
+  (pick, second)
+
+let clock_array_gen =
+  QCheck.Gen.(
+    int_range 1 256 >>= fun width ->
+    int_range 0 3 >>= fun range ->
+    int_range 0 4 >>= fun holes ->
+    array_size (return width)
+      (frequency [ (holes, return max_int); (4, int_range 0 range) ]))
+
+let prop_pick_matches_oracle =
+  QCheck.Test.make ~name:"pick: flat scan = list-scan reservoir oracle" ~count:2000
+    QCheck.(
+      pair
+        (make clock_array_gen
+           ~print:Print.(array (fun c -> if c = max_int then "-" else int c)))
+        int)
+    (fun (clocks, seed) ->
+      let r = Sim.Rng.create seed and r' = Sim.Rng.create seed in
+      Sim.pick_min r clocks = oracle_pick r' clocks && Sim.Rng.bits r = Sim.Rng.bits r')
+
 (* Backoff obeys its contract for arbitrary base/cap: the delay of
    attempt [n] lands in [bound/2, bound], where the bound doubles per
    attempt up to cap (the doubling saturates after 9 attempts), and
@@ -223,5 +268,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_deterministic_final_clocks;
           QCheck_alcotest.to_alcotest prop_backoff_bounds;
+          QCheck_alcotest.to_alcotest prop_pick_matches_oracle;
         ] );
     ]
