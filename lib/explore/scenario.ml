@@ -28,8 +28,6 @@ let catch_run f =
   | exception Sim.Watchdog msg -> Fail ("watchdog: " ^ truncate_to 400 msg)
   | exception Htm.Retry_exhausted r ->
     Fail (Format.asprintf "transaction retries exhausted: %a" Htm.pp_abort_reason r)
-  | exception Stm.Retry_exhausted r ->
-    Fail (Format.asprintf "software transaction retries exhausted: %a" Stm.pp_abort_reason r)
   | exception Collect_spec.Violation msg -> Fail ("collect spec violated: " ^ msg)
   | exception Collect.Intf.Capacity_exceeded msg -> Fail ("capacity exceeded: " ^ msg)
   | exception Lin_violation msg -> Fail msg

@@ -1,16 +1,7 @@
 module Adapt = Adapt
 
-type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
-
-let abort_label = function
-  | Conflict -> "conflict"
-  | Overflow -> "overflow"
-  | Illegal -> "illegal"
-  | Explicit -> "explicit"
-  | Lock_held -> "lock-held"
-  | Spurious -> "spurious"
-
-let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
+include Simmem.Txn
+open Simmem.Tx_desc
 
 type tle_mode = Tle_never | Tle_after of int
 type stm_mode = Stm_never | Stm_after of int
@@ -74,10 +65,6 @@ let hybrid_config =
     tle = Tle_after 0;
   }
 
-type tx_path = P_hw | P_stm | P_tle
-
-let path_label = function P_hw -> "hw" | P_stm -> "stm" | P_tle -> "tle"
-
 type stats = {
   commits : int;
   aborts_conflict : int;
@@ -97,33 +84,6 @@ type stats = {
   stm_steals : int;
 }
 
-type tx_event =
-  | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-  | Tx_abort of {
-      ab_reason : abort_reason;
-      ab_path : tx_path;
-      ab_attempt : int;
-      ab_witness : Obs.Forensics.witness option;
-    }
-  | Tx_fallback
-  | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-  | Tx_steal of { st_victim : int }
-
-let pp_tx_event ppf = function
-  | Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt } ->
-    Format.fprintf ppf "commit[%s] (%d reads, %d writes, attempt %d)"
-      (path_label tx_path) tx_reads tx_writes tx_attempt
-  | Tx_abort { ab_reason; ab_path; ab_attempt; ab_witness } ->
-    Format.fprintf ppf "abort[%s]: %a (attempt %d)" (path_label ab_path)
-      pp_abort_reason ab_reason ab_attempt;
-    (match ab_witness with
-     | None -> ()
-     | Some w -> Format.fprintf ppf " [%a]" Obs.Forensics.pp_witness w)
-  | Tx_fallback -> Format.pp_print_string ppf "TLE lock fallback"
-  | Tx_escalate { esc_to; esc_attempt } ->
-    Format.fprintf ppf "escalate to %s (attempt %d)" (path_label esc_to) esc_attempt
-  | Tx_steal { st_victim } -> Format.fprintf ppf "stm lock stolen from t%d" st_victim
-
 (* Stats live in the metrics registry. The [stats] record type survives as
    a read-only snapshot assembled from the handles, so per-run consumers
    ([Workload] measures deltas by [reset_stats] between phases) keep exact
@@ -131,7 +91,7 @@ let pp_tx_event ppf = function
 type t = {
   hmem : Simmem.t;
   cfg : config;
-  (* Pooled per-thread transaction descriptors (see [get_tx]). *)
+  (* Pooled per-thread transaction descriptors ({!Simmem.Tx_desc.acquire}). *)
   pool : tx option array;
   mreg : Obs.Metrics.t;
   c_commits : Obs.Metrics.counter;
@@ -152,40 +112,10 @@ type t = {
   h_stores : Obs.Metrics.hist;
   lock_addr : int;
   stm : Stm.t option;
-  mutable tap : (tid:int -> clock:int -> tx_event -> unit) option;
+  mutable tap : tap;
 }
 
-and mode = Hw | Sw of Stm.tx | Locked
-
-and tx = {
-  h : t;
-  mutable ctx : Sim.tctx;
-  mutable busy : bool; (* bound to a running [atomic]; nesting gets a fresh tx *)
-  mutable mode : mode;
-  mutable attempt : int;
-  reads : Simmem.Read_set.t;
-  mutable waddr : int array;
-  mutable wval : int array;
-  mutable nwrites : int;
-  mutable nstores : int;
-  mutable frees : int array;
-  mutable nfrees : int;
-  mutable witness : Obs.Forensics.witness option;
-      (* set at the capture site of the conflict that will abort this
-         attempt; consumed (and cleared) by the abort handler *)
-  mutable last_w : Obs.Forensics.witness option;
-      (* witness of the most recent hardware abort, threaded into the
-         escalation hop that it drives *)
-}
-
-exception Aborted of abort_reason
-exception Retry_exhausted of abort_reason
-
-let of_stm_reason = function
-  | Stm.Conflict -> Conflict
-  | Stm.Locked -> Lock_held
-  | Stm.Illegal -> Illegal
-  | Stm.Explicit -> Explicit
+and tx = t Simmem.Tx_desc.t
 
 let create ?(config = default_config) ?metrics mem =
   (* The TLE lock gets its own cache line so lock traffic does not
@@ -200,9 +130,7 @@ let create ?(config = default_config) ?metrics mem =
     match config.stm with
     | Stm_never -> None
     | Stm_after _ ->
-      let s = Stm.create ~config:config.stm_config ?metrics mem in
-      Stm.set_fence s lock_addr;
-      Some s
+      Some (Stm.create ~config:config.stm_config ?metrics ~fence:lock_addr mem)
   in
   let mreg = Obs.Metrics.create ?parent:metrics () in
   let h =
@@ -232,48 +160,16 @@ let create ?(config = default_config) ?metrics mem =
       tap = None;
     }
   in
-  (* Forward STM transaction events into this domain's tap, path-tagged,
-     so one stream carries the whole escalation story. *)
-  (match stm with
-   | None -> ()
-   | Some s ->
-     Stm.set_tap s
-       (Some
-          (fun ~tid ~clock ev ->
-            match h.tap with
-            | None -> ()
-            | Some f ->
-              f ~tid ~clock
-                (match ev with
-                 | Stm.Ev_commit { ev_reads; ev_writes; ev_attempt } ->
-                   Tx_commit
-                     {
-                       tx_reads = ev_reads;
-                       tx_writes = ev_writes;
-                       tx_path = P_stm;
-                       tx_attempt = ev_attempt;
-                     }
-                 | Stm.Ev_abort { ev_reason; ev_attempt; ev_witness } ->
-                   Tx_abort
-                     {
-                       ab_reason = of_stm_reason ev_reason;
-                       ab_path = P_stm;
-                       ab_attempt = ev_attempt;
-                       ab_witness = ev_witness;
-                     }
-                 | Stm.Ev_steal { ev_victim } -> Tx_steal { st_victim = ev_victim }))));
   h
 
 let mem t = t.hmem
 let config t = t.cfg
 let metrics t = t.mreg
 let stm t = t.stm
-let set_tap t f = t.tap <- f
 
-let emit t ctx ev =
-  match t.tap with
-  | None -> ()
-  | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
+let set_tap t f =
+  t.tap <- f;
+  Option.iter (fun s -> Stm.set_tap s f) t.stm
 
 let stats t =
   let s_stats = Option.map Stm.stats t.stm in
@@ -302,110 +198,31 @@ let stats t =
   }
 
 let reset_stats t =
-  Obs.Metrics.reset_counter t.c_commits;
-  Obs.Metrics.reset_counter t.c_conflict;
-  Obs.Metrics.reset_counter t.c_overflow;
-  Obs.Metrics.reset_counter t.c_illegal;
-  Obs.Metrics.reset_counter t.c_explicit;
-  Obs.Metrics.reset_counter t.c_lock;
-  Obs.Metrics.reset_counter t.c_spurious;
-  Obs.Metrics.reset_counter t.c_fallbacks;
-  Obs.Metrics.reset_counter t.c_cycles;
-  Obs.Metrics.reset_counter t.c_att_hw;
-  Obs.Metrics.reset_counter t.c_att_stm;
-  Obs.Metrics.reset_counter t.c_att_tle;
-  Obs.Metrics.reset_counter t.c_esc_stm;
-  Obs.Metrics.reset_gauge t.g_consec;
-  Obs.Metrics.reset_hist t.h_commit;
-  Obs.Metrics.reset_hist t.h_stores;
+  Obs.Metrics.reset t.mreg;
   Option.iter Stm.reset_stats t.stm
 
 let commit_cycles_histogram t = Obs.Metrics.buckets t.h_commit
 
 let attempt_number tx = tx.attempt
-let in_fallback tx = match tx.mode with Locked -> true | Hw | Sw _ -> false
+let in_fallback tx = match tx.path with P_tle -> true | P_hw | P_stm -> false
 let tx_tid tx = Sim.tid tx.ctx
 
-let reset_tx tx mode attempt =
-  tx.mode <- mode;
-  tx.attempt <- attempt;
-  Simmem.Read_set.reset tx.reads;
-  tx.nwrites <- 0;
-  tx.nstores <- 0;
-  tx.nfrees <- 0;
-  tx.witness <- None
-
-let fresh_tx h ctx =
-  {
-    h;
-    ctx;
-    busy = false;
-    mode = Hw;
-    attempt = 0;
-    reads = Simmem.Read_set.create h.hmem h.cfg.granularity;
-    waddr = Array.make 32 0;
-    wval = Array.make 32 0;
-    nwrites = 0;
-    nstores = 0;
-    frees = Array.make 16 0;
-    nfrees = 0;
-    witness = None;
-    last_w = None;
-  }
-
-(* Per-(domain, thread) transaction descriptors are pooled: the first
-   [atomic] on a thread allocates one, every later call reuses it — the
-   read/write/free sets are preallocated arrays that only grow. A nested
-   [atomic] (pool slot busy) falls back to a fresh descriptor. *)
-let get_tx h ctx =
-  let tid = Sim.tid ctx in
-  match h.pool.(tid) with
-  | Some tx when not tx.busy ->
-    tx.ctx <- ctx;
-    tx
-  | Some _ -> fresh_tx h ctx
-  | None ->
-    let tx = fresh_tx h ctx in
-    h.pool.(tid) <- Some tx;
-    tx
-
-(* Newest write-buffer slot holding [addr], or -1. *)
-let find_buffered_idx tx addr =
-  let found = ref (-1) and i = ref (tx.nwrites - 1) in
-  while !found < 0 && !i >= 0 do
-    if tx.waddr.(!i) = addr then found := !i else decr i
-  done;
-  !found
-
-(* Conflict forensics: the address whose version check failed — scanned
-   only on the (already doomed) abort path, never on success. Under
-   [Line] granularity the reported address is the word this transaction
-   read on the doomed line; the aggressor may have written a different
-   word of it (false sharing), in which case journal attribution can be
-   stale — the line index in the witness is authoritative. *)
-let capture_conflict tx site =
-  let addr = Simmem.Read_set.first_invalid tx.reads in
-  if addr >= 0 then begin
-    let wrote = find_buffered_idx tx addr >= 0 in
-    tx.witness <-
-      Some
-        (Simmem.conflict_witness tx.h.hmem tx.ctx ~addr ~victim_wrote:wrote
-           ~in_read_set:true ~in_write_set:wrote ~site ())
-  end
+(* The software domain of a transaction running on the [P_stm] path. *)
+let sw tx = match tx.owner.stm with Some s -> s | None -> assert false
 
 let illegal tx addr =
-  if tx.h.cfg.sandboxed then raise (Aborted Illegal)
+  if tx.owner.cfg.sandboxed then abort_with Illegal
   else raise (Simmem.Fault (Simmem.Use_after_free addr))
 
 let read tx addr =
-  match tx.mode with
-  | Locked -> Simmem.read tx.h.hmem tx.ctx addr
-  | Sw stx -> Stm.read stx addr
-  | Hw ->
-    let bi = find_buffered_idx tx addr in
+  match tx.path with
+  | P_tle -> Simmem.read tx.mem tx.ctx addr
+  | P_stm -> Stm.read (sw tx) tx addr
+  | P_hw ->
+    let bi = find_write tx addr in
     if bi >= 0 then tx.wval.(bi)
     else begin
-      let mem = tx.h.hmem in
+      let mem = tx.mem in
       if Simmem.Tx_plane.read_ver mem tx.ctx addr < 0 then illegal tx addr
       else begin
         let v = Simmem.Tx_plane.read_value mem in
@@ -416,8 +233,12 @@ let read tx addr =
            validation and so can never doom it on either plane. *)
         Simmem.Read_set.note tx.reads addr;
         if not (Simmem.Read_set.validate tx.reads) then begin
-          capture_conflict tx "htm.read";
-          raise (Aborted Conflict)
+          (* Under [Line] the witnessed address is the word this
+             transaction read on the doomed line; the aggressor may have
+             written another word of it (false sharing), so the line in
+             the witness is the authoritative part. *)
+          ignore (witness_invalid_read tx "htm.read");
+          abort_with Conflict
         end;
         v
       end
@@ -425,76 +246,47 @@ let read tx addr =
 
 let consume_store_slot tx =
   tx.nstores <- tx.nstores + 1;
-  if tx.nstores > tx.h.cfg.store_buffer then raise (Aborted Overflow);
-  Sim.tick tx.ctx tx.h.cfg.tx_store_cost
+  if tx.nstores > tx.owner.cfg.store_buffer then abort_with Overflow;
+  Sim.tick tx.ctx tx.owner.cfg.tx_store_cost
 
 let write tx addr v =
-  match tx.mode with
-  | Locked -> Simmem.write tx.h.hmem tx.ctx addr v
-  | Sw stx -> Stm.write stx addr v
-  | Hw ->
-    if not (Simmem.is_allocated tx.h.hmem addr) then illegal tx addr;
+  match tx.path with
+  | P_tle -> Simmem.write tx.mem tx.ctx addr v
+  | P_stm -> Stm.write (sw tx) tx addr v
+  | P_hw ->
+    if not (Simmem.is_allocated tx.mem addr) then illegal tx addr;
     consume_store_slot tx;
-    if tx.nwrites = Array.length tx.waddr then begin
-      let n = Array.length tx.waddr in
-      let waddr = Array.make (2 * n) 0 and wval = Array.make (2 * n) 0 in
-      Array.blit tx.waddr 0 waddr 0 n;
-      Array.blit tx.wval 0 wval 0 n;
-      tx.waddr <- waddr;
-      tx.wval <- wval
-    end;
-    tx.waddr.(tx.nwrites) <- addr;
-    tx.wval.(tx.nwrites) <- v;
-    tx.nwrites <- tx.nwrites + 1
+    buffer_write tx addr v
 
 let record tx =
-  match tx.mode with
-  | Locked -> Sim.tick tx.ctx tx.h.cfg.tx_store_cost
-  | Sw stx -> Stm.record stx
-  | Hw -> consume_store_slot tx
+  match tx.path with
+  | P_tle -> Sim.tick tx.ctx tx.owner.cfg.tx_store_cost
+  | P_stm -> Stm.record (sw tx) tx
+  | P_hw -> consume_store_slot tx
 
 let abort tx =
-  match tx.mode with
-  | Hw -> raise (Aborted Explicit)
-  | Sw stx -> Stm.abort stx
-  | Locked -> invalid_arg "Htm.abort: cannot abort under the TLE lock"
+  match tx.path with
+  | P_hw | P_stm -> abort_with Explicit
+  | P_tle -> invalid_arg "Htm.abort: cannot abort under the TLE lock"
 
-let defer_free tx base =
-  match tx.mode with
-  | Sw stx -> Stm.defer_free stx base
-  | Hw | Locked ->
-    if tx.nfrees = Array.length tx.frees then begin
-      let n = Array.length tx.frees in
-      let frees = Array.make (2 * n) 0 in
-      Array.blit tx.frees 0 frees 0 n;
-      tx.frees <- frees
-    end;
-    tx.frees.(tx.nfrees) <- base;
-    tx.nfrees <- tx.nfrees + 1
+let defer_free = defer_free
 
 (* Commit: validate, then apply the write buffer without yielding so the
    transaction is atomic in virtual time. *)
 let commit tx =
-  let mem = tx.h.hmem in
+  let mem = tx.mem in
   if not (Simmem.Read_set.validate tx.reads) then begin
-    capture_conflict tx "htm.commit";
-    raise (Aborted Conflict)
+    ignore (witness_invalid_read tx "htm.commit");
+    abort_with Conflict
   end;
-  for i = 0 to tx.nwrites - 1 do
-    if not (Simmem.is_allocated mem tx.waddr.(i)) then illegal tx tx.waddr.(i)
-  done;
-  Sim.charge tx.ctx tx.h.cfg.tx_commit_cost;
+  let freed = first_freed_write tx in
+  if freed >= 0 then illegal tx freed;
+  Sim.charge tx.ctx tx.owner.cfg.tx_commit_cost;
   for i = 0 to tx.nwrites - 1 do
     let ok = Simmem.Tx_plane.commit_write mem tx.ctx tx.waddr.(i) tx.wval.(i) in
     assert ok
   done;
   Sim.tick tx.ctx 0
-
-let run_frees tx =
-  for i = 0 to tx.nfrees - 1 do
-    Simmem.free tx.h.hmem tx.ctx tx.frees.(i)
-  done;
-  tx.nfrees <- 0
 
 let count_abort h ~tid = function
   | Conflict -> Obs.Metrics.incr_t h.c_conflict tid
@@ -524,11 +316,13 @@ let acquire_lock h ctx =
    [Simmem.write] under the [sc] model. *)
 let release_lock h ctx = Simmem.fenced_write h.hmem ctx h.lock_addr 0
 
+let tle_enabled h = match h.cfg.tle with Tle_never -> false | Tle_after _ -> true
+
 let run_locked h ctx tx attempt f =
   acquire_lock h ctx;
   Obs.Metrics.incr1 h.c_fallbacks;
   Obs.Metrics.incr_t h.c_att_tle (Sim.tid ctx);
-  emit h ctx Tx_fallback;
+  emit h.tap ctx Tx_fallback;
   let t_lock = Sim.clock ctx in
   (match Sim.tracer ctx with
    | None -> ()
@@ -536,7 +330,7 @@ let run_locked h ctx tx attempt f =
      Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"tle.fallback" ~cat:"tx"
        ~args:[ ("attempt", Obs.Json.Int attempt) ]
        t_lock);
-  reset_tx tx Locked attempt;
+  reset tx P_tle attempt;
   (* Crash safety: the lock must be released on every exit path — including
      an injected kill raising [Stop_thread] out of the block — and the
      release itself must not be interruptible, or one dead thread wedges
@@ -559,43 +353,38 @@ let run_locked h ctx tx attempt f =
       let v = f tx in
       release ();
       run_frees tx;
-      emit h ctx
-        (Tx_commit { tx_reads = 0; tx_writes = 0; tx_path = P_tle; tx_attempt = attempt });
+      (match h.tap with
+       | None -> ()
+       | Some _ ->
+         emit h.tap ctx
+           (Tx_commit { tx_reads = 0; tx_writes = 0; tx_path = P_tle; tx_attempt = attempt }));
       v)
 
-(* The software slow path: run the block as an STM transaction (same [tx]
-   surface, [Sw] mode), with the configured attempt budget. If the budget
+(* The software slow path: run the block as an STM transaction on the
+   same descriptor, with the configured attempt budget. If the budget
    runs dry and TLE is enabled, the lock is the last resort. *)
-let run_stm h s ctx tx n ~last ~lastw f on_abort =
+let run_stm h s ctx tx n ~last f on_abort =
   Obs.Metrics.incr1 h.c_esc_stm;
   Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"stm"
-    ~reason:(abort_label last) lastw;
-  emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
+    ~reason:(abort_label last) tx.last_witness;
+  (match h.tap with
+   | None -> ()
+   | Some _ -> emit h.tap ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n }));
   (match Sim.tracer ctx with
    | None -> ()
    | Some sink ->
      Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"stm.escalate" ~cat:"tx"
        ~args:[ ("attempt", Obs.Json.Int n) ]
        (Sim.clock ctx));
-  let tid = Sim.tid ctx in
-  match
-    Stm.atomic s ctx ~max_attempts:h.cfg.stm_attempts
-      ~on_abort:(fun r -> on_abort (of_stm_reason r))
-      (fun stx ->
-        Obs.Metrics.incr_t h.c_att_stm tid;
-        reset_tx tx (Sw stx) n;
-        f tx)
-  with
+  match Stm.atomic s tx ~budget:h.cfg.stm_attempts ~attempts:h.c_att_stm ~on_abort f with
   | v -> v
-  | exception Stm.Retry_exhausted r ->
-    if (match h.cfg.tle with Tle_never -> false | Tle_after _ -> true) then begin
-      emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
-      Simmem.note_hop h.hmem ctx ~from_path:"stm" ~to_path:"tle"
-        ~reason:(abort_label (of_stm_reason r))
-        (Stm.last_witness s ctx);
-      run_locked h ctx tx n f
-    end
-    else raise (Retry_exhausted (of_stm_reason r))
+  | exception Retry_exhausted r when tle_enabled h ->
+    (match h.tap with
+     | None -> ()
+     | Some _ -> emit h.tap ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n }));
+    Simmem.note_hop h.hmem ctx ~from_path:"stm" ~to_path:"tle" ~reason:(abort_label r)
+      tx.last_witness;
+    run_locked h ctx tx n f
 
 (* Success bookkeeping, shared by all three paths: escalation stats,
    cycles-to-commit, and a liveness-watchdog note. *)
@@ -628,16 +417,13 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     | Stm_never, Tle_after k -> n >= k
   in
   if esc_stm then begin
-    match h.stm with
-    | Some s ->
-      let v = run_stm h s ctx tx n ~last ~lastw:tx.last_w f on_abort in
-      finish h ctx t0 n;
-      v
-    | None -> assert false
+    let v = run_stm h (sw tx) ctx tx n ~last f on_abort in
+    finish h ctx t0 n;
+    v
   end
   else if use_lock then begin
     Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"tle"
-      ~reason:(abort_label last) tx.last_w;
+      ~reason:(abort_label last) tx.last_witness;
     let v = run_locked h ctx tx n f in
     finish h ctx t0 n;
     v
@@ -658,18 +444,16 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
        linger in a buffer. No-op under the [sc] model. *)
     Simmem.drain h.hmem ctx;
     let t_att = Sim.clock ctx in
-    reset_tx tx Hw n;
+    reset tx P_hw n;
     Obs.Metrics.incr_t h.c_att_hw tid;
     match
       (* An environmental abort (interrupt, TLB miss, register-window
          spill — Rock's whole catalogue) can strike any attempt. *)
-      (if Sim.spurious_fires ctx then raise (Aborted Spurious));
+      (if Sim.spurious_fires ctx then abort_with Spurious);
       (* Under TLE every hardware transaction monitors the lock word:
          observing it held aborts now, and a later acquisition changes the
          word's version, dooming us at validation. *)
-      (if (match h.cfg.tle with Tle_never -> false | Tle_after _ -> true)
-          && read tx h.lock_addr <> 0
-       then raise (Aborted Lock_held));
+      (if tle_enabled h && read tx h.lock_addr <> 0 then abort_with Lock_held);
       let v = f tx in
       commit tx;
       v
@@ -680,7 +464,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
       (match h.tap with
        | None -> ()
        | Some _ ->
-         emit h ctx
+         emit h.tap ctx
            (Tx_commit
               {
                 tx_reads = Simmem.Read_set.length tx.reads;
@@ -704,26 +488,19 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
       v
     | exception Aborted r ->
       count_abort h ~tid r;
-      (* Attach the witness captured at the validation failure; a
-         lock-held abort synthesizes one against the lock word, whose
-         last writer (the holder's acquiring CAS) is the aggressor. *)
-      let w =
-        match r, tx.witness with
-        | _, (Some _ as w) -> w
-        | Lock_held, None ->
-          Some
-            (Simmem.conflict_witness h.hmem ctx ~addr:h.lock_addr
-               ~victim_wrote:false ~in_read_set:true ~in_write_set:false
-               ~site:"htm.begin" ())
-        | _, None -> None
-      in
-      tx.witness <- None;
-      (match w with Some wit -> Simmem.record_witness h.hmem ctx wit | None -> ());
-      tx.last_w <- w;
+      (* A lock-held abort has no validation failure to witness: it gets
+         one against the lock word, whose last writer (the holder's
+         acquiring CAS) is the aggressor. *)
+      (match r, tx.witness with
+       | Lock_held, None ->
+         set_witness tx ~addr:h.lock_addr ~victim_wrote:false ~in_read_set:true
+           ~in_write_set:false "htm.begin"
+       | _ -> ());
+      let w = settle_abort tx in
       (match h.tap with
        | None -> ()
        | Some _ ->
-         emit h ctx
+         emit h.tap ctx
            (Tx_abort { ab_reason = r; ab_path = P_hw; ab_attempt = n; ab_witness = w }));
       (match tr with
        | None -> ()
@@ -748,13 +525,11 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
   end
 
 let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
-  let tx = get_tx h ctx in
-  tx.busy <- true;
-  tx.last_w <- None;
-  let t0 = Sim.clock ctx in
-  let tid = Sim.tid ctx in
-  let tr = Sim.tracer ctx in
-  match attempt_loop h ctx tx f on_abort tr tid t0 0 Conflict with
+  let tx = acquire h.pool h h.hmem h.cfg.granularity ctx in
+  match
+    attempt_loop h ctx tx f on_abort (Sim.tracer ctx) (Sim.tid ctx) (Sim.clock ctx) 0
+      Conflict
+  with
   | v ->
     tx.busy <- false;
     v

@@ -40,18 +40,12 @@
 
 module Adapt = Adapt
 
-type abort_reason =
-  | Conflict  (** read-set validation failed *)
-  | Overflow  (** store-buffer capacity exceeded *)
-  | Illegal  (** sandboxed access to freed/unmapped memory *)
-  | Explicit  (** the block called {!abort} *)
-  | Lock_held  (** a TLE lock holder (or a live STM lock owner) was observed *)
-  | Spurious
-      (** environmental abort injected by the fault plan — interrupts, TLB
-          misses, register-window spills: Rock's catalogue of aborts that
-          have nothing to do with the data accessed ({!Sim.Fault}) *)
-
-val pp_abort_reason : Format.formatter -> abort_reason -> unit
+(** The transaction vocabulary, shared with the {!Stm} slow path (see
+    {!Simmem.Txn}): the six abort reasons, the {!Retry_exhausted}
+    exception and the path-tagged {!tx_event}s the tap receives. *)
+include module type of struct
+  include Simmem.Txn
+end
 
 type tle_mode =
   | Tle_never  (** no global-lock fallback *)
@@ -118,11 +112,6 @@ val hybrid_config : config
 (** The full degradation lattice: [Stm_after 2] (capacity immediately),
     [stm_attempts = 8], TLE as last resort. *)
 
-(** Which of the three execution paths an event happened on. *)
-type tx_path = P_hw | P_stm | P_tle
-
-val path_label : tx_path -> string
-
 type stats = {
   commits : int;  (** hardware commits *)
   aborts_conflict : int;
@@ -173,35 +162,13 @@ val reset_stats : t -> unit
 (** Reset this domain's local metrics, including the STM side table's (a
     parent registry, if chained, keeps its accumulated totals). *)
 
+val set_tap : t -> tap -> unit
 (** Transaction-event tap, for trace capture by the schedule explorer
-    ([lib/explore]): commits (with read/write-set sizes), aborts (with
-    reason), escalations and TLE lock fallbacks, each attributed to the
-    execution path it happened on — the tap stream is exact, so per-path
-    histograms can be built from it alone. STM-path events (including
-    lock steals) are forwarded into this stream automatically. Costs
-    nothing when unset. *)
-
-type tx_event =
-  | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-  | Tx_abort of {
-      ab_reason : abort_reason;
-      ab_path : tx_path;
-      ab_attempt : int;
-      ab_witness : Obs.Forensics.witness option;
-          (** the conflict witness captured at the failing validation (or
-              synthesized against the TLE lock word for lock-held
-              aborts); rendered by {!pp_tx_event}, so explorer
-              counterexample traces carry abort attribution *)
-    }
-  | Tx_fallback  (** TLE lock acquired *)
-  | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-  | Tx_steal of { st_victim : int }
-      (** an STM versioned lock was stolen from (crashed) thread
-          [st_victim] *)
-
-val pp_tx_event : Format.formatter -> tx_event -> unit
-
-val set_tap : t -> (tid:int -> clock:int -> tx_event -> unit) option -> unit
+    ([lib/explore]): commits, aborts, escalations, TLE lock fallbacks and
+    STM lock steals, each tagged with the path it happened on. It is
+    installed in the {!Stm} side table too, so the software path emits
+    into the same stream; the stream is exact, so per-path histograms can
+    be built from it alone. Costs nothing when unset. *)
 
 val commit_cycles_histogram : t -> (int * int) list
 (** Log-2 histogram of cycles-to-commit: [(2{^i}, count)] pairs, where a
@@ -212,11 +179,6 @@ val commit_cycles_histogram : t -> (int * int) list
     (minus any crash-interrupted after their commit point). The
     escalation tail under faults lives here. *)
 
-exception Retry_exhausted of abort_reason
-(** Raised by {!atomic} when the retry budget ran out with no escalation
-    configured to rescue the operation (hardware [max_attempts], or the
-    STM budget with [tle = Tle_never]); carries the last abort reason. *)
-
 type tx
 (** An in-flight transaction attempt. Valid only inside the callback of
     {!atomic} that produced it. *)
@@ -226,8 +188,10 @@ val atomic : t -> Sim.tctx -> ?on_abort:(abort_reason -> unit) -> (tx -> 'a) -> 
     commits (possibly escalated to the STM path or the TLE lock), and
     returns its result. [on_abort] is called after each aborted attempt
     on {e any} path, before the backoff — the adaptive step-size
-    controller hooks in here (STM abort reasons are mapped onto
-    {!abort_reason}). Transactions must not nest. *)
+    controller hooks in here. Raises {!Retry_exhausted} with the last
+    abort reason when a retry budget runs out with no escalation left to
+    rescue the operation (hardware [max_attempts], or the STM budget with
+    [tle = Tle_never]). Transactions must not nest. *)
 
 val read : tx -> int -> int
 (** Transactional load. *)
@@ -256,9 +220,11 @@ val tx_tid : tx -> int
     serves every operation (no per-operation closure). *)
 
 val attempt_number : tx -> int
-(** 0 for the first attempt of this [atomic], incremented per hardware
-    retry; frozen at the escalation attempt on the software path (use
-    {!Stm.attempt_number} via the side table for software retries). *)
+(** This attempt's number on its path, from 0. Hardware attempts count
+    from the first; a block escalated to the STM path counts its
+    software attempts from 0 again; under the TLE lock it is the number
+    of the hardware attempt at which the block left the hardware path.
+    It is the [attempt] the attempt's events carry. *)
 
 val in_fallback : tx -> bool
 (** Whether this attempt runs under the TLE lock (non-transactionally).

@@ -173,6 +173,14 @@ let reset_hist h =
   Array.fill h.h_counts 0 hist_buckets 0;
   h.h_n <- 0
 
+let reset t =
+  Hashtbl.iter
+    (fun _ -> function
+      | M_counter c -> reset_counter c
+      | M_gauge g -> reset_gauge g
+      | M_hist h -> reset_hist h)
+    t.tbl
+
 (* Bucket-wise histogram merge (bucket lows are powers of two, so
    [bucket_of lo] recovers the index); loops would cost one observe per
    original sample. *)

@@ -106,6 +106,9 @@ val reset_counter : counter -> unit
 val reset_gauge : gauge -> unit
 val reset_hist : hist -> unit
 
+val reset : t -> unit
+(** Reset every metric registered in this registry. *)
+
 (** {1 Snapshots} *)
 
 type value =

@@ -1213,7 +1213,7 @@ module Read_set = struct
        so short transactions never pay for it. *)
   type nonrec t = {
     mem : t;
-    gran : granularity;
+    mutable gran : granularity;
     mutable addrs : int array;
     mutable vers : int array;
     mutable n : int;
@@ -1320,4 +1320,212 @@ module Read_set = struct
       rs.checked <- bumps;
       true
     end
+end
+
+module Txn = struct
+  type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
+
+  let abort_label = function
+    | Conflict -> "conflict"
+    | Overflow -> "overflow"
+    | Illegal -> "illegal"
+    | Explicit -> "explicit"
+    | Lock_held -> "lock-held"
+    | Spurious -> "spurious"
+
+  let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
+
+  exception Aborted of abort_reason
+  exception Retry_exhausted of abort_reason
+
+  let ex_conflict = Aborted Conflict
+  and ex_overflow = Aborted Overflow
+  and ex_illegal = Aborted Illegal
+  and ex_explicit = Aborted Explicit
+  and ex_lock_held = Aborted Lock_held
+  and ex_spurious = Aborted Spurious
+
+  let abort_with = function
+    | Conflict -> raise ex_conflict
+    | Overflow -> raise ex_overflow
+    | Illegal -> raise ex_illegal
+    | Explicit -> raise ex_explicit
+    | Lock_held -> raise ex_lock_held
+    | Spurious -> raise ex_spurious
+
+  type tx_path = P_hw | P_stm | P_tle
+
+  let path_label = function P_hw -> "hw" | P_stm -> "stm" | P_tle -> "tle"
+
+  type tx_event =
+    | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
+    | Tx_abort of {
+        ab_reason : abort_reason;
+        ab_path : tx_path;
+        ab_attempt : int;
+        ab_witness : Obs.Forensics.witness option;
+      }
+    | Tx_fallback
+    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
+    | Tx_steal of { st_victim : int }
+
+  let pp_tx_event ppf = function
+    | Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt } ->
+      Format.fprintf ppf "commit[%s] (%d reads, %d writes, attempt %d)"
+        (path_label tx_path) tx_reads tx_writes tx_attempt
+    | Tx_abort { ab_reason; ab_path; ab_attempt; ab_witness } ->
+      Format.fprintf ppf "abort[%s]: %a (attempt %d)" (path_label ab_path)
+        pp_abort_reason ab_reason ab_attempt;
+      (match ab_witness with
+       | None -> ()
+       | Some w -> Format.fprintf ppf " [%a]" Obs.Forensics.pp_witness w)
+    | Tx_fallback -> Format.pp_print_string ppf "TLE lock fallback"
+    | Tx_escalate { esc_to; esc_attempt } ->
+      Format.fprintf ppf "escalate to %s (attempt %d)" (path_label esc_to) esc_attempt
+    | Tx_steal { st_victim } -> Format.fprintf ppf "stm lock stolen from t%d" st_victim
+
+  type tap = (tid:int -> clock:int -> tx_event -> unit) option
+
+  let emit (tap : tap) ctx ev =
+    match tap with None -> () | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
+end
+
+module Tx_desc = struct
+  open Txn
+
+  type heap = t
+
+  type 'o t = {
+    owner : 'o;
+    mem : heap;
+    gran : granularity;
+    mutable ctx : Sim.tctx;
+    mutable busy : bool;
+    mutable path : tx_path;
+    mutable attempt : int;
+    mutable rv : int;
+    reads : Read_set.t;
+    mutable waddr : int array;
+    mutable wval : int array;
+    mutable nwrites : int;
+    mutable nstores : int;
+    mutable frees : int array;
+    mutable nfrees : int;
+    mutable witness : Obs.Forensics.witness option;
+    mutable last_witness : Obs.Forensics.witness option;
+  }
+
+  (* The first [atomic] on a thread allocates its descriptor and every
+     later one reuses it: the read, write and free sets are arrays that
+     only grow. A nested [atomic] finds the pooled one busy and runs on a
+     fresh descriptor. *)
+  let acquire pool owner mem gran ctx =
+    let tid = Sim.tid ctx in
+    let d =
+      match pool.(tid) with
+      | Some d when not d.busy ->
+        d.ctx <- ctx;
+        d
+      | pooled ->
+        let d =
+          {
+            owner;
+            mem;
+            gran;
+            ctx;
+            busy = false;
+            path = P_hw;
+            attempt = 0;
+            rv = 0;
+            reads = Read_set.create mem gran;
+            waddr = Array.make 32 0;
+            wval = Array.make 32 0;
+            nwrites = 0;
+            nstores = 0;
+            frees = Array.make 16 0;
+            nfrees = 0;
+            witness = None;
+            last_witness = None;
+          }
+        in
+        if Option.is_none pooled then pool.(tid) <- Some d;
+        d
+    in
+    d.busy <- true;
+    d.last_witness <- None;
+    d
+
+  (* The software path validates word versions whatever granularity the
+     hardware path detects conflicts at. *)
+  let reset d path attempt =
+    d.path <- path;
+    d.attempt <- attempt;
+    d.reads.gran <- (match path with P_stm -> Word | P_hw | P_tle -> d.gran);
+    Read_set.reset d.reads;
+    d.nwrites <- 0;
+    d.nstores <- 0;
+    d.nfrees <- 0;
+    d.witness <- None
+
+  let grow a =
+    let n = Array.length a in
+    let b = Array.make (2 * n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+
+  let rec find_from d addr i =
+    if i < 0 then -1 else if d.waddr.(i) = addr then i else find_from d addr (i - 1)
+
+  let find_write d addr = find_from d addr (d.nwrites - 1)
+
+  let buffer_write d addr v =
+    if d.nwrites = Array.length d.waddr then begin
+      d.waddr <- grow d.waddr;
+      d.wval <- grow d.wval
+    end;
+    d.waddr.(d.nwrites) <- addr;
+    d.wval.(d.nwrites) <- v;
+    d.nwrites <- d.nwrites + 1
+
+  let first_freed_write d =
+    let rec go i =
+      if i >= d.nwrites then -1
+      else if is_allocated d.mem d.waddr.(i) then go (i + 1)
+      else d.waddr.(i)
+    in
+    go 0
+
+  let defer_free d base =
+    if d.nfrees = Array.length d.frees then d.frees <- grow d.frees;
+    d.frees.(d.nfrees) <- base;
+    d.nfrees <- d.nfrees + 1
+
+  let run_frees d =
+    for i = 0 to d.nfrees - 1 do
+      free d.mem d.ctx d.frees.(i)
+    done;
+    d.nfrees <- 0
+
+  let set_witness d ?lookup ?aggressor ~addr ~victim_wrote ~in_read_set ~in_write_set
+      site =
+    d.witness <-
+      Some
+        (conflict_witness d.mem d.ctx ~addr ?lookup ?aggressor ~victim_wrote
+           ~in_read_set ~in_write_set ~site ())
+
+  let witness_invalid_read d site =
+    let addr = Read_set.first_invalid d.reads in
+    addr >= 0
+    && begin
+      let wrote = find_write d addr >= 0 in
+      set_witness d ~addr ~victim_wrote:wrote ~in_read_set:true ~in_write_set:wrote site;
+      true
+    end
+
+  let settle_abort d =
+    let w = d.witness in
+    d.witness <- None;
+    (match w with Some wit -> record_witness d.mem d.ctx wit | None -> ());
+    d.last_witness <- w;
+    w
 end

@@ -422,3 +422,147 @@ module Read_set : sig
       [-1]. Always a full scan: meant for abort paths (conflict
       witnesses). *)
 end
+
+(** {1 Transactions: vocabulary and descriptor}
+
+    What {!Htm} and {!Stm} share. The hardware path and the software
+    slow path differ only in how they detect conflicts and commit: they
+    abort for the same reasons, emit the same events and run on the same
+    descriptor, so an escalated block keeps its state and neither layer
+    translates the other's. *)
+
+module Txn : sig
+  type abort_reason =
+    | Conflict  (** read-set validation failed, or a stale (post-[rv]) read *)
+    | Overflow  (** store-buffer capacity exceeded (hardware only) *)
+    | Illegal  (** transactional access to freed or unmapped memory *)
+    | Explicit  (** the block aborted itself *)
+    | Lock_held  (** a TLE lock holder or a live STM stripe owner was observed *)
+    | Spurious
+        (** environmental abort injected by the fault plan — interrupts,
+            TLB misses, register-window spills: Rock's catalogue of aborts
+            that have nothing to do with the data accessed ({!Sim.Fault};
+            hardware only) *)
+
+  val abort_label : abort_reason -> string
+  val pp_abort_reason : Format.formatter -> abort_reason -> unit
+
+  exception Aborted of abort_reason
+  (** Internal control flow of an attempt, on either path. *)
+
+  val abort_with : abort_reason -> 'a
+  (** Raise {!Aborted}; the exception values are built once, so an abort
+      allocates nothing. *)
+
+  exception Retry_exhausted of abort_reason
+  (** A retry budget ran out with no escalation left; carries the last
+      abort reason. *)
+
+  (** Which of the three execution paths an attempt or event is on. *)
+  type tx_path = P_hw | P_stm | P_tle
+
+  val path_label : tx_path -> string
+
+  (** One transaction event, tagged with its path. Commits carry their
+      read/write-set sizes and aborts their reason and conflict witness,
+      so per-path histograms and explorer counterexamples can be built
+      from the stream alone. *)
+  type tx_event =
+    | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
+    | Tx_abort of {
+        ab_reason : abort_reason;
+        ab_path : tx_path;
+        ab_attempt : int;
+        ab_witness : Obs.Forensics.witness option;
+            (** captured at the failing validation or lock probe, or
+                synthesized against the TLE lock word for a lock-held
+                hardware abort *)
+      }
+    | Tx_fallback  (** TLE lock acquired *)
+    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
+    | Tx_steal of { st_victim : int }
+        (** STM stripe locks were stolen from (crashed) thread [st_victim] *)
+
+  val pp_tx_event : Format.formatter -> tx_event -> unit
+
+  type tap = (tid:int -> clock:int -> tx_event -> unit) option
+
+  val emit : tap -> Sim.tctx -> tx_event -> unit
+  (** Deliver, stamped with the acting thread and its clock. Callers
+      check for a tap before building an event that allocates. *)
+end
+
+(** The state of one transaction attempt, on any path. ['o] is the
+    owning domain ({!Htm.t}), so a transaction handle alone reaches its
+    configuration. {!Htm} and {!Stm} read and write the fields directly;
+    nothing else should. *)
+module Tx_desc : sig
+  type heap := t
+
+  type 'o t = {
+    owner : 'o;
+    mem : heap;
+    gran : granularity;  (** the hardware path's read-set granularity *)
+    mutable ctx : Sim.tctx;
+    mutable busy : bool;  (** bound to a running [atomic] *)
+    mutable path : Txn.tx_path;
+    mutable attempt : int;  (** this attempt's number on its path *)
+    mutable rv : int;  (** software path: the TL2 read version *)
+    reads : Read_set.t;
+    mutable waddr : int array;  (** write buffer, oldest first *)
+    mutable wval : int array;
+    mutable nwrites : int;
+    mutable nstores : int;  (** hardware path: store-buffer slots used *)
+    mutable frees : int array;  (** blocks to free after commit *)
+    mutable nfrees : int;
+    mutable witness : Obs.Forensics.witness option;
+        (** set where the conflict that will abort this attempt is found *)
+    mutable last_witness : Obs.Forensics.witness option;
+        (** the latest abort's witness in this [atomic], for the
+            escalation hop it drives *)
+  }
+
+  val acquire : 'o t option array -> 'o -> heap -> granularity -> Sim.tctx -> 'o t
+  (** [acquire pool owner mem gran ctx]: the thread's pooled descriptor
+      (created on first use; the pool is indexed by thread id), marked
+      busy — or a fresh one under a nested [atomic]. *)
+
+  val reset : 'o t -> Txn.tx_path -> int -> unit
+  (** Start attempt [n] on a path: empty the read, write and free sets
+      and clear the witness. The read set checks word versions on the
+      software path and [gran] otherwise. *)
+
+  val find_write : 'o t -> int -> int
+  (** Index of the newest buffered write to the address, or [-1]. *)
+
+  val buffer_write : 'o t -> int -> int -> unit
+
+  val first_freed_write : 'o t -> int
+  (** The oldest buffered write whose target is no longer allocated, or
+      [-1]. *)
+
+  val defer_free : 'o t -> int -> unit
+
+  val run_frees : 'o t -> unit
+  (** Free the deferred blocks (after a commit). *)
+
+  val set_witness :
+    'o t ->
+    ?lookup:int ->
+    ?aggressor:int ->
+    addr:int ->
+    victim_wrote:bool ->
+    in_read_set:bool ->
+    in_write_set:bool ->
+    string ->
+    unit
+  (** Capture the attempt's {!conflict_witness} at a site. *)
+
+  val witness_invalid_read : 'o t -> string -> bool
+  (** Capture a witness on the first read whose version moved, if any
+      (a full scan: abort paths only). *)
+
+  val settle_abort : 'o t -> Obs.Forensics.witness option
+  (** At an abort: take the witness, record it with the heap's forensics
+      and keep it as [last_witness]. *)
+end

@@ -68,18 +68,9 @@ type config = {
           stealing from a live owner is safe (it re-verifies ownership at
           its commit point), so this need only exceed the longest
           legitimate lock-hold phase to avoid gratuitous owner aborts. *)
-  max_attempts : int;  (** retry budget; [0] = retry forever *)
 }
 
 val default_config : config
-
-type abort_reason =
-  | Conflict  (** read-set validation failed, or a stale (post-[rv]) read *)
-  | Locked  (** a write-lock stripe was held by a live contender *)
-  | Illegal  (** transactional access to freed/unmapped memory *)
-  | Explicit  (** the block called {!abort} *)
-
-val pp_abort_reason : Format.formatter -> abort_reason -> unit
 
 type stats = {
   commits : int;
@@ -96,84 +87,59 @@ type t
 (** An STM domain over one {!Simmem.t}: clock word, lock table, heartbeat
     words, metrics. *)
 
-val create : ?config:config -> ?metrics:Obs.Metrics.t -> Simmem.t -> t
+val create : ?config:config -> ?metrics:Obs.Metrics.t -> fence:int -> Simmem.t -> t
 (** Allocates the clock, lock-table and heartbeat words in the heap (each
     region cache-line-separated and {!Simmem.label}ed). [metrics] chains
-    the [stm.*] registry to a parent aggregate, mirroring {!Htm.create}. *)
-
-val mem : t -> Simmem.t
-val config : t -> config
-
-val metrics : t -> Obs.Metrics.t
-(** [stm.commits], the [stm.aborts.*] breakdown, [stm.attempts] (all
+    the [stm.*] registry to a parent aggregate, mirroring {!Htm.create}:
+    [stm.commits], the [stm.aborts.*] breakdown, [stm.attempts] (all
     per-thread), [stm.steals], [stm.clock_bumps], and the
-    [stm.commit_cycles] / [stm.writes_per_tx] histograms. *)
+    [stm.commit_cycles] / [stm.writes_per_tx] histograms. [fence] is the
+    address of a global-lock word (the TLE lock) that must be observed
+    unheld at every commit point, so an STM commit never lands inside a
+    TLE critical section. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit
 
-val set_fence : t -> int -> unit
-(** Address of a global-lock word (the TLE lock) that must be observed
-    unheld at every commit point: an STM commit never lands inside a TLE
-    critical section. [0] (the default) disables the check. *)
+val set_tap : t -> Simmem.Txn.tap -> unit
+(** Where the software path's events go: [Tx_commit] and [Tx_abort]
+    tagged [P_stm], and [Tx_steal]. {!Htm.set_tap} installs its tap here
+    too, so one stream carries the whole escalation story. *)
 
-(** Transaction-event tap, mirroring {!Htm.set_tap}: {!Htm} forwards
-    these into its own path-attributed [tx_event] stream. *)
-type tx_event =
-  | Ev_commit of { ev_reads : int; ev_writes : int; ev_attempt : int }
-  | Ev_abort of {
-      ev_reason : abort_reason;
-      ev_attempt : int;
-      ev_witness : Obs.Forensics.witness option;
-          (** the conflict that doomed the attempt, when one was captured
-              at the failing validation / lock probe *)
-    }
-  | Ev_steal of { ev_victim : int }
+(** {1 Transactions}
 
-val set_tap : t -> (tid:int -> clock:int -> tx_event -> unit) option -> unit
-
-val last_witness : t -> Sim.tctx -> Obs.Forensics.witness option
-(** The acting thread's most recent abort witness; {!Htm} reads it when
-    STM budget exhaustion drives the stm→tle escalation hop. *)
-
-exception Aborted of abort_reason
-(** Internal control flow of an attempt; escapes only through buggy
-    catch-alls inside a block. *)
-
-exception Retry_exhausted of abort_reason
-(** Raised by {!atomic} when the attempt budget ran out; carries the last
-    abort reason. *)
-
-type tx
+    A software attempt runs on the caller's {!Simmem.Tx_desc.t} descriptor:
+    its read set, write buffer, free list and witness slot are the ones
+    the hardware path uses. {!Htm} escalates a block here by handing over
+    the descriptor it was running on. *)
 
 val atomic :
   t ->
-  Sim.tctx ->
-  ?max_attempts:int ->
-  ?on_abort:(abort_reason -> unit) ->
-  (tx -> 'a) ->
+  'o Simmem.Tx_desc.t ->
+  budget:int ->
+  attempts:Obs.Metrics.counter ->
+  on_abort:(Simmem.Txn.abort_reason -> unit) ->
+  ('o Simmem.Tx_desc.t -> 'a) ->
   'a
-(** [atomic s ctx f] runs [f] as a software transaction, retrying with
-    randomized exponential backoff until it commits. [max_attempts]
-    overrides the config budget for this call ({!Htm}'s escalation policy
-    uses it to bound the STM phase before falling to TLE). *)
+(** [atomic s d ~budget ~attempts ~on_abort f] runs [f d] as a software
+    transaction, retrying with randomized exponential backoff until it
+    commits. Attempts are numbered from 0 in [d.attempt]. Each attempt
+    also bumps the caller's per-thread [attempts] counter; [on_abort]
+    runs after each abort, before the backoff. After [budget] aborted
+    attempts ([0] = no limit) it raises {!Simmem.Txn.Retry_exhausted}
+    with the last reason, leaving that abort's witness in
+    [d.last_witness]. *)
 
-val read : tx -> int -> int
+val read : t -> 'o Simmem.Tx_desc.t -> int -> int
 (** Transactional load: lock-word probe, value fetch, read-set note, full
-    revalidation. Aborts ([Conflict]) on a post-[rv] version or a locked
-    stripe; [Illegal] on freed memory (the software analogue of the
-    hardware sandbox: TL2 validation makes the freed read harmless). *)
+    revalidation. Aborts with [Conflict] on a post-[rv] version or a
+    moved read, with [Lock_held] on a stripe held by another owner, and
+    with [Illegal] on freed memory (the software analogue of the hardware
+    sandbox: TL2 validation makes the freed read harmless). *)
 
-val write : tx -> int -> int -> unit
+val write : t -> 'o Simmem.Tx_desc.t -> int -> int -> unit
 (** Transactional store, buffered until commit. No capacity bound. *)
 
-val record : tx -> unit
+val record : t -> 'o Simmem.Tx_desc.t -> unit
 (** Account one process-local result-set store ({!Htm.record}'s contract);
     pays the instrumentation cost, consumes no capacity. *)
-
-val abort : tx -> 'a
-
-val defer_free : tx -> int -> unit
-(** Free the block after a successful commit; discarded on abort. *)
-
-val attempt_number : tx -> int

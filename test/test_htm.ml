@@ -197,11 +197,12 @@ let test_opacity () =
    stores [n] to one word (chosen from the read block and an unrelated
    word by [target]). The read set's shortcuts — skipping revalidation
    when nothing was stored, hashing membership past 16 entries — must
-   neither hide a conflict on an early read nor invent one. Returns the
-   attempts, the committed sum, the aborts seen by the tap, the storing
-   thread and the stored address. *)
-let forty_reads_vs_store target =
-  let mem, htm, boot = make () in
+   neither hide a conflict on an early read nor invent one, on either
+   path: [config] is the default (hardware) or [Stm_after 0] (every
+   attempt in software). Returns the attempts, the committed sum, the
+   aborts seen by the tap, the storing thread and the stored address. *)
+let forty_reads_vs_store config target =
+  let mem, htm, boot = make ~config () in
   Simmem.track_writers mem;
   let a = Simmem.malloc mem boot 40 in
   let unrelated = Simmem.malloc mem boot 8 in
@@ -233,19 +234,24 @@ let forty_reads_vs_store target =
     |];
   (!attempts, !sum, List.rev !aborts, !writer, stored)
 
-let test_long_read_set_conflict () =
-  let attempts, sum, aborts, writer, stored = forty_reads_vs_store (fun a _ -> a + 2) in
+let hw_path = (Htm.default_config, "htm.read")
+let stm_path = ({ Htm.default_config with stm = Htm.Stm_after 0 }, "stm.read")
+
+let test_long_read_set_conflict (config, site) () =
+  let attempts, sum, aborts, writer, stored =
+    forty_reads_vs_store config (fun a _ -> a + 2)
+  in
   Alcotest.(check int) "aborted once, then committed" 2 attempts;
   Alcotest.(check int) "the retry saw the store" 7 sum;
   match aborts with
   | [ (Htm.Conflict, Some w) ] ->
-    Alcotest.(check string) "caught at the next read" "htm.read" w.Obs.Forensics.w_site;
+    Alcotest.(check string) "caught at the next read" site w.Obs.Forensics.w_site;
     Alcotest.(check int) "witness on read #3" stored w.w_addr;
     Alcotest.(check int) "aggressor is the storing thread" writer w.w_aggressor
   | _ -> Alcotest.fail "expected exactly one conflict abort with a witness"
 
-let test_long_read_set_unrelated () =
-  let attempts, sum, aborts, _, _ = forty_reads_vs_store (fun _ u -> u) in
+let test_long_read_set_unrelated (config, _) () =
+  let attempts, sum, aborts, _, _ = forty_reads_vs_store config (fun _ u -> u) in
   Alcotest.(check int) "committed first time" 1 attempts;
   Alcotest.(check int) "read values" 0 sum;
   Alcotest.(check int) "no aborts" 0 (List.length aborts)
@@ -426,9 +432,13 @@ let () =
           Alcotest.test_case "strong atomicity" `Quick test_strong_atomicity;
           Alcotest.test_case "opacity" `Quick test_opacity;
           Alcotest.test_case "40 reads, store to read #3" `Quick
-            test_long_read_set_conflict;
+            (test_long_read_set_conflict hw_path);
           Alcotest.test_case "40 reads, unrelated store" `Quick
-            test_long_read_set_unrelated;
+            (test_long_read_set_unrelated hw_path);
+          Alcotest.test_case "40 reads, store to read #3, stm" `Quick
+            (test_long_read_set_conflict stm_path);
+          Alcotest.test_case "40 reads, unrelated store, stm" `Quick
+            (test_long_read_set_unrelated stm_path);
         ] );
       ( "store buffer",
         [

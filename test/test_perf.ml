@@ -85,24 +85,18 @@ let test_zero_alloc_single_thread () =
           name words accesses budget)
     fig1_queues
 
-(* A long hardware read set in steady state: a 40-read transaction
-   repeated on one thread. The first attempt allocates the read set's
-   hash index (it passes 16 entries); every later transaction must reuse
-   it and the pooled descriptor, allocating nothing at all. The window
-   is measured from inside the simulated thread, so it covers only the
-   transactions; the 4-word slack is the measurement's own boxed floats,
-   far below one word per transaction. *)
-let test_zero_alloc_long_read_set () =
+(* Minor words that [txs] steady-state transactions of [body] allocate
+   on one thread under [config], over a 128-word block. The first
+   transaction runs outside the window: it allocates the pooled
+   descriptor, and a read set that passes 16 entries grows its hash
+   index; every later transaction must reuse both. The window is
+   measured from inside the simulated thread, so it covers only the
+   transactions. Returns the words and the operations that completed. *)
+let steady_state_words config body =
   let mem = Simmem.create () in
-  let htm = Htm.create mem in
-  let a = Simmem.malloc mem (Sim.boot ()) 40 in
-  let body tx =
-    let s = ref 0 in
-    for i = 0 to 39 do
-      s := !s + Htm.read tx (a + i)
-    done;
-    !s
-  in
+  let htm = Htm.create ~config mem in
+  let a = Simmem.malloc mem (Sim.boot ()) 128 in
+  let body = body a in
   let txs = 1_000 in
   let words = ref 0. in
   Sim.run ~seed:5
@@ -115,12 +109,55 @@ let test_zero_alloc_long_read_set () =
         done;
         words := Gc.minor_words () -. w0);
     |];
-  Alcotest.(check int) "every transaction committed" (txs + 1) (Htm.stats htm).commits;
-  if !words > 4. then
+  let st = Htm.stats htm in
+  Alcotest.(check int) "every transaction committed" (txs + 1) (st.commits + st.stm_commits);
+  !words
+
+let reads n a tx =
+  let s = ref 0 in
+  for i = 0 to n - 1 do
+    s := !s + Htm.read tx (a + i)
+  done;
+  !s
+
+(* [n] stores to [a + 64 ...]: stripes no read of the block shares, so
+   the next transaction's reads are never stale under Gv5. *)
+let writes n a tx =
+  for i = 0 to n - 1 do
+    Htm.write tx (a + 64 + i) i
+  done
+
+(* The 4-word slack is the measurement's own boxed floats, far below one
+   word per transaction. *)
+let check_zero_alloc what words =
+  if words > 4. then
     Alcotest.failf
-      "%d steady-state 40-read transactions allocated %.0f minor words: the \
-       transactional read path is allocating again"
-      txs !words
+      "1000 steady-state %s allocated %.0f minor words: the transactional path is \
+       allocating again"
+      what words
+
+(* A long hardware read set in steady state: a 40-read transaction
+   repeated on one thread allocates nothing at all. *)
+let test_zero_alloc_long_read_set () =
+  check_zero_alloc "40-read transactions"
+    (steady_state_words Htm.default_config (reads 40))
+
+(* The same budget on the software path, reached three ways: every
+   attempt in software ([Stm_after 0]) reading 40 words, or reading 8 and
+   writing 8 (the commit takes stripe locks and writes back), and a
+   48-store transaction that overflows Rock's store buffer and escalates
+   on every call ([hybrid_config]). Each used to allocate 25–28 words
+   per transaction: a boxed software descriptor, the escalation's
+   closures and event records, and the overflow abort's exception. *)
+let test_zero_alloc_stm () =
+  let stm0 = { Htm.default_config with stm = Htm.Stm_after 0 } in
+  check_zero_alloc "40-read software transactions" (steady_state_words stm0 (reads 40));
+  check_zero_alloc "8-read 8-write software transactions"
+    (steady_state_words stm0 (fun a tx ->
+         writes 8 a tx;
+         reads 8 a tx));
+  check_zero_alloc "48-store escalated transactions"
+    (steady_state_words Htm.hybrid_config (writes 48))
 
 (* The scheduler's switch path against the runtime's own floor: the
    continuation the runtime allocates on every [perform]. The floor is
@@ -243,6 +280,7 @@ let () =
             test_zero_alloc_single_thread;
           Alcotest.test_case "40-read HTM tx, steady state" `Quick
             test_zero_alloc_long_read_set;
+          Alcotest.test_case "STM-path txs, steady state" `Quick test_zero_alloc_stm;
           Alcotest.test_case "16-fiber switch, runtime floor" `Quick
             test_switch_alloc_floor;
         ] );

@@ -118,6 +118,73 @@ let invariant_pair writer_config () =
   Sim.run ~seed:11 [| writer; reader; reader |];
   Alcotest.(check bool) "x + y = 0 always" false !violated
 
+(* Opacity of memory management (Machens & Turau): a transaction must
+   never observe a freed block, nor the old and the new life of a
+   reallocated one side by side. An allocator thread publishes one
+   two-word block per generation [g] through a shared cell, initialized
+   to [(g, g * k)] before it is reachable, and retires the previous
+   generation's block with [defer_free] — so the next [malloc] hands
+   that very block back, and a reader still holding its address reads a
+   block that was freed and refilled under it. Two readers read the cell
+   and both words of the block it names, pausing between the two words
+   long enough for the allocator to retire and refill the block; even an
+   attempt doomed to abort must see a matching pair. Every path gets the same check: hardware
+   only, every attempt in software, the full hybrid lattice, and the
+   TLE lock after one abort. *)
+let reuse_configs =
+  [
+    ("hw", Htm.default_config);
+    ("stm", stm_forced);
+    ("hybrid", Htm.hybrid_config);
+    ("tle", { Htm.default_config with tle = Htm.Tle_after 1 });
+  ]
+
+let freed_block_never_torn config (seed, k, pause) =
+  let gens = 30 in
+  let mem = Simmem.create () in
+  let htm = Htm.create ~config mem in
+  let boot = Sim.boot () in
+  let cur = Simmem.malloc mem boot 1 in
+  let torn = ref false and reused = ref false and seen = Hashtbl.create 8 in
+  let allocator ctx =
+    for g = 1 to gens do
+      let b = Simmem.malloc mem ctx 2 in
+      if Hashtbl.mem seen b then reused := true;
+      Hashtbl.replace seen b ();
+      Htm.atomic htm ctx (fun tx ->
+          Htm.write tx b g;
+          Htm.write tx (b + 1) (g * k);
+          let old = Htm.read tx cur in
+          Htm.write tx cur b;
+          if old <> 0 then Htm.defer_free tx old)
+    done
+  in
+  let reader ctx =
+    for _ = 1 to gens do
+      let x, y =
+        Htm.atomic htm ctx (fun tx ->
+            let b = Htm.read tx cur in
+            if b = 0 then (0, 0)
+            else begin
+              let x = Htm.read tx b in
+              Sim.tick ctx pause;
+              let y = Htm.read tx (b + 1) in
+              if y <> x * k then torn := true;
+              (x, y)
+            end)
+      in
+      if y <> x * k then torn := true
+    done
+  in
+  Sim.run ~seed [| allocator; reader; reader |];
+  !reused && not !torn
+
+let prop_freed_block_never_torn (name, config) =
+  QCheck.Test.make ~count:50
+    ~name:(Printf.sprintf "reallocated block never read torn (%s)" name)
+    QCheck.(triple (int_bound 10_000) (int_range 2 9) (int_range 0 3_000))
+    (freed_block_never_torn config)
+
 (* ------------------------------------------------------------------ *)
 (* Crash-safe lock recovery: a thread killed between versioned-lock
    acquisition and write-back leaves locks that survivors steal; its
@@ -359,67 +426,6 @@ let explore_scenario key strategy ~faults () =
 let stall_faults =
   Some { Sim.Fault.none with stall_rate = 0.001; stall_cycles = 2_000 }
 
-(* ------------------------------------------------------------------ *)
-(* Long read sets: the shared read set's shortcuts are exact.          *)
-
-(* The software twin of the HTM case: a 40-read STM transaction parks
-   after its 20th read while a second thread stores to one word. A store
-   to read #3 must abort the attempt as a conflict witnessed on that
-   word; a store elsewhere must let it commit untouched. *)
-let stm_forty_reads_vs_store target =
-  let mem = Simmem.create () in
-  Simmem.track_writers mem;
-  let s = Stm.create mem in
-  let boot = Sim.boot () in
-  let a = Simmem.malloc mem boot 40 in
-  let unrelated = Simmem.malloc mem boot 8 in
-  let stored = target a unrelated in
-  let aborts = ref [] in
-  Stm.set_tap s
-    (Some
-       (fun ~tid:_ ~clock:_ -> function
-         | Stm.Ev_abort { ev_reason; ev_witness; _ } ->
-           aborts := (ev_reason, ev_witness) :: !aborts
-         | _ -> ()));
-  let attempts = ref 0 and sum = ref 0 and writer = ref (-1) in
-  Sim.run ~seed:21
-    [|
-      (fun ctx ->
-        sum :=
-          Stm.atomic s ctx (fun tx ->
-              incr attempts;
-              let acc = ref 0 in
-              for i = 0 to 39 do
-                if i = 20 && Stm.attempt_number tx = 0 then Sim.advance_to ctx 50_000;
-                acc := !acc + Stm.read tx (a + i)
-              done;
-              !acc));
-      (fun ctx ->
-        writer := Sim.tid ctx;
-        Sim.advance_to ctx 20_000;
-        Simmem.write mem ctx stored 7);
-    |];
-  (!attempts, !sum, List.rev !aborts, !writer, stored)
-
-let test_stm_long_read_set_conflict () =
-  let attempts, sum, aborts, writer, stored =
-    stm_forty_reads_vs_store (fun a _ -> a + 2)
-  in
-  Alcotest.(check int) "aborted once, then committed" 2 attempts;
-  Alcotest.(check int) "the retry saw the store" 7 sum;
-  match aborts with
-  | [ (Stm.Conflict, Some w) ] ->
-    Alcotest.(check string) "caught at the next read" "stm.read" w.Obs.Forensics.w_site;
-    Alcotest.(check int) "witness on read #3" stored w.w_addr;
-    Alcotest.(check int) "aggressor is the storing thread" writer w.w_aggressor
-  | _ -> Alcotest.fail "expected exactly one conflict abort with a witness"
-
-let test_stm_long_read_set_unrelated () =
-  let attempts, sum, aborts, _, _ = stm_forty_reads_vs_store (fun _ u -> u) in
-  Alcotest.(check int) "committed first time" 1 attempts;
-  Alcotest.(check int) "read values" 0 sum;
-  Alcotest.(check int) "no aborts" 0 (List.length aborts)
-
 let () =
   Alcotest.run "stm"
     [
@@ -437,11 +443,10 @@ let () =
             (invariant_pair stm_forced);
           Alcotest.test_case "invariant pair vs HW writers" `Quick
             (invariant_pair Htm.default_config);
-          Alcotest.test_case "40 reads, store to read #3" `Quick
-            test_stm_long_read_set_conflict;
-          Alcotest.test_case "40 reads, unrelated store" `Quick
-            test_stm_long_read_set_unrelated;
-        ] );
+        ]
+        @ List.map
+            (fun c -> QCheck_alcotest.to_alcotest (prop_freed_block_never_torn c))
+            reuse_configs );
       ( "crash recovery",
         [
           Alcotest.test_case "kill at stm.commit; locks stolen" `Quick
