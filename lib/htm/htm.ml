@@ -353,11 +353,7 @@ let run_locked h ctx tx attempt f =
       let v = f tx in
       release ();
       run_frees tx;
-      (match h.tap with
-       | None -> ()
-       | Some _ ->
-         emit h.tap ctx
-           (Tx_commit { tx_reads = 0; tx_writes = 0; tx_path = P_tle; tx_attempt = attempt }));
+      emit_commit h.tap tx;
       v)
 
 (* The software slow path: run the block as an STM transaction on the
@@ -461,17 +457,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     | v ->
       Obs.Metrics.incr_t h.c_commits tid;
       Obs.Metrics.observe h.h_stores tx.nstores;
-      (match h.tap with
-       | None -> ()
-       | Some _ ->
-         emit h.tap ctx
-           (Tx_commit
-              {
-                tx_reads = Simmem.Read_set.length tx.reads;
-                tx_writes = tx.nwrites;
-                tx_path = P_hw;
-                tx_attempt = n;
-              }));
+      emit_commit h.tap tx;
       (match tr with
        | None -> ()
        | Some sink ->
@@ -496,12 +482,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
          set_witness tx ~addr:h.lock_addr ~victim_wrote:false ~in_read_set:true
            ~in_write_set:false "htm.begin"
        | _ -> ());
-      let w = settle_abort tx in
-      (match h.tap with
-       | None -> ()
-       | Some _ ->
-         emit h.tap ctx
-           (Tx_abort { ab_reason = r; ab_path = P_hw; ab_attempt = n; ab_witness = w }));
+      settle_abort h.tap tx r;
       (match tr with
        | None -> ()
        | Some sink ->

@@ -1487,13 +1487,14 @@ module Tx_desc = struct
     d.wval.(d.nwrites) <- v;
     d.nwrites <- d.nwrites + 1
 
-  let first_freed_write d =
-    let rec go i =
-      if i >= d.nwrites then -1
-      else if is_allocated d.mem d.waddr.(i) then go (i + 1)
-      else d.waddr.(i)
-    in
-    go 0
+  (* Top-level recursion: a local closure over [d] would allocate on
+     every commit. *)
+  let rec freed_from d i =
+    if i >= d.nwrites then -1
+    else if is_allocated d.mem d.waddr.(i) then freed_from d (i + 1)
+    else d.waddr.(i)
+
+  let first_freed_write d = freed_from d 0
 
   let defer_free d base =
     if d.nfrees = Array.length d.frees then d.frees <- grow d.frees;
@@ -1522,10 +1523,28 @@ module Tx_desc = struct
       true
     end
 
-  let settle_abort d =
+  (* Events are built only when a tap is attached. *)
+  let emit_commit tap d =
+    match tap with
+    | None -> ()
+    | Some _ ->
+      emit tap d.ctx
+        (Tx_commit
+           {
+             tx_reads = Read_set.length d.reads;
+             tx_writes = d.nwrites;
+             tx_path = d.path;
+             tx_attempt = d.attempt;
+           })
+
+  let settle_abort tap d r =
     let w = d.witness in
     d.witness <- None;
     (match w with Some wit -> record_witness d.mem d.ctx wit | None -> ());
     d.last_witness <- w;
-    w
+    match tap with
+    | None -> ()
+    | Some _ ->
+      emit tap d.ctx
+        (Tx_abort { ab_reason = r; ab_path = d.path; ab_attempt = d.attempt; ab_witness = w })
 end

@@ -562,7 +562,11 @@ module Tx_desc : sig
   (** Capture a witness on the first read whose version moved, if any
       (a full scan: abort paths only). *)
 
-  val settle_abort : 'o t -> Obs.Forensics.witness option
-  (** At an abort: take the witness, record it with the heap's forensics
-      and keep it as [last_witness]. *)
+  val emit_commit : Txn.tap -> 'o t -> unit
+  (** Report the attempt's commit ([Tx_commit] with its path, number and
+      read/write-set sizes), if a tap is attached. *)
+
+  val settle_abort : Txn.tap -> 'o t -> Txn.abort_reason -> unit
+  (** At an abort: take the attempt's witness, record it with the heap's
+      forensics, keep it as [last_witness] and report [Tx_abort]. *)
 end

@@ -190,16 +190,15 @@ let hb_addr t tid = t.hb + (tid * hb_stride)
 (* Transactions.                                                       *)
 
 (* The first read whose stripe another owner holds, or -1: checked for
-   free via [peek] (the commit-time pass is charged in bulk). *)
-let first_held_read s d =
-  let me = slot_of (Sim.tid d.ctx) + 1 in
-  let rec go i =
-    if i >= Simmem.Read_set.length d.reads then -1
-    else
-      let o = owner_of (Simmem.peek s.smem (lock_of s (Simmem.Read_set.addr d.reads i))) in
-      if o <> 0 && o <> me then i else go (i + 1)
-  in
-  go 0
+   free via [peek] (the commit-time pass is charged in bulk). Top-level
+   recursion, so the commit path allocates no closure. *)
+let rec held_from s me d i =
+  if i >= Simmem.Read_set.length d.reads then -1
+  else
+    let o = owner_of (Simmem.peek s.smem (lock_of s (Simmem.Read_set.addr d.reads i))) in
+    if o <> 0 && o <> me then i else held_from s me d (i + 1)
+
+let first_held_read s d = held_from s (slot_of (Sim.tid d.ctx) + 1) d 0
 
 let read_locks_clear s d = first_held_read s d < 0
 
@@ -545,17 +544,7 @@ let rec attempt_loop s d lk budget attempts f on_abort tr tid t0 n last =
     Obs.Metrics.incr_t s.c_commits tid;
     Obs.Metrics.observe s.h_writes d.nwrites;
     Obs.Metrics.observe s.h_commit (Sim.clock ctx - t0);
-    (match s.tap with
-     | None -> ()
-     | Some _ ->
-       emit s.tap ctx
-         (Tx_commit
-            {
-              tx_reads = Simmem.Read_set.length d.reads;
-              tx_writes = d.nwrites;
-              tx_path = P_stm;
-              tx_attempt = n;
-            }));
+    emit_commit s.tap d;
     (match tr with
      | None -> ()
      | Some sink ->
@@ -572,12 +561,7 @@ let rec attempt_loop s d lk budget attempts f on_abort tr tid t0 n last =
     v
   | exception Aborted r ->
     count_abort s tid r;
-    let w = settle_abort d in
-    (match s.tap with
-     | None -> ()
-     | Some _ ->
-       emit s.tap ctx
-         (Tx_abort { ab_reason = r; ab_path = P_stm; ab_attempt = n; ab_witness = w }));
+    settle_abort s.tap d r;
     (match tr with
      | None -> ()
      | Some sink ->
