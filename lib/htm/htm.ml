@@ -133,34 +133,31 @@ let create ?(config = default_config) ?metrics mem =
       Some (Stm.create ~config:config.stm_config ?metrics ~fence:lock_addr mem)
   in
   let mreg = Obs.Metrics.create ?parent:metrics () in
-  let h =
-    {
-      hmem = mem;
-      cfg = config;
-      pool = Array.make (Sim.max_threads + 1) None;
-      mreg;
-      c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
-      c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
-      c_overflow = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.overflow";
-      c_illegal = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.illegal";
-      c_explicit = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.explicit";
-      c_lock = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.lock_held";
-      c_spurious = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.spurious";
-      c_fallbacks = Obs.Metrics.counter mreg "htm.fallbacks";
-      c_cycles = Obs.Metrics.counter mreg "htm.commit_cycles_total";
-      c_att_hw = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.hw";
-      c_att_stm = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.stm";
-      c_att_tle = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.tle";
-      c_esc_stm = Obs.Metrics.counter mreg "htm.escalations.stm";
-      g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts";
-      h_commit = Obs.Metrics.hist mreg "htm.commit_cycles";
-      h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
-      lock_addr;
-      stm;
-      tap = None;
-    }
-  in
-  h
+  {
+    hmem = mem;
+    cfg = config;
+    pool = Array.make (Sim.max_threads + 1) None;
+    mreg;
+    c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
+    c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
+    c_overflow = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.overflow";
+    c_illegal = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.illegal";
+    c_explicit = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.explicit";
+    c_lock = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.lock_held";
+    c_spurious = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.spurious";
+    c_fallbacks = Obs.Metrics.counter mreg "htm.fallbacks";
+    c_cycles = Obs.Metrics.counter mreg "htm.commit_cycles_total";
+    c_att_hw = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.hw";
+    c_att_stm = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.stm";
+    c_att_tle = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.tle";
+    c_esc_stm = Obs.Metrics.counter mreg "htm.escalations.stm";
+    g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts";
+    h_commit = Obs.Metrics.hist mreg "htm.commit_cycles";
+    h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
+    lock_addr;
+    stm;
+    tap = None;
+  }
 
 let mem t = t.hmem
 let config t = t.cfg

@@ -146,9 +146,9 @@ let test_zero_alloc_long_read_set () =
    attempt in software ([Stm_after 0]) reading 40 words, or reading 8 and
    writing 8 (the commit takes stripe locks and writes back), and a
    48-store transaction that overflows Rock's store buffer and escalates
-   on every call ([hybrid_config]). Each used to allocate 25–28 words
-   per transaction: a boxed software descriptor, the escalation's
-   closures and event records, and the overflow abort's exception. *)
+   on every call ([hybrid_config]). The escalated attempt runs on the
+   hardware path's pooled descriptor, builds no event without a tap and
+   raises a prebuilt abort exception, so none of the three allocates. *)
 let test_zero_alloc_stm () =
   let stm0 = { Htm.default_config with stm = Htm.Stm_after 0 } in
   check_zero_alloc "40-read software transactions" (steady_state_words stm0 (reads 40));
