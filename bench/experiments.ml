@@ -28,15 +28,12 @@ type t = {
   name : string;
   doc : string;
   default_duration : int;
-  serial : bool;  (* wall-clock experiments that must never shard *)
-  in_all : bool;  (* part of `bench all` and its artifact set *)
   profile : bool;  (* cells run with the contention profiler on *)
   spec : spec;
 }
 
-let exp ?(serial = false) ?(in_all = true) ?(profile = false) name doc default_duration
-    cells present =
-  { name; doc; default_duration; serial; in_all; profile; spec = Spec { cells; present } }
+let exp ?(profile = false) name doc default_duration cells present =
+  { name; doc; default_duration; profile; spec = Spec { cells; present } }
 
 let values = Runner.Sweep.values
 
@@ -708,108 +705,10 @@ let placement =
       List.iter ctx.emit (Workload.Placement_bench.to_tables (values ocs)))
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: wall-clock cost of the simulator itself.
-   Inherently non-deterministic, so: serial, and never part of `all` or
-   the artifact set. *)
-
-let micro_tests () =
-  let open Bechamel in
-  let mem = Simmem.create () in
-  let htm = Htm.create mem in
-  let boot = Sim.boot () in
-  let word = Simmem.malloc mem boot 8 in
-  let tx_rw =
-    Test.make ~name:"htm: atomic read+write"
-      (Staged.stage (fun () ->
-           Htm.atomic htm boot (fun tx -> Htm.write tx word (Htm.read tx word + 1))))
-  in
-  let mem_rw =
-    Test.make ~name:"simmem: read+write"
-      (Staged.stage (fun () -> Simmem.write mem boot word (Simmem.read mem boot word + 1)))
-  in
-  let q = Hqueue.Htm_queue.maker.make htm boot ~num_threads:2 in
-  let queue_cycle =
-    Test.make ~name:"htm queue: enqueue+dequeue"
-      (Staged.stage (fun () ->
-           q.enqueue boot 1;
-           ignore (q.dequeue boot)))
-  in
-  let maker = Option.get (Collect.find_maker "ArrayDynAppendDereg") in
-  let inst =
-    maker.make htm boot
-      { Collect.Intf.max_slots = 128; num_threads = 2; step = Collect.Intf.Fixed 32;
-        min_size = 4 }
-  in
-  let (_ : int array) = Array.init 64 (fun i -> inst.register boot (i + 1)) in
-  let buf = Sim.Ibuf.create () in
-  let collect64 =
-    Test.make ~name:"collect: ArrayDynAppendDereg over 64 slots"
-      (Staged.stage (fun () ->
-           Sim.Ibuf.clear buf;
-           inst.collect boot buf))
-  in
-  let spawn =
-    Test.make ~name:"sim: run of 4 trivial threads"
-      (Staged.stage (fun () -> Sim.run ~seed:1 (Array.make 4 (fun ctx -> Sim.tick ctx 10))))
-  in
-  (* Two threads with interleaved clocks: every tick crosses the other
-     thread's clock, so each of the 800 ticks is one scheduler switch
-     (effect perform + pick + continue). ns/run divided by 800 is the
-     per-switch cost that dominates contended cells. *)
-  let switch =
-    let body ctx =
-      for _ = 1 to 400 do
-        Sim.tick ctx 10
-      done
-    in
-    Test.make ~name:"sim: 800 forced context switches"
-      (Staged.stage (fun () -> Sim.run ~seed:1 [| body; body |]))
-  in
-  [ mem_rw; tx_rw; queue_cycle; collect64; spawn; switch ]
-
-let run_micro () =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  List.concat_map
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.fold
-        (fun name ols_result acc ->
-          let est =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> Some est
-            | Some _ | None -> None
-          in
-          (name, est) :: acc)
-        analysis [])
-    (micro_tests ())
-
-let micro =
-  exp "micro" "bechamel microbenchmarks" 0 ~serial:true ~in_all:false
-    (fun ~duration:_ ~seed:_ ->
-      [ Runner.Cell.v ~label:"micro/bechamel" (fun () -> run_micro ()) ])
-    (fun ctx ocs ->
-      let pf fmt = Format.fprintf ctx.ppf fmt in
-      pf "== Microbenchmarks: wall-clock cost of simulator primitives ==@.";
-      List.iter
-        (fun lines ->
-          List.iter
-            (fun (name, est) ->
-              match est with
-              | Some est -> pf "%-45s %8.1f ns/run@." name est
-              | None -> pf "%-45s (no estimate)@." name)
-            lines)
-        (values ocs);
-      pf "@.")
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [ fig1; latency; fig3; fig4; fig5; fig6; fig7; fig8; space; contend; chaos; fallback;
-    memorder; aborts; ablate; ext; scale; placement; micro ]
+    memorder; aborts; ablate; ext; scale; placement ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
@@ -818,14 +717,13 @@ let cell_count e ~duration ~seed =
 
 (* Run one experiment end to end: build its canonical cells, execute them
    on up to [jobs] domains, fold the per-cell metrics into [absorb_into]
-   in canonical order, then present. Serial experiments ignore [jobs].
+   in canonical order, then present.
    Returns the per-machine forensics aggregators (labelled, canonical
    cell order; empty unless [forensics] was set). *)
 let run e ?(jobs = 1) ?(forensics = false) ?tracer ?absorb_into ?(times = false) ctx
     =
   match e.spec with
   | Spec s ->
-    let jobs = if e.serial then 1 else jobs in
     let cells = s.cells ~duration:ctx.duration ~seed:ctx.seed in
     let outcomes =
       Runner.Sweep.run ~jobs ~metrics:(absorb_into <> None) ~profile:e.profile

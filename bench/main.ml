@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§5) on the simulated machine, plus the space measurements
-   behind the §1 claims, the §6 ablations, and a Bechamel microbenchmark
-   suite measuring the simulator's own wall-clock costs.
+   behind the §1 claims and the §6 ablations. The simulator's own
+   wall-clock costs are measured by perfbench/.
 
      dune exec bench/main.exe                  # everything, quick settings
      dune exec bench/main.exe -- fig4          # one figure
@@ -192,11 +192,9 @@ let smoke_duration (e : Experiments.t) =
 let run_all ~jobs ~seed ~csv ~smoke ~json ~times =
   List.iter
     (fun (e : Experiments.t) ->
-      if e.in_all then begin
-        let duration = if smoke then smoke_duration e else e.default_duration in
-        run_experiment e ~jobs ~duration ~seed ~csv ~json ~trace:None ~metrics:None
-          ~forensics:false ~times
-      end)
+      let duration = if smoke then smoke_duration e else e.default_duration in
+      run_experiment e ~jobs ~duration ~seed ~csv ~json ~trace:None ~metrics:None
+        ~forensics:false ~times)
     Experiments.all
 
 (* ------------------------------------------------------------------ *)

@@ -122,8 +122,9 @@ let run_trace file out =
     1
   | Ok a -> (
     let tracer = Obs.Tracer.create () in
-    Sim.set_default_tracer (Some (Obs.Tracer.process tracer ~name:a.art_scenario));
-    let outcome = Explore.Search.replay_artifact a in
+    let sink = Obs.Tracer.process tracer ~name:a.art_scenario in
+    Sim.set_default_tracer (Some sink);
+    let outcome = Explore.Search.replay_artifact ~tracer:sink a in
     Sim.set_default_tracer None;
     match outcome with
     | Error e ->

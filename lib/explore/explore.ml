@@ -4,8 +4,8 @@
 
     - {!Lin}: history recording + Wing–Gong linearizability checking for
       the FIFO queues;
-    - {!Trace}: pretty-printed interleaving capture off the [Simmem] and
-      [Htm] event taps;
+    - {!Trace}: pretty-printed interleaving capture, a sink of the
+      machine's event stream;
     - {!Mutant}: the deliberately broken ROP queues used to validate that
       the explorer actually finds bugs;
     - {!Litmus}: memory-model litmus programs (SB/MP/LB/CoRR) with an

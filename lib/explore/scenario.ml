@@ -12,6 +12,7 @@ type t = {
     faults:Sim.Fault.spec option ->
     record:Sim.recorder option ->
     trace:Trace.t option ->
+    tracer:Obs.Tracer.sink option ->
     outcome;
 }
 
@@ -48,6 +49,15 @@ let has_kills = function
 
 let watchdog_budget = 10_000_000
 
+(* A scenario's machine is observed in two stages: the Perfetto tracer
+   from creation, so a replay's timeline covers the structure's setup,
+   and the text trace from the first operation on — the timeline that
+   goes into artifacts. *)
+let observe mem ~tracer ~trace =
+  Simmem.attach mem
+    (List.filter_map Fun.id
+       [ Option.map Simmem.tracer_sink tracer; Option.map Trace.sink trace ])
+
 let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
     (mk : Hqueue.Intf.maker) ~threads ~ops =
   let key = match key with Some k -> k | None -> "queue:" ^ mk.queue_name in
@@ -55,19 +65,16 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
     invalid_arg
       (Printf.sprintf "Scenario.queue_lin: %d*%d operations exceed Lin.max_ops" threads
          ops);
-  let run ~strategy ~seed ~faults ~record ~trace =
+  let run ~strategy ~seed ~faults ~record ~trace ~tracer =
     let faults = without_kills faults in
     catch_run (fun () ->
       let mem = Simmem.create ~model () in
+      observe mem ~tracer ~trace:None;
       let htm = Htm.create ~config:htm_config mem in
       let boot = Sim.boot ~seed () in
       let q = mk.make htm boot ~num_threads:threads in
       let hist = Lin.create () in
-      (match trace with
-      | Some tr ->
-        Trace.attach_mem tr mem;
-        Trace.attach_htm tr htm
-      | None -> ());
+      observe mem ~tracer ~trace;
       let body i ctx =
         let rng = Sim.rng ctx in
         for k = 1 to ops do
@@ -111,13 +118,14 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
    that reorders across windows. The explorer's smoke target: a seeded bug
    whose finding, shrinking and replay the tests assert on. *)
 let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
-  let run ~strategy ~seed ~faults ~record ~trace =
+  let run ~strategy ~seed ~faults ~record ~trace ~tracer =
     let faults = without_kills faults in
     catch_run (fun () ->
       let mem = Simmem.create ~model () in
+      observe mem ~tracer ~trace:None;
       let boot = Sim.boot ~seed () in
       let addr = Simmem.malloc mem boot 1 in
-      (match trace with Some tr -> Trace.attach_mem tr mem | None -> ());
+      observe mem ~tracer ~trace;
       let window = (ops * 200) + 1000 in
       let body i ctx =
         Sim.advance_to ctx (i * window);
@@ -153,9 +161,10 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
 let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
     (mk : Collect.Intf.maker) ~threads ~ops =
   let key = match key with Some k -> k | None -> "collect:" ^ mk.algo_name in
-  let run ~strategy ~seed ~faults ~record ~trace =
+  let run ~strategy ~seed ~faults ~record ~trace ~tracer =
     catch_run (fun () ->
       let mem = Simmem.create ~model () in
+      observe mem ~tracer ~trace:None;
       let htm = Htm.create ~config:htm_config mem in
       let boot = Sim.boot ~seed () in
       let cfg =
@@ -168,11 +177,7 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
       in
       let inst = mk.make htm boot cfg in
       let log = Collect_spec.create () in
-      (match trace with
-      | Some tr ->
-        Trace.attach_mem tr mem;
-        Trace.attach_htm tr htm
-      | None -> ());
+      observe mem ~tracer ~trace;
       let body _i ctx =
         let rng = Sim.rng ctx in
         let h = Collect_spec.register log inst ctx in

@@ -24,7 +24,12 @@ type t = {
     faults:Sim.Fault.spec option ->
     record:Sim.recorder option ->
     trace:Trace.t option ->
+    tracer:Obs.Tracer.sink option ->
     outcome;
+      (** [trace] captures the run from the first operation on; [tracer]
+          renders the machine's events from its creation. Scheduler
+          slices come from the ambient {!Sim.set_default_tracer} sink,
+          which should be the same one. *)
 }
 
 val queue_lin :

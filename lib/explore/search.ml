@@ -38,7 +38,7 @@ let shrink_and_package (scn : Scenario.t) ~seed ~faults ~deviations ~message =
   let replay ~deviations ~faults =
     match
       scn.scn_run ~strategy:(Sim.Deviate deviations) ~seed ~faults ~record:None
-        ~trace:None
+        ~trace:None ~tracer:None
     with
     | Scenario.Fail _ -> true
     | Scenario.Pass -> false
@@ -52,7 +52,7 @@ let shrink_and_package (scn : Scenario.t) ~seed ~faults ~deviations ~message =
   let final =
     scn.scn_run
       ~strategy:(Sim.Deviate shr.shr_deviations)
-      ~seed ~faults:shr.shr_faults ~record:None ~trace:(Some tr)
+      ~seed ~faults:shr.shr_faults ~record:None ~trace:(Some tr) ~tracer:None
   in
   let message = match final with Scenario.Fail m -> m | Scenario.Pass -> message in
   {
@@ -95,7 +95,9 @@ let search ?(offset = 0) ?(base_seed = 1) ?(with_faults = false) ?(max_violation
        in
        let rec_ = Sim.recorder () in
        incr runs;
-       match scn.scn_run ~strategy ~seed ~faults ~record:(Some rec_) ~trace:None with
+       match
+         scn.scn_run ~strategy ~seed ~faults ~record:(Some rec_) ~trace:None ~tracer:None
+       with
        | Scenario.Pass -> incr passed
        | Scenario.Fail message ->
          say "violation in %s under %s (seed %d): %s" scn.scn_key
@@ -155,7 +157,7 @@ let search_sharded ?(jobs = 1) ?(base_seed = 1) ?(with_faults = false) ?(max_vio
       results
   end
 
-let replay_artifact ?trace (a : Artifact.t) =
+let replay_artifact ?trace ?tracer (a : Artifact.t) =
   match Sim.Memmodel.of_string a.art_model with
   | None -> Error (Printf.sprintf "unknown memory model %S" a.art_model)
   | Some model -> (
@@ -167,4 +169,4 @@ let replay_artifact ?trace (a : Artifact.t) =
       Ok
         (scn.scn_run
            ~strategy:(Sim.Deviate a.art_deviations)
-           ~seed:a.art_seed ~faults:a.art_faults ~record:None ~trace))
+           ~seed:a.art_seed ~faults:a.art_faults ~record:None ~trace ~tracer))

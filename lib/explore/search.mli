@@ -7,7 +7,7 @@
     and 4}, and (when enabled) every other adversarial round adds a
     kill-free stall/spurious fault plan. Each run records its scheduling
     decisions; on failure the sparse deviation list is verified to replay,
-    minimised with {!Shrink}, and replayed once more with taps attached to
+    minimised with {!Shrink}, and replayed once more with a {!Trace} attached to
     capture the interleaving — yielding a self-contained {!Artifact}. *)
 
 type violation = {
@@ -65,6 +65,10 @@ val search_sharded :
     violations can come back) and [log] only fires at [jobs = 1]. *)
 
 val replay_artifact :
-  ?trace:Trace.t -> Artifact.t -> (Scenario.outcome, string) result
+  ?trace:Trace.t ->
+  ?tracer:Obs.Tracer.sink ->
+  Artifact.t ->
+  (Scenario.outcome, string) result
 (** Re-run an artifact's scenario under its recorded deviations and fault
-    plan; [Error] if its scenario key no longer resolves. *)
+    plan, observed by [trace] and [tracer] as in {!Scenario.t}; [Error] if
+    its scenario key no longer resolves. *)

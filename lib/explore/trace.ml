@@ -14,14 +14,6 @@ let note t line =
     t.n <- t.n + 1
   end
 
-let attach_mem t mem =
-  Simmem.set_tap mem
-    (Some
-       (fun (ev : Simmem.access_event) ->
-         note t
-           (Format.asprintf "t%-2d @%-9d mem  %a" ev.acc_tid ev.acc_clock
-              Simmem.pp_access ev.acc)))
-
 let on_fault t (ev : Sim.Fault.event) =
   let what =
     match ev.ev_kind with
@@ -32,16 +24,23 @@ let on_fault t (ev : Sim.Fault.event) =
   in
   note t (Format.asprintf "t%-2d @%-9d flt  %s" ev.ev_tid ev.ev_clock what)
 
-let attach_htm t h =
-  (* With the last-writer journal on, abort events carry a resolved
-     conflict witness (aggressor thread, clock, op) — pp_tx_event renders
-     it, so counterexample traces name the write that doomed each
-     transaction. Free: journalling charges zero virtual cycles. *)
-  Simmem.track_writers (Htm.mem h);
-  Htm.set_tap h
-    (Some
-       (fun ~tid ~clock ev ->
-         note t (Format.asprintf "t%-2d @%-9d htm  %a" tid clock Htm.pp_tx_event ev)))
+(* Every access and transaction event becomes one line. The sink is
+   per-access, so the last-writer journal is on and abort events carry a
+   resolved conflict witness (aggressor thread, clock, op) — pp_tx_event
+   renders it, so counterexample traces name the write that doomed each
+   transaction. Free: journalling charges zero virtual cycles. The TLE
+   lock release gets no line: the acquisition already marks the critical
+   section. *)
+let sink t =
+  let fold ~tid ~clock (ev : Simmem.event) =
+    match ev with
+    | Access a ->
+      note t (Format.asprintf "t%-2d @%-9d mem  %a" tid clock Simmem.pp_access a)
+    | Tx (Tx_release _) -> ()
+    | Tx ev -> note t (Format.asprintf "t%-2d @%-9d htm  %a" tid clock Htm.pp_tx_event ev)
+    | Miss _ | Label _ | Witness _ | Hop _ -> ()
+  in
+  { Simmem.fold; per_access = true }
 
 let lines t =
   let l = List.rev t.rev in

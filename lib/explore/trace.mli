@@ -1,11 +1,10 @@
 (** Pretty-printed interleaving capture.
 
-    A trace is a bounded line buffer fed by the {!Simmem} access tap and
-    the {!Htm} transaction tap: one line per completed memory access or
-    transaction event, prefixed with the issuing thread and its virtual
-    clock. Attach both taps to the run that replays a shrunken failure and
-    the resulting lines are the per-thread timeline that goes into the
-    artifact file. *)
+    A trace is a bounded line buffer fed by a machine's event stream
+    ({!sink}): one line per completed memory access or transaction event,
+    prefixed with the issuing thread and its virtual clock. Attach it to
+    the run that replays a shrunken failure and the resulting lines are
+    the per-thread timeline that goes into the artifact file. *)
 
 type t
 
@@ -16,11 +15,9 @@ val create : ?limit:int -> unit -> t
 val note : t -> string -> unit
 (** Append one line (scenario-level annotations, e.g. operation brackets). *)
 
-val attach_mem : t -> Simmem.t -> unit
-(** Install this trace as the memory's access tap. *)
-
-val attach_htm : t -> Htm.t -> unit
-(** Install this trace as the HTM domain's transaction tap. *)
+val sink : t -> Simmem.sink
+(** This trace as a machine observer: attach it with {!Simmem.attach}
+    and every access and transaction event becomes a line. *)
 
 val on_fault : t -> Sim.Fault.event -> unit
 (** Record one injected fault as a trace line; pass as [Sim.run]'s

@@ -112,7 +112,6 @@ type t = {
   h_stores : Obs.Metrics.hist;
   lock_addr : int;
   stm : Stm.t option;
-  mutable tap : tap;
 }
 
 and tx = t Simmem.Tx_desc.t
@@ -156,17 +155,12 @@ let create ?(config = default_config) ?metrics mem =
     h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
     lock_addr;
     stm;
-    tap = None;
   }
 
 let mem t = t.hmem
 let config t = t.cfg
 let metrics t = t.mreg
 let stm t = t.stm
-
-let set_tap t f =
-  t.tap <- f;
-  Option.iter (fun s -> Stm.set_tap s f) t.stm
 
 let stats t =
   let s_stats = Option.map Stm.stats t.stm in
@@ -315,19 +309,21 @@ let release_lock h ctx = Simmem.fenced_write h.hmem ctx h.lock_addr 0
 
 let tle_enabled h = match h.cfg.tle with Tle_never -> false | Tle_after _ -> true
 
+(* Lifecycle points report to the heap's sinks; events are built only
+   when one is attached. *)
+let observed h = Simmem.observed h.hmem
+let emit h ctx ev = Simmem.emit h.hmem ctx (Simmem.Tx ev)
+
+let hop h ctx from_path to_path reason witness =
+  if observed h then
+    Simmem.emit h.hmem ctx (Simmem.Hop { from_path; to_path; reason; witness })
+
 let run_locked h ctx tx attempt f =
   acquire_lock h ctx;
   Obs.Metrics.incr1 h.c_fallbacks;
   Obs.Metrics.incr_t h.c_att_tle (Sim.tid ctx);
-  emit h.tap ctx Tx_fallback;
-  let t_lock = Sim.clock ctx in
-  (match Sim.tracer ctx with
-   | None -> ()
-   | Some sink ->
-     Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"tle.fallback" ~cat:"tx"
-       ~args:[ ("attempt", Obs.Json.Int attempt) ]
-       t_lock);
   reset tx P_tle attempt;
+  if observed h then emit h ctx (Tx_fallback { fb_attempt = attempt });
   (* Crash safety: the lock must be released on every exit path — including
      an injected kill raising [Stop_thread] out of the block — and the
      release itself must not be interruptible, or one dead thread wedges
@@ -338,19 +334,15 @@ let run_locked h ctx tx attempt f =
     if not !released then begin
       released := true;
       Sim.shield ctx (fun () -> release_lock h ctx);
-      match Sim.tracer ctx with
-      | None -> ()
-      | Some sink ->
-        Obs.Tracer.span sink ~tid:(Sim.tid ctx) ~name:"tx.locked" ~cat:"tx"
-          ~args:[ ("attempt", Obs.Json.Int attempt) ]
-          t_lock (Sim.clock ctx)
+      if observed h then
+        emit h ctx (Tx_release { rl_attempt = attempt; rl_start = tx.start })
     end
   in
   Fun.protect ~finally:release (fun () ->
       let v = f tx in
       release ();
       run_frees tx;
-      emit_commit h.tap tx;
+      emit_commit tx;
       v)
 
 (* The software slow path: run the block as an STM transaction on the
@@ -358,25 +350,13 @@ let run_locked h ctx tx attempt f =
    runs dry and TLE is enabled, the lock is the last resort. *)
 let run_stm h s ctx tx n ~last f on_abort =
   Obs.Metrics.incr1 h.c_esc_stm;
-  Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"stm"
-    ~reason:(abort_label last) tx.last_witness;
-  (match h.tap with
-   | None -> ()
-   | Some _ -> emit h.tap ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n }));
-  (match Sim.tracer ctx with
-   | None -> ()
-   | Some sink ->
-     Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"stm.escalate" ~cat:"tx"
-       ~args:[ ("attempt", Obs.Json.Int n) ]
-       (Sim.clock ctx));
+  hop h ctx P_hw P_stm last tx.last_witness;
+  if observed h then emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
   match Stm.atomic s tx ~budget:h.cfg.stm_attempts ~attempts:h.c_att_stm ~on_abort f with
   | v -> v
   | exception Retry_exhausted r when tle_enabled h ->
-    (match h.tap with
-     | None -> ()
-     | Some _ -> emit h.tap ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n }));
-    Simmem.note_hop h.hmem ctx ~from_path:"stm" ~to_path:"tle" ~reason:(abort_label r)
-      tx.last_witness;
+    if observed h then emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
+    hop h ctx P_stm P_tle r tx.last_witness;
     run_locked h ctx tx n f
 
 (* Success bookkeeping, shared by all three paths: escalation stats,
@@ -391,7 +371,7 @@ let finish h ctx t0 n =
    so a pooled transaction's whole fast path — begin, body, commit —
    allocates nothing: one [atomic] call is a handful of array stores and
    unboxed arithmetic unless it aborts or escalates. *)
-let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
+let rec attempt_loop h ctx tx f on_abort tid t0 n last =
   (* Escalation policy. Capacity aborts go straight to the software
      path — no hardware retry can ever fit an overflowing write set —
      while conflicts buy [m] backed-off hardware retries first. *)
@@ -415,8 +395,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     v
   end
   else if use_lock then begin
-    Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"tle"
-      ~reason:(abort_label last) tx.last_witness;
+    hop h ctx P_hw P_tle last tx.last_witness;
     let v = run_locked h ctx tx n f in
     finish h ctx t0 n;
     v
@@ -436,7 +415,6 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
        stores, and commit writes through [Tx_plane] — tx stores never
        linger in a buffer. No-op under the [sc] model. *)
     Simmem.drain h.hmem ctx;
-    let t_att = Sim.clock ctx in
     reset tx P_hw n;
     Obs.Metrics.incr_t h.c_att_hw tid;
     match
@@ -454,18 +432,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     | v ->
       Obs.Metrics.incr_t h.c_commits tid;
       Obs.Metrics.observe h.h_stores tx.nstores;
-      emit_commit h.tap tx;
-      (match tr with
-       | None -> ()
-       | Some sink ->
-         Obs.Tracer.span sink ~tid ~name:"tx" ~cat:"tx"
-           ~args:
-             [
-               ("attempt", Obs.Json.Int n);
-               ("reads", Obs.Json.Int (Simmem.Read_set.length tx.reads));
-               ("writes", Obs.Json.Int tx.nwrites);
-             ]
-           t_att (Sim.clock ctx));
+      emit_commit tx;
       run_frees tx;
       finish h ctx t0 n;
       v
@@ -479,18 +446,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
          set_witness tx ~addr:h.lock_addr ~victim_wrote:false ~in_read_set:true
            ~in_write_set:false "htm.begin"
        | _ -> ());
-      settle_abort h.tap tx r;
-      (match tr with
-       | None -> ()
-       | Some sink ->
-         let t_ab = Sim.clock ctx in
-         Obs.Tracer.span sink ~tid ~name:"tx.attempt" ~cat:"tx"
-           ~args:[ ("attempt", Obs.Json.Int n) ]
-           t_att t_ab;
-         Obs.Tracer.instant sink ~tid ~name:"tx.abort" ~cat:"tx"
-           ~args:
-             [ ("reason", Obs.Json.Str (abort_label r)); ("attempt", Obs.Json.Int n) ]
-           t_ab);
+      settle_abort tx r;
       Sim.tick ctx h.cfg.tx_abort_cost;
       on_abort r;
       (* A capacity overflow cannot succeed on hardware retry; when the
@@ -499,14 +455,13 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
       (match r, h.cfg.stm, h.stm with
        | Overflow, Stm_after _, Some _ -> ()
        | _ -> backoff h ctx n);
-      attempt_loop h ctx tx f on_abort tr tid t0 (n + 1) r
+      attempt_loop h ctx tx f on_abort tid t0 (n + 1) r
   end
 
 let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
   let tx = acquire h.pool h h.hmem h.cfg.granularity ctx in
   match
-    attempt_loop h ctx tx f on_abort (Sim.tracer ctx) (Sim.tid ctx) (Sim.clock ctx) 0
-      Conflict
+    attempt_loop h ctx tx f on_abort (Sim.tid ctx) (Sim.clock ctx) 0 Conflict
   with
   | v ->
     tx.busy <- false;

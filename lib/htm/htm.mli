@@ -42,7 +42,8 @@ module Adapt = Adapt
 
 (** The transaction vocabulary, shared with the {!Stm} slow path (see
     {!Simmem.Txn}): the six abort reasons, the {!Retry_exhausted}
-    exception and the path-tagged {!tx_event}s the tap receives. *)
+    exception and the path-tagged {!tx_event}s both paths report to the
+    heap's sinks ({!Simmem.attach}). *)
 include module type of struct
   include Simmem.Txn
 end
@@ -161,14 +162,6 @@ val stats : t -> stats
 val reset_stats : t -> unit
 (** Reset this domain's local metrics, including the STM side table's (a
     parent registry, if chained, keeps its accumulated totals). *)
-
-val set_tap : t -> tap -> unit
-(** Transaction-event tap, for trace capture by the schedule explorer
-    ([lib/explore]): commits, aborts, escalations, TLE lock fallbacks and
-    STM lock steals, each tagged with the path it happened on. It is
-    installed in the {!Stm} side table too, so the software path emits
-    into the same stream; the stream is exact, so per-path histograms can
-    be built from it alone. Costs nothing when unset. *)
 
 val commit_cycles_histogram : t -> (int * int) list
 (** Log-2 histogram of cycles-to-commit: [(2{^i}, count)] pairs, where a

@@ -35,8 +35,6 @@ let process t ~name =
   t.rev_procs <- (t.next_pid, name) :: t.rev_procs;
   { tr = t; pid = t.next_pid }
 
-let sink_pid s = s.pid
-
 let push t e =
   t.ring.(t.total mod Array.length t.ring) <- e;
   t.total <- t.total + 1

@@ -36,8 +36,6 @@ val process : t -> name:string -> sink
 (** Attach a new process (pid = attachment order, from 1) named [name] in
     the exported timeline. *)
 
-val sink_pid : sink -> int
-
 val span :
   sink ->
   tid:int ->

@@ -73,8 +73,8 @@ type tctx = {
   (* Observability taps. Pure OCaml-side bookkeeping: recording charges no
      virtual cycles, draws no simulator RNG and never forces exploring
      mode, so a traced run is cycle-identical to an untraced one. *)
-  mutable ctx_tracer : Obs.Tracer.sink option;
-  mutable ctx_on_fault : (Fault.event -> unit) option;
+  ctx_tracer : Obs.Tracer.sink option;
+  ctx_on_fault : (Fault.event -> unit) option;
   (* Drain hooks installed by memory layers with store buffers ({!Simmem}):
      [fence] runs them with [~terminal:false]; thread termination (normal
      return or a kill) runs them with [~terminal:true], where they must not
@@ -143,7 +143,7 @@ and recorder = {
   mutable rev_choices : (int * int * int) list;
 }
 
-(* The ambient tracer sink: consulted by [run] and [boot] when no explicit
+(* The ambient tracer sink: consulted by [run] when no explicit
    [?tracer] is given. The benchmark driver points it at the current
    machine's process sink so workloads that call [Sim.run] directly are
    traced without threading a sink through every signature. *)
@@ -153,7 +153,6 @@ let ambient_tracer : Obs.Tracer.sink option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let set_default_tracer s = Domain.DLS.set ambient_tracer s
-let default_tracer () = Domain.DLS.get ambient_tracer
 
 let boot ?(seed = 0) () =
   {
@@ -164,7 +163,7 @@ let boot ?(seed = 0) () =
     faults = None;
     shield_depth = 0;
     last_progress = 0;
-    ctx_tracer = Domain.DLS.get ambient_tracer;
+    ctx_tracer = None;
     ctx_on_fault = None;
     ctx_drains = [];
   }
@@ -172,8 +171,6 @@ let boot ?(seed = 0) () =
 let tid ctx = ctx.ctx_tid
 let clock ctx = ctx.clock
 let rng ctx = ctx.ctx_rng
-let tracer ctx = ctx.ctx_tracer
-let set_tracer ctx s = ctx.ctx_tracer <- s
 
 let yield_count = ref 0
 let yield () = incr yield_count; Effect.perform Yield

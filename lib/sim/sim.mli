@@ -215,20 +215,10 @@ val run :
     {!max_threads}. *)
 
 val set_default_tracer : Obs.Tracer.sink option -> unit
-(** Install (or clear) the ambient tracer sink that {!run} and {!boot}
-    pick up when no explicit [?tracer] is given. The benchmark driver
-    points this at the current machine's process sink so workloads that
-    call [Sim.run] internally are traced without signature changes. *)
-
-val default_tracer : unit -> Obs.Tracer.sink option
-
-val tracer : tctx -> Obs.Tracer.sink option
-(** The sink this thread reports to, if any. {!Simmem} and {!Htm} fetch
-    it from the acting context to record miss instants and transaction
-    spans. *)
-
-val set_tracer : tctx -> Obs.Tracer.sink option -> unit
-(** Override the sink on one context (mainly boot contexts). *)
+(** Install (or clear) the ambient tracer sink that {!run} picks up when
+    no explicit [?tracer] is given. The benchmark driver points this at
+    the current machine's process sink so workloads that call [Sim.run]
+    internally are traced without signature changes. *)
 
 val note_progress : tctx -> unit
 (** Feed the liveness watchdog: record that this thread just completed

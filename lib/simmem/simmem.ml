@@ -142,8 +142,6 @@ type access =
   | Malloc of { base : int; words : int }
   | Free of { base : int; words : int }
 
-type access_event = { acc_tid : int; acc_clock : int; acc : access }
-
 let pp_access ppf = function
   | Read { addr; value } -> Format.fprintf ppf "read   %#x -> %d" addr value
   | Write { addr; value } -> Format.fprintf ppf "write  %#x <- %d" addr value
@@ -153,6 +151,185 @@ let pp_access ppf = function
   | Fetch_add { addr; delta; old } -> Format.fprintf ppf "fadd   %#x +%d (was %d)" addr delta old
   | Malloc { base; words } -> Format.fprintf ppf "malloc %#x (%d words)" base words
   | Free { base; words } -> Format.fprintf ppf "free   %#x (%d words)" base words
+
+module Txn = struct
+  type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
+
+  let abort_label = function
+    | Conflict -> "conflict"
+    | Overflow -> "overflow"
+    | Illegal -> "illegal"
+    | Explicit -> "explicit"
+    | Lock_held -> "lock-held"
+    | Spurious -> "spurious"
+
+  let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
+
+  exception Aborted of abort_reason
+  exception Retry_exhausted of abort_reason
+
+  let ex_conflict = Aborted Conflict
+  and ex_overflow = Aborted Overflow
+  and ex_illegal = Aborted Illegal
+  and ex_explicit = Aborted Explicit
+  and ex_lock_held = Aborted Lock_held
+  and ex_spurious = Aborted Spurious
+
+  let abort_with = function
+    | Conflict -> raise ex_conflict
+    | Overflow -> raise ex_overflow
+    | Illegal -> raise ex_illegal
+    | Explicit -> raise ex_explicit
+    | Lock_held -> raise ex_lock_held
+    | Spurious -> raise ex_spurious
+
+  type tx_path = P_hw | P_stm | P_tle
+
+  let path_label = function P_hw -> "hw" | P_stm -> "stm" | P_tle -> "tle"
+
+  type tx_event =
+    | Tx_commit of {
+        tx_reads : int;
+        tx_writes : int;
+        tx_path : tx_path;
+        tx_attempt : int;
+        tx_start : int;
+      }
+    | Tx_abort of {
+        ab_reason : abort_reason;
+        ab_path : tx_path;
+        ab_attempt : int;
+        ab_witness : Obs.Forensics.witness option;
+        ab_start : int;
+      }
+    | Tx_fallback of { fb_attempt : int }
+    | Tx_release of { rl_attempt : int; rl_start : int }
+    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
+    | Tx_steal of { st_victim : int; st_locks : int }
+
+  let pp_tx_event ppf = function
+    | Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt; _ } ->
+      Format.fprintf ppf "commit[%s] (%d reads, %d writes, attempt %d)"
+        (path_label tx_path) tx_reads tx_writes tx_attempt
+    | Tx_abort { ab_reason; ab_path; ab_attempt; ab_witness; _ } ->
+      Format.fprintf ppf "abort[%s]: %a (attempt %d)" (path_label ab_path)
+        pp_abort_reason ab_reason ab_attempt;
+      (match ab_witness with
+       | None -> ()
+       | Some w -> Format.fprintf ppf " [%a]" Obs.Forensics.pp_witness w)
+    | Tx_fallback _ -> Format.pp_print_string ppf "TLE lock fallback"
+    | Tx_release { rl_attempt; _ } ->
+      Format.fprintf ppf "TLE lock released (attempt %d)" rl_attempt
+    | Tx_escalate { esc_to; esc_attempt } ->
+      Format.fprintf ppf "escalate to %s (attempt %d)" (path_label esc_to) esc_attempt
+    | Tx_steal { st_victim; _ } -> Format.fprintf ppf "stm lock stolen from t%d" st_victim
+end
+
+(* Top-level aliases for the sinks below: a top-level function that
+   reaches into a submodule closes over it, and its closure is then built
+   at startup instead of being static. *)
+let abort_label = Txn.abort_label
+let path_label = Txn.path_label
+
+(* ---- Machine events ---------------------------------------------------
+
+   Everything an observer can learn about a machine arrives as one
+   [event], stamped with the acting thread and its clock, through the
+   heap's single sink slot. Emission is observation only: no tick, no
+   RNG, so an observed run is cycle-for-cycle a bare one. *)
+
+type event =
+  | Access of access
+  | Miss of { write : bool; addr : int; line : int; sharers : int; cost : int; wait : int }
+  | Label of { name : string; base : int; words : int }
+  | Witness of Obs.Forensics.witness
+  | Hop of {
+      from_path : Txn.tx_path;
+      to_path : Txn.tx_path;
+      reason : Txn.abort_reason;
+      witness : Obs.Forensics.witness option;
+    }
+  | Tx of Txn.tx_event
+
+type sink = { fold : tid:int -> clock:int -> event -> unit; per_access : bool }
+
+(* The Perfetto rendering of the machine's events. Scheduler slices and
+   fault instants come from {!Sim.run}'s own tracer, on the same
+   process sink. *)
+let tracer_sink tr =
+  let int key n = (key, Obs.Json.Int n) in
+  let span ~tid name args t0 t1 = Obs.Tracer.span tr ~tid ~name ~cat:"tx" ~args t0 t1 in
+  let instant ~tid name args t = Obs.Tracer.instant tr ~tid ~name ~cat:"tx" ~args t in
+  let fold ~tid ~clock = function
+    | Access _ | Label _ | Hop _ -> ()
+    | Miss { write; addr; sharers; cost; wait; _ } ->
+      Obs.Tracer.instant tr ~tid ~cat:"mem"
+        ~name:(if write then "miss.write" else "miss.read")
+        ~args:[ int "addr" addr; int "cost" cost; int "wait" wait; int "sharers" sharers ]
+        clock
+    | Witness w ->
+      (* A flow arrow from the aggressor's committed write to the
+         victim's abort; only the last-writer journal knows the
+         aggressor, so a tracer alone draws none. *)
+      if w.w_aggressor >= 0 && w.w_aggressor_clock >= 0 then begin
+        let id = Obs.Tracer.flow_id tr in
+        let args = [ int "addr" w.w_addr; ("site", Obs.Json.Str w.w_site) ] in
+        Obs.Tracer.flow_start tr ~tid:w.w_aggressor ~name:"conflict" ~cat:"forensics"
+          ~args ~id w.w_aggressor_clock;
+        Obs.Tracer.flow_finish tr ~tid:w.w_victim ~name:"conflict" ~cat:"forensics"
+          ~args ~id w.w_clock
+      end
+    | Tx (Tx_commit { tx_path = P_tle; _ }) -> ()
+    | Tx (Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt; tx_start }) ->
+      span ~tid
+        (match tx_path with P_stm -> "tx.stm" | P_hw | P_tle -> "tx")
+        [ int "attempt" tx_attempt; int "reads" tx_reads; int "writes" tx_writes ]
+        tx_start clock
+    | Tx (Tx_abort { ab_reason; ab_path; ab_attempt; ab_start; _ }) ->
+      let args =
+        [ ("reason", Obs.Json.Str (abort_label ab_reason)); int "attempt" ab_attempt ]
+      in
+      (match ab_path with
+       | P_hw ->
+         span ~tid "tx.attempt" [ int "attempt" ab_attempt ] ab_start clock;
+         instant ~tid "tx.abort" args clock
+       | P_stm | P_tle -> instant ~tid "tx.stm.abort" args clock)
+    | Tx (Tx_fallback { fb_attempt }) ->
+      instant ~tid "tle.fallback" [ int "attempt" fb_attempt ] clock
+    | Tx (Tx_release { rl_attempt; rl_start }) ->
+      span ~tid "tx.locked" [ int "attempt" rl_attempt ] rl_start clock
+    | Tx (Tx_escalate { esc_to = P_stm; esc_attempt }) ->
+      instant ~tid "stm.escalate" [ int "attempt" esc_attempt ] clock
+    | Tx (Tx_escalate { esc_to = P_hw | P_tle; _ }) -> ()
+    | Tx (Tx_steal { st_victim; st_locks }) ->
+      instant ~tid "stm.steal" [ int "victim" st_victim; int "locks" st_locks ] clock
+  in
+  { fold; per_access = false }
+
+let profiler_sink p =
+  let fold ~tid:_ ~clock:_ = function
+    | Miss { line; sharers; cost; wait; _ } ->
+      Obs.Profiler.record_transfer p ~line ~wait ~cost ~sharers
+    | Label { name; base; words } -> Obs.Profiler.label p ~name ~base ~words
+    | Access _ | Witness _ | Hop _ | Tx _ -> ()
+  in
+  { fold; per_access = false }
+
+(* Forensics resolves aggressors from the last-writer journal, which
+   [per_access] turns on; allocation provenance comes off the [Malloc]
+   access events it brings. *)
+let forensics_sink f =
+  let fold ~tid ~clock = function
+    | Access (Malloc { base; words }) ->
+      Obs.Forensics.note_alloc f ~base ~words ~tid ~clock
+    | Label { name; base; words } -> Obs.Forensics.label f ~name ~base ~words
+    | Witness w -> Obs.Forensics.record f w
+    | Hop { from_path; to_path; reason; witness } ->
+      Obs.Forensics.note_hop f ~tid ~clock ~from_path:(path_label from_path)
+        ~to_path:(path_label to_path) ~reason:(abort_label reason) witness
+    | Access _ | Miss _ | Tx _ -> ()
+  in
+  { fold; per_access = true }
 
 (* One thread's FIFO store buffer (active only under a buffered
    {!Sim.Memmodel}): a fixed ring of (addr, value) pairs in two
@@ -186,11 +363,12 @@ type t = {
   sw : int; (* sharer words per line *)
   sbufs : sbuf array; (* indexed by tid; slot [Sim.boot_tid] stays empty *)
   arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
-  mutable tap : (access_event -> unit) option;
-  (* The one observability test hot paths make: set when any per-access
-     bookkeeping (tap, last-writer journal) is installed, so the
-     no-observer configuration pays a single predictable branch per
-     access and allocates nothing. Recomputed by the setters. *)
+  (* The observers attached with {!attach}, folded into one function. *)
+  mutable sink : (tid:int -> clock:int -> event -> unit) option;
+  (* The one observability test hot paths make: set when an attached
+     sink takes per-access events, which also keeps the last-writer
+     journal, so the no-observer configuration pays a single predictable
+     branch per access and allocates nothing. *)
   mutable obs_on : bool;
   mutable values : int array;
   mutable versions : int array;
@@ -232,17 +410,14 @@ type t = {
   g_live_words : Obs.Metrics.gauge;
   g_live_blocks : Obs.Metrics.gauge;
   h_queue_wait : Obs.Metrics.hist;
-  mutable prof : Obs.Profiler.t option;
   (* Last-writer journal, the aggressor side of conflict witnesses: per
      word, which thread's committed store bumped the version last, what
-     kind of store it was and at what clock. Off by default; the arrays
-     are allocated on first enable, and capture is a handful of array
-     stores, zero virtual cycles. *)
-  mutable wr_on : bool;
+     kind of store it was and at what clock. Kept while [obs_on]; the
+     arrays are allocated on first enable, and capture is a handful of
+     array stores, zero virtual cycles. *)
   mutable wr_tid : int array;
   mutable wr_kind : Bytes.t;
   mutable wr_clock : int array;
-  mutable fors : Obs.Forensics.t option;
 }
 
 type stats = {
@@ -287,7 +462,7 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
           { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None });
     arenas =
       (if arena_mode then Array.make (Sim.max_threads + 1) None else [||]);
-    tap = None;
+    sink = None;
     obs_on = false;
     values = Array.make initial_words 0;
     versions = Array.make initial_words 0;
@@ -314,12 +489,9 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     g_live_words = Obs.Metrics.gauge mreg "mem.live_words";
     g_live_blocks = Obs.Metrics.gauge mreg "mem.live_blocks";
     h_queue_wait = Obs.Metrics.hist mreg "mem.queue_wait";
-    prof = None;
-    wr_on = false;
     wr_tid = [||];
     wr_kind = Bytes.empty;
     wr_clock = [||];
-    fors = None;
   }
 
 let stats (t : t) =
@@ -360,16 +532,6 @@ let line_of addr = addr lsr line_shift
 let line_version t line = t.lversions.(line)
 let line_writer t line = t.lw_tid.(line)
 
-let refresh_obs t =
-  t.obs_on <- (match t.tap with Some _ -> true | None -> t.wr_on)
-
-let set_tap t f =
-  t.tap <- f;
-  refresh_obs t
-
-let set_profiler t p = t.prof <- p
-let profiler t = t.prof
-
 (* Bit index of [tid] in a sharer set: runnable tids map to themselves,
    boot contexts to the reserved top index. A runnable tid at or beyond
    the heap's capacity has no bit to occupy — the heap must be created
@@ -381,13 +543,21 @@ let bindex t tid =
     invalid_arg
       (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
 
-let label t ~name ~base ~words =
-  (match t.prof with
-   | None -> ()
-   | Some p -> Obs.Profiler.label p ~name ~base ~words);
-  match t.fors with
+let observed t = match t.sink with Some _ -> true | None -> false
+
+(* Sinks fire after the access completes, so the stamped clock includes
+   the access cost and the value reflects the post-access state. Callers
+   check {!observed} before building an event that allocates. *)
+let emit t ctx ev =
+  match t.sink with
   | None -> ()
-  | Some f -> Obs.Forensics.label f ~name ~base ~words
+  | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
+
+(* A label is not a thread action: it carries no thread and no clock. *)
+let label t ~name ~base ~words =
+  match t.sink with
+  | None -> ()
+  | Some f -> f ~tid:(-1) ~clock:0 (Label { name; base; words })
 
 (* ---- Conflict forensics ----------------------------------------------
 
@@ -411,30 +581,33 @@ let wr_ensure t =
     t.wr_clock <- wr_clock
   end
 
-let track_writers t =
-  t.wr_on <- true;
-  wr_ensure t;
-  refresh_obs t
-
-let set_forensics t f =
-  t.fors <- f;
-  if f <> None then begin
-    t.wr_on <- true;
-    wr_ensure t
+(* Replace the attached observers. The journal starts empty whenever it
+   comes on and is dropped when it goes off, so detaching every
+   per-access sink returns the heap to the unobserved state. *)
+let attach t sinks =
+  let per_access = List.exists (fun s -> s.per_access) sinks in
+  if per_access <> t.obs_on then begin
+    t.wr_tid <- [||];
+    t.wr_kind <- Bytes.empty;
+    t.wr_clock <- [||];
+    t.obs_on <- per_access;
+    if per_access then wr_ensure t
   end;
-  refresh_obs t
-
-let forensics t = t.fors
+  t.sink <-
+    (match sinks with
+     | [] -> None
+     | [ s ] -> Some s.fold
+     | ss ->
+       let folds = List.map (fun s -> s.fold) ss in
+       Some (fun ~tid ~clock ev -> List.iter (fun f -> f ~tid ~clock ev) folds))
 
 let note_write t ctx addr op =
-  if t.wr_on then begin
-    Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
-    Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
-    t.wr_clock.(addr) <- Sim.clock ctx
-  end
+  Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
+  Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
+  t.wr_clock.(addr) <- Sim.clock ctx
 
 let last_writer t addr =
-  if (not t.wr_on) || addr < 0 || addr >= Array.length t.wr_tid then None
+  if (not t.obs_on) || addr < 0 || addr >= Array.length t.wr_tid then None
   else
     let tid = Array.unsafe_get t.wr_tid addr in
     if tid = no_writer then None
@@ -478,36 +651,7 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
     w_site = site;
   }
 
-(* Aggregate the witness and, when a tracer is attached and the aggressor
-   is known, draw a Perfetto flow arrow from the aggressor's committed
-   write to the victim's abort point. *)
-let record_witness t ctx (w : Obs.Forensics.witness) =
-  (match t.fors with None -> () | Some f -> Obs.Forensics.record f w);
-  match Sim.tracer ctx with
-  | Some sink when w.Obs.Forensics.w_aggressor >= 0 && w.w_aggressor_clock >= 0 ->
-    let id = Obs.Tracer.flow_id sink in
-    let args =
-      [ ("addr", Obs.Json.Int w.w_addr); ("site", Obs.Json.Str w.w_site) ]
-    in
-    Obs.Tracer.flow_start sink ~tid:w.w_aggressor ~name:"conflict" ~cat:"forensics"
-      ~args ~id w.w_aggressor_clock;
-    Obs.Tracer.flow_finish sink ~tid:w.w_victim ~name:"conflict" ~cat:"forensics"
-      ~args ~id w.w_clock
-  | _ -> ()
-
-let note_hop t ctx ~from_path ~to_path ~reason w =
-  match t.fors with
-  | None -> ()
-  | Some f ->
-    Obs.Forensics.note_hop f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ~from_path
-      ~to_path ~reason w
-
-(* Taps fire after the access completes, so the stamped clock includes the
-   access cost and the value reflects the post-access state. *)
-let emit t ctx acc =
-  match t.tap with
-  | None -> ()
-  | Some f -> f { acc_tid = Sim.tid ctx; acc_clock = Sim.clock ctx; acc }
+let record_witness t ctx w = if observed t then emit t ctx (Witness w)
 
 let grow t needed =
   let cur = Array.length t.values in
@@ -550,7 +694,7 @@ let grow t needed =
   let lw_tid = Array.make nlines (-1) in
   Array.blit t.lw_tid 0 lw_tid 0 (Array.length t.lw_tid);
   t.lw_tid <- lw_tid;
-  if t.wr_on then wr_ensure t
+  if t.obs_on then wr_ensure t
 
 let word_state t addr = Char.code (Bytes.unsafe_get t.state addr)
 
@@ -579,26 +723,11 @@ let popcount x =
   done;
   !c
 
-(* Observe one coherence transfer: contention profile, queue-wait
-   histogram, and (when a tracer is attached) a miss instant on the
-   requesting thread's track. Zero virtual cycles. *)
-let observe_miss t ctx ~kind ~addr ~line ~sharers ~cost ~wait =
-  (match t.prof with
-   | None -> ()
-   | Some p -> Obs.Profiler.record_transfer p ~line ~wait ~cost ~sharers);
+(* Observe one coherence transfer: the queue-wait histogram, and a [Miss]
+   event for the attached sinks. Zero virtual cycles. *)
+let observe_miss t ctx ~write ~addr ~line ~sharers ~cost ~wait =
   if wait > 0 then Obs.Metrics.observe t.h_queue_wait wait;
-  match Sim.tracer ctx with
-  | None -> ()
-  | Some sink ->
-    Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:kind ~cat:"mem"
-      ~args:
-        [
-          ("addr", Obs.Json.Int addr);
-          ("cost", Obs.Json.Int cost);
-          ("wait", Obs.Json.Int wait);
-          ("sharers", Obs.Json.Int sharers);
-        ]
-      (Sim.clock ctx)
+  if observed t then emit t ctx (Miss { write; addr; line; sharers; cost; wait })
 
 (* Coherence miss: an MSI approximation. A miss occupies the line for the
    duration of the transfer ([line_busy]), so contended lines serialize
@@ -606,12 +735,12 @@ let observe_miss t ctx ~kind ~addr ~line ~sharers ~cost ~wait =
    hot-spot structures like queue head/tail words. [sharers] is the
    pre-miss sharer count (for the contention profile); the returned cost
    includes any queuing delay. *)
-let miss_cost t ctx ~kind ~addr ~line ~sharers ~base =
+let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
   let now = Sim.clock ctx in
   let start = max now t.line_busy.(line) in
   let finish = start + base in
   t.line_busy.(line) <- finish;
-  observe_miss t ctx ~kind ~addr ~line ~sharers ~cost:(finish - now)
+  observe_miss t ctx ~write ~addr ~line ~sharers ~cost:(finish - now)
     ~wait:(start - now);
   finish - now
 
@@ -629,7 +758,7 @@ let read_cost t ctx addr =
     else begin
       t.sharers.(line) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
-      miss_cost t ctx ~kind:"miss.read" ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:false ~addr ~line ~sharers:(popcount s)
         ~base:t.cost.read_miss
     end
   end
@@ -645,7 +774,7 @@ let read_cost t ctx addr =
       for k = w0 to w0 + t.sw - 1 do
         if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
       done;
-      miss_cost t ctx ~kind:"miss.read" ~addr ~line ~sharers:!n
+      miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
         ~base:t.cost.read_miss
     end
   end
@@ -662,7 +791,7 @@ let write_cost t ctx addr =
     else begin
       t.sharers.(line) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~kind:"miss.write" ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:true ~addr ~line ~sharers:(popcount s)
         ~base:t.cost.write_miss
     end
   end
@@ -684,7 +813,7 @@ let write_cost t ctx addr =
       done;
       t.sharers.(wi) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~kind:"miss.write" ~addr ~line ~sharers:!n
+      miss_cost t ctx ~write:true ~addr ~line ~sharers:!n
         ~base:t.cost.write_miss
     end
   end
@@ -695,7 +824,7 @@ let write_cost t ctx addr =
    thread's FIFO buffer and becomes globally visible only at a drain
    point: a fence, an atomic, malloc/free, capacity overflow, or thread
    termination. All the visibility machinery — coherence state, miss
-   costs, counters, version bumps, and the access tap — fires at drain
+   costs, counters, version bumps, and the access event — fires at drain
    time, so a drain is a real scheduler-visible step the explorer can
    interleave. Under [sc] no buffer is ever touched and every code path
    below collapses to the pre-weak-memory instruction sequence. *)
@@ -748,7 +877,7 @@ let drain_one t ctx ~terminal sb =
         bump_version t ctx addr;
         if t.obs_on then begin
           note_write t ctx addr Op_store;
-          emit t ctx (Write { addr; value = v })
+          emit t ctx (Access (Write { addr; value = v }))
         end
       end
     end
@@ -804,7 +933,7 @@ let read t ctx addr =
     Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
     Sim.tick ctx t.cost.read_hit;
     check_live t addr;
-    if t.obs_on then emit t ctx (Read { addr; value = v });
+    if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
     v
   end
   else begin
@@ -812,7 +941,7 @@ let read t ctx addr =
     Sim.tick ctx (read_cost t ctx addr);
     check_live t addr;
     let v = t.values.(addr) in
-    if t.obs_on then emit t ctx (Read { addr; value = v });
+    if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
     v
   end
 
@@ -826,7 +955,7 @@ let write_through t ctx addr v =
   bump_version t ctx addr;
   if t.obs_on then begin
     note_write t ctx addr Op_store;
-    emit t ctx (Write { addr; value = v })
+    emit t ctx (Access (Write { addr; value = v }))
   end
 
 let write t ctx addr v =
@@ -860,16 +989,17 @@ let cas t ctx addr ~expected ~desired =
     bump_version t ctx addr;
     if t.obs_on then note_write t ctx addr Op_atomic
   end
-  else if (match t.fors with Some _ -> true | None -> false) then
+  else if t.obs_on then
     (* A failed CAS is a coherence-plane conflict in its own right: some
        other thread's committed store got between this thread's read of
        [expected] and its attempt to install [desired]. Non-transactional
        lock-free structures (e.g. the ROP queue) surface their contention
-       here, so forensics would otherwise be blind to them. *)
+       here, so forensics would otherwise be blind to them. Witnessed
+       only while the journal can name the aggressor. *)
     record_witness t ctx
       (conflict_witness t ctx ~addr ~victim_wrote:true ~in_read_set:false
          ~in_write_set:true ~site:"mem.cas" ());
-  if t.obs_on then emit t ctx (Cas { addr; expected; desired; success });
+  if t.obs_on then emit t ctx (Access (Cas { addr; expected; desired; success }));
   success
 
 let fetch_add t ctx addr d =
@@ -882,7 +1012,7 @@ let fetch_add t ctx addr d =
   t.values.(addr) <- old + d;
   bump_version t ctx addr;
   if t.obs_on then note_write t ctx addr Op_atomic;
-  if t.obs_on then emit t ctx (Fetch_add { addr; delta = d; old });
+  if t.obs_on then emit t ctx (Access (Fetch_add { addr; delta = d; old }));
   old
 
 let version t addr = t.versions.(addr)
@@ -1097,15 +1227,10 @@ let malloc t ctx n =
     for a = base to base + n - 1 do
       note_write t ctx a Op_malloc
     done;
-  (match t.fors with
-   | None -> ()
-   | Some f ->
-     Obs.Forensics.note_alloc f ~base ~words:n ~tid:(Sim.tid ctx)
-       ~clock:(Sim.clock ctx));
   Obs.Metrics.add t.g_live_words n;
   Obs.Metrics.add t.g_live_blocks 1;
   Obs.Metrics.incr1 t.c_allocs;
-  if t.obs_on then emit t ctx (Malloc { base; words = n });
+  if t.obs_on then emit t ctx (Access (Malloc { base; words = n }));
   base
 
 let free t ctx base =
@@ -1152,7 +1277,7 @@ let free t ctx base =
     Obs.Metrics.add t.g_live_words (-n);
     Obs.Metrics.add t.g_live_blocks (-1);
     Obs.Metrics.incr1 t.c_frees;
-    if t.obs_on then emit t ctx (Free { base; words = n })
+    if t.obs_on then emit t ctx (Access (Free { base; words = n }))
   end
 
 module Tx_plane = struct
@@ -1168,7 +1293,7 @@ module Tx_plane = struct
       else begin
         let v = t.values.(addr) in
         t.txr_val <- v;
-        if t.obs_on then emit t ctx (Read { addr; value = v });
+        if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
         t.versions.(addr)
       end
     end
@@ -1187,7 +1312,7 @@ module Tx_plane = struct
       bump_version t ctx addr;
       if t.obs_on then begin
         note_write t ctx addr Op_commit;
-        emit t ctx (Write { addr; value = v })
+        emit t ctx (Access (Write { addr; value = v }))
       end;
       true
     end
@@ -1322,74 +1447,6 @@ module Read_set = struct
     end
 end
 
-module Txn = struct
-  type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
-
-  let abort_label = function
-    | Conflict -> "conflict"
-    | Overflow -> "overflow"
-    | Illegal -> "illegal"
-    | Explicit -> "explicit"
-    | Lock_held -> "lock-held"
-    | Spurious -> "spurious"
-
-  let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
-
-  exception Aborted of abort_reason
-  exception Retry_exhausted of abort_reason
-
-  let ex_conflict = Aborted Conflict
-  and ex_overflow = Aborted Overflow
-  and ex_illegal = Aborted Illegal
-  and ex_explicit = Aborted Explicit
-  and ex_lock_held = Aborted Lock_held
-  and ex_spurious = Aborted Spurious
-
-  let abort_with = function
-    | Conflict -> raise ex_conflict
-    | Overflow -> raise ex_overflow
-    | Illegal -> raise ex_illegal
-    | Explicit -> raise ex_explicit
-    | Lock_held -> raise ex_lock_held
-    | Spurious -> raise ex_spurious
-
-  type tx_path = P_hw | P_stm | P_tle
-
-  let path_label = function P_hw -> "hw" | P_stm -> "stm" | P_tle -> "tle"
-
-  type tx_event =
-    | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-    | Tx_abort of {
-        ab_reason : abort_reason;
-        ab_path : tx_path;
-        ab_attempt : int;
-        ab_witness : Obs.Forensics.witness option;
-      }
-    | Tx_fallback
-    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-    | Tx_steal of { st_victim : int }
-
-  let pp_tx_event ppf = function
-    | Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt } ->
-      Format.fprintf ppf "commit[%s] (%d reads, %d writes, attempt %d)"
-        (path_label tx_path) tx_reads tx_writes tx_attempt
-    | Tx_abort { ab_reason; ab_path; ab_attempt; ab_witness } ->
-      Format.fprintf ppf "abort[%s]: %a (attempt %d)" (path_label ab_path)
-        pp_abort_reason ab_reason ab_attempt;
-      (match ab_witness with
-       | None -> ()
-       | Some w -> Format.fprintf ppf " [%a]" Obs.Forensics.pp_witness w)
-    | Tx_fallback -> Format.pp_print_string ppf "TLE lock fallback"
-    | Tx_escalate { esc_to; esc_attempt } ->
-      Format.fprintf ppf "escalate to %s (attempt %d)" (path_label esc_to) esc_attempt
-    | Tx_steal { st_victim } -> Format.fprintf ppf "stm lock stolen from t%d" st_victim
-
-  type tap = (tid:int -> clock:int -> tx_event -> unit) option
-
-  let emit (tap : tap) ctx ev =
-    match tap with None -> () | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
-end
-
 module Tx_desc = struct
   open Txn
 
@@ -1403,6 +1460,7 @@ module Tx_desc = struct
     mutable busy : bool;
     mutable path : tx_path;
     mutable attempt : int;
+    mutable start : int;
     mutable rv : int;
     reads : Read_set.t;
     mutable waddr : int array;
@@ -1436,6 +1494,7 @@ module Tx_desc = struct
             busy = false;
             path = P_hw;
             attempt = 0;
+            start = 0;
             rv = 0;
             reads = Read_set.create mem gran;
             waddr = Array.make 32 0;
@@ -1460,6 +1519,7 @@ module Tx_desc = struct
   let reset d path attempt =
     d.path <- path;
     d.attempt <- attempt;
+    d.start <- Sim.clock d.ctx;
     d.reads.gran <- (match path with P_stm -> Word | P_hw | P_tle -> d.gran);
     Read_set.reset d.reads;
     d.nwrites <- 0;
@@ -1523,28 +1583,34 @@ module Tx_desc = struct
       true
     end
 
-  (* Events are built only when a tap is attached. *)
-  let emit_commit tap d =
-    match tap with
-    | None -> ()
-    | Some _ ->
-      emit tap d.ctx
-        (Tx_commit
-           {
-             tx_reads = Read_set.length d.reads;
-             tx_writes = d.nwrites;
-             tx_path = d.path;
-             tx_attempt = d.attempt;
-           })
+  (* Events are built only when a sink is attached. *)
+  let emit_commit d =
+    if observed d.mem then
+      emit d.mem d.ctx
+        (Tx
+           (Tx_commit
+              {
+                tx_reads = Read_set.length d.reads;
+                tx_writes = d.nwrites;
+                tx_path = d.path;
+                tx_attempt = d.attempt;
+                tx_start = d.start;
+              }))
 
-  let settle_abort tap d r =
+  let settle_abort d r =
     let w = d.witness in
     d.witness <- None;
     (match w with Some wit -> record_witness d.mem d.ctx wit | None -> ());
     d.last_witness <- w;
-    match tap with
-    | None -> ()
-    | Some _ ->
-      emit tap d.ctx
-        (Tx_abort { ab_reason = r; ab_path = d.path; ab_attempt = d.attempt; ab_witness = w })
+    if observed d.mem then
+      emit d.mem d.ctx
+        (Tx
+           (Tx_abort
+              {
+                ab_reason = r;
+                ab_path = d.path;
+                ab_attempt = d.attempt;
+                ab_witness = w;
+                ab_start = d.start;
+              }))
 end

@@ -142,7 +142,7 @@ val create :
     buffer and becomes globally visible only at a drain point — a
     {!Sim.fence}, an atomic ({!cas} / {!fetch_add}), {!malloc} / {!free},
     capacity overflow, or thread termination. Coherence costs, counters,
-    version bumps and the access tap all fire at drain time, making each
+    version bumps and the access event all fire at drain time, making each
     drained store a scheduler-visible step. See docs/MEMORY_ORDERING.md.
 
     [alloc] selects the allocation policy (default {!Shared_lifo}, the
@@ -186,18 +186,11 @@ val line_writer : t -> int -> int
     never bumped (no cost, no yield). Lets a validator absorb its own
     bumps instead of self-aborting. *)
 
-val set_profiler : t -> Obs.Profiler.t option -> unit
-(** Attach a contention profiler: every coherence transfer (read or write
-    miss) is recorded with its line, queuing delay, total cost and the
-    sharer count at request time. Costs nothing when unset. *)
-
-val profiler : t -> Obs.Profiler.t option
-
 val label : t -> name:string -> base:int -> words:int -> unit
-(** Region-label an address range for contention attribution (no-op
-    without a profiler or forensics). Data-structure implementations call
-    this at allocation sites: ["ListHoHRC.header"], ["MSQueue+ROP.node"],
-    ... *)
+(** Region-label an address range for contention attribution (a [Label]
+    event; no-op when no sink is attached). Data-structure
+    implementations call this at allocation sites: ["ListHoHRC.header"],
+    ["MSQueue+ROP.node"], ... *)
 
 (** {1 Conflict forensics}
 
@@ -206,7 +199,7 @@ val label : t -> name:string -> base:int -> words:int -> unit
     invalidated it, the address they collided on and the access kinds.
     Aggressors are resolved from a per-word {e last-writer journal}
     (thread, clock, store kind at the word's most recent version bump),
-    enabled by {!track_writers} or by attaching a {!Obs.Forensics.t}.
+    kept while a per-access sink is attached (see {!attach}).
 
     All of it is observation only — zero virtual cycles, no RNG, no
     scheduling impact — so instrumented runs are cycle-identical to bare
@@ -214,62 +207,13 @@ val label : t -> name:string -> base:int -> words:int -> unit
 
 type writer_op = Op_store | Op_atomic | Op_commit | Op_malloc | Op_free
 
-val track_writers : t -> unit
-(** Turn on the last-writer journal without attaching forensics (the
-    schedule explorer does this so counterexample traces carry
-    aggressors). *)
-
 val last_writer : t -> int -> (int * int * writer_op) option
 (** [(tid, clock, op)] of the committed store that last bumped this
     word's version; [None] if the journal is off or the word was never
     written since it came on. *)
 
-val set_forensics : t -> Obs.Forensics.t option -> unit
-(** Attach a forensics aggregator (implies {!track_writers}); {!label}
-    and {!malloc} provenance forward into it, and witnesses recorded via
-    {!record_witness} accumulate there. *)
-
-val forensics : t -> Obs.Forensics.t option
-
-val conflict_witness :
-  t ->
-  Sim.tctx ->
-  addr:int ->
-  ?lookup:int ->
-  ?aggressor:int ->
-  victim_wrote:bool ->
-  in_read_set:bool ->
-  in_write_set:bool ->
-  site:string ->
-  unit ->
-  Obs.Forensics.witness
-(** Build a witness for a conflict the acting thread just lost on
-    [addr]. The aggressor comes from the last-writer journal of [lookup]
-    (default [addr]) — pass the stripe-lock word to attribute an STM
-    conflict to the last committer of that stripe. [aggressor] overrides
-    the journal's thread when the caller knows the owner exactly. *)
-
-val record_witness : t -> Sim.tctx -> Obs.Forensics.witness -> unit
-(** Aggregate into the attached forensics (if any) and, when a tracer is
-    attached and the aggressor known, emit a Chrome-trace flow arrow
-    from the aggressor's write to the victim's abort. *)
-
-val note_hop :
-  t ->
-  Sim.tctx ->
-  from_path:string ->
-  to_path:string ->
-  reason:string ->
-  Obs.Forensics.witness option ->
-  unit
-(** Record an escalation hop (HW → STM → TLE) in the attached forensics;
-    no-op otherwise. *)
-
-(** Access-event tap, for trace capture by the schedule explorer
-    ([lib/explore]): every completed access — including the transactional
-    plane's reads and committed stores — is reported with the issuing
-    thread and its clock after the access. Costs nothing when unset. *)
-
+(** A completed access, including the transactional plane's reads and
+    committed stores. *)
 type access =
   | Read of { addr : int; value : int }
   | Write of { addr : int; value : int }
@@ -278,13 +222,148 @@ type access =
   | Malloc of { base : int; words : int }
   | Free of { base : int; words : int }
 
-type access_event = { acc_tid : int; acc_clock : int; acc : access }
-
 val pp_access : Format.formatter -> access -> unit
 
-val set_tap : t -> (access_event -> unit) option -> unit
-(** Install (or with [None] remove) the access tap. The tap must not
-    access [t] reentrantly. *)
+(** {1 Transactions: vocabulary}
+
+    What {!Htm} and {!Stm} share (with {!Tx_desc}). The hardware path
+    and the software slow path differ only in how they detect conflicts
+    and commit: they abort for the same reasons, emit the same events and
+    run on the same descriptor, so an escalated block keeps its state and
+    neither layer translates the other's. *)
+
+module Txn : sig
+  type abort_reason =
+    | Conflict  (** read-set validation failed, or a stale (post-[rv]) read *)
+    | Overflow  (** store-buffer capacity exceeded (hardware only) *)
+    | Illegal  (** transactional access to freed or unmapped memory *)
+    | Explicit  (** the block aborted itself *)
+    | Lock_held  (** a TLE lock holder or a live STM stripe owner was observed *)
+    | Spurious
+        (** environmental abort injected by the fault plan — interrupts,
+            TLB misses, register-window spills: Rock's catalogue of aborts
+            that have nothing to do with the data accessed ({!Sim.Fault};
+            hardware only) *)
+
+  val abort_label : abort_reason -> string
+  val pp_abort_reason : Format.formatter -> abort_reason -> unit
+
+  exception Aborted of abort_reason
+  (** Internal control flow of an attempt, on either path. *)
+
+  val abort_with : abort_reason -> 'a
+  (** Raise {!Aborted}; the exception values are built once, so an abort
+      allocates nothing. *)
+
+  exception Retry_exhausted of abort_reason
+  (** A retry budget ran out with no escalation left; carries the last
+      abort reason. *)
+
+  (** Which of the three execution paths an attempt or event is on. *)
+  type tx_path = P_hw | P_stm | P_tle
+
+  val path_label : tx_path -> string
+
+  (** One transaction event, tagged with its path. Commits carry their
+      read/write-set sizes and aborts their reason and conflict witness,
+      so per-path histograms and explorer counterexamples can be built
+      from the stream alone; the start clocks, the TLE attempt numbers
+      and the stolen-lock count are what the Perfetto rendering
+      ({!tracer_sink}) needs. *)
+  type tx_event =
+    | Tx_commit of {
+        tx_reads : int;
+        tx_writes : int;
+        tx_path : tx_path;
+        tx_attempt : int;
+        tx_start : int;  (** the attempt's start clock *)
+      }
+    | Tx_abort of {
+        ab_reason : abort_reason;
+        ab_path : tx_path;
+        ab_attempt : int;
+        ab_witness : Obs.Forensics.witness option;
+            (** captured at the failing validation or lock probe, or
+                synthesized against the TLE lock word for a lock-held
+                hardware abort *)
+        ab_start : int;  (** the attempt's start clock *)
+      }
+    | Tx_fallback of { fb_attempt : int }  (** TLE lock acquired *)
+    | Tx_release of { rl_attempt : int; rl_start : int }
+        (** TLE lock released, on every exit from the critical section;
+            [rl_start] is the clock it was acquired at *)
+    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
+    | Tx_steal of { st_victim : int; st_locks : int }
+        (** [st_locks] STM stripe locks were stolen from (crashed) thread
+            [st_victim] *)
+
+  val pp_tx_event : Format.formatter -> tx_event -> unit
+end
+
+(** {1 Observers}
+
+    A machine has one event stream and one attach point. Every observer
+    is a {e sink}: a fold from one event, stamped with the acting thread
+    and its clock, to an update of the observer's own state. The
+    tracer, the contention profiler and forensics are the sinks below;
+    the schedule explorer's text trace is another
+    ([Explore.Trace.sink]). Emission charges zero virtual cycles and
+    draws no RNG, so an observed run is cycle-identical to a bare one. *)
+
+type event =
+  | Access of access  (** per-access sinks only, after the access *)
+  | Miss of { write : bool; addr : int; line : int; sharers : int; cost : int; wait : int }
+      (** one coherence transfer, before its cost is charged: the
+          sharer count at request time and the cycles spent queued
+          behind earlier transfers of the line ([wait], part of [cost]) *)
+  | Label of { name : string; base : int; words : int }
+      (** a {!label}; stamped with tid [-1] and clock [0] *)
+  | Witness of Obs.Forensics.witness
+      (** a conflict witness, at the abort or failed CAS it explains *)
+  | Hop of {
+      from_path : Txn.tx_path;
+      to_path : Txn.tx_path;
+      reason : Txn.abort_reason;
+      witness : Obs.Forensics.witness option;
+    }  (** one escalation step (HW → STM → TLE) and the abort driving it *)
+  | Tx of Txn.tx_event
+
+type sink = {
+  fold : tid:int -> clock:int -> event -> unit;
+      (** must not access the heap reentrantly *)
+  per_access : bool;
+      (** also take every [Access] event and keep the last-writer
+          journal, so witnesses name their aggressors *)
+}
+
+val attach : t -> sink list -> unit
+(** Replace the heap's observers; every event goes to each sink in list
+    order. With no per-access sink the journal is off and the access
+    path pays one predictable branch; with [[]] nothing is observed. *)
+
+val observed : t -> bool
+(** Whether any sink is attached. Emitters check it before building an
+    event that allocates. *)
+
+val emit : t -> Sim.tctx -> event -> unit
+(** Deliver an event, stamped with the acting thread and its clock, to
+    the attached sinks ({!Htm} and {!Stm} report their lifecycle here). *)
+
+val tracer_sink : Obs.Tracer.sink -> sink
+(** Perfetto rendering: [miss.read] / [miss.write] instants, [conflict]
+    flow arrows for witnesses whose aggressor is known, and the
+    transaction lifecycle — [tx] and [tx.attempt] spans with [tx.abort]
+    on the hardware path, [tx.stm] / [tx.stm.abort] on the software
+    path, [tle.fallback] and the [tx.locked] span for the TLE lock,
+    [stm.escalate] and [stm.steal]. *)
+
+val profiler_sink : Obs.Profiler.t -> sink
+(** Every coherence transfer and region label into a contention
+    profiler. *)
+
+val forensics_sink : Obs.Forensics.t -> sink
+(** Witnesses, escalation hops, labels and allocation provenance into a
+    forensics aggregator. Per-access: it needs the journal. *)
 
 val null : int
 (** The null address, [0]. *)
@@ -311,7 +390,7 @@ val write : t -> Sim.tctx -> int -> int -> unit
 (** Non-transactional store; bumps the word version (strong atomicity:
     it dooms any transaction that has read the word). Under a buffered
     {!Sim.Memmodel} the store enters the thread's FIFO buffer instead and
-    only becomes visible (version bump, coherence traffic, tap event) when
+    only becomes visible (version bump, coherence traffic, access event) when
     it drains; an in-fiber drain whose target word has meanwhile been
     freed raises the fault at drain time — the delayed-visibility
     use-after-free that fence disciplines exist to prevent.
@@ -423,76 +502,9 @@ module Read_set : sig
       witnesses). *)
 end
 
-(** {1 Transactions: vocabulary and descriptor}
+(** {1 Transaction descriptor}
 
-    What {!Htm} and {!Stm} share. The hardware path and the software
-    slow path differ only in how they detect conflicts and commit: they
-    abort for the same reasons, emit the same events and run on the same
-    descriptor, so an escalated block keeps its state and neither layer
-    translates the other's. *)
-
-module Txn : sig
-  type abort_reason =
-    | Conflict  (** read-set validation failed, or a stale (post-[rv]) read *)
-    | Overflow  (** store-buffer capacity exceeded (hardware only) *)
-    | Illegal  (** transactional access to freed or unmapped memory *)
-    | Explicit  (** the block aborted itself *)
-    | Lock_held  (** a TLE lock holder or a live STM stripe owner was observed *)
-    | Spurious
-        (** environmental abort injected by the fault plan — interrupts,
-            TLB misses, register-window spills: Rock's catalogue of aborts
-            that have nothing to do with the data accessed ({!Sim.Fault};
-            hardware only) *)
-
-  val abort_label : abort_reason -> string
-  val pp_abort_reason : Format.formatter -> abort_reason -> unit
-
-  exception Aborted of abort_reason
-  (** Internal control flow of an attempt, on either path. *)
-
-  val abort_with : abort_reason -> 'a
-  (** Raise {!Aborted}; the exception values are built once, so an abort
-      allocates nothing. *)
-
-  exception Retry_exhausted of abort_reason
-  (** A retry budget ran out with no escalation left; carries the last
-      abort reason. *)
-
-  (** Which of the three execution paths an attempt or event is on. *)
-  type tx_path = P_hw | P_stm | P_tle
-
-  val path_label : tx_path -> string
-
-  (** One transaction event, tagged with its path. Commits carry their
-      read/write-set sizes and aborts their reason and conflict witness,
-      so per-path histograms and explorer counterexamples can be built
-      from the stream alone. *)
-  type tx_event =
-    | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-    | Tx_abort of {
-        ab_reason : abort_reason;
-        ab_path : tx_path;
-        ab_attempt : int;
-        ab_witness : Obs.Forensics.witness option;
-            (** captured at the failing validation or lock probe, or
-                synthesized against the TLE lock word for a lock-held
-                hardware abort *)
-      }
-    | Tx_fallback  (** TLE lock acquired *)
-    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-    | Tx_steal of { st_victim : int }
-        (** STM stripe locks were stolen from (crashed) thread [st_victim] *)
-
-  val pp_tx_event : Format.formatter -> tx_event -> unit
-
-  type tap = (tid:int -> clock:int -> tx_event -> unit) option
-
-  val emit : tap -> Sim.tctx -> tx_event -> unit
-  (** Deliver, stamped with the acting thread and its clock. Callers
-      check for a tap before building an event that allocates. *)
-end
-
-(** The state of one transaction attempt, on any path. ['o] is the
+    The state of one transaction attempt, on any path. ['o] is the
     owning domain ({!Htm.t}), so a transaction handle alone reaches its
     configuration. {!Htm} and {!Stm} read and write the fields directly;
     nothing else should. *)
@@ -507,6 +519,7 @@ module Tx_desc : sig
     mutable busy : bool;  (** bound to a running [atomic] *)
     mutable path : Txn.tx_path;
     mutable attempt : int;  (** this attempt's number on its path *)
+    mutable start : int;  (** this attempt's start clock *)
     mutable rv : int;  (** software path: the TL2 read version *)
     reads : Read_set.t;
     mutable waddr : int array;  (** write buffer, oldest first *)
@@ -528,8 +541,8 @@ module Tx_desc : sig
       busy — or a fresh one under a nested [atomic]. *)
 
   val reset : 'o t -> Txn.tx_path -> int -> unit
-  (** Start attempt [n] on a path: empty the read, write and free sets
-      and clear the witness. The read set checks word versions on the
+  (** Start attempt [n] on a path at the current clock: empty the read,
+      write and free sets and clear the witness. The read set checks word versions on the
       software path and [gran] otherwise. *)
 
   val find_write : 'o t -> int -> int
@@ -556,17 +569,21 @@ module Tx_desc : sig
     in_write_set:bool ->
     string ->
     unit
-  (** Capture the attempt's {!conflict_witness} at a site. *)
+  (** Capture the attempt's conflict witness at a site. The aggressor
+      comes from the last-writer journal of [lookup] (default [addr]) —
+      pass the stripe-lock word to attribute an STM conflict to the last
+      committer of that stripe. [aggressor] overrides the journal's
+      thread when the caller knows the owner exactly. *)
 
   val witness_invalid_read : 'o t -> string -> bool
   (** Capture a witness on the first read whose version moved, if any
       (a full scan: abort paths only). *)
 
-  val emit_commit : Txn.tap -> 'o t -> unit
-  (** Report the attempt's commit ([Tx_commit] with its path, number and
-      read/write-set sizes), if a tap is attached. *)
+  val emit_commit : 'o t -> unit
+  (** Report the attempt's commit ([Tx_commit] with its path, number,
+      start clock and read/write-set sizes) to the heap's sinks. *)
 
-  val settle_abort : Txn.tap -> 'o t -> Txn.abort_reason -> unit
-  (** At an abort: take the attempt's witness, record it with the heap's
-      forensics, keep it as [last_witness] and report [Tx_abort]. *)
+  val settle_abort : 'o t -> Txn.abort_reason -> unit
+  (** At an abort: take the attempt's witness, report it ([Witness]),
+      keep it as [last_witness] and report [Tx_abort]. *)
 end

@@ -121,7 +121,6 @@ type t = {
      is only read and written by its own thread. *)
   watch : (int * int * int * int) option array;
   scratch : lock_scratch array;
-  mutable tap : tap;
 }
 
 let create ?(config = default_config) ?metrics ~fence mem =
@@ -157,10 +156,7 @@ let create ?(config = default_config) ?metrics ~fence mem =
     h_writes = Obs.Metrics.hist mreg "stm.writes_per_tx";
     watch = Array.make n_tids None;
     scratch = Array.init n_tids (fun _ -> { stripes = [||]; old = [||]; nlocks = 0 });
-    tap = None;
   }
-
-let set_tap t f = t.tap <- f
 
 let stats t =
   {
@@ -234,7 +230,6 @@ let capture_conflict s d site =
    owner re-verifies ownership of all its stripes at its commit point and
    aborts when any was stolen. *)
 let steal_from s ctx victim =
-  let me = Sim.tid ctx in
   let freed = ref 0 in
   for i = 0 to s.cfg.lock_slots - 1 do
     let la = s.locks + i in
@@ -246,15 +241,9 @@ let steal_from s ctx victim =
   done;
   if !freed > 0 then begin
     Obs.Metrics.incr_by s.c_steals !freed;
-    (match s.tap with
-     | None -> ()
-     | Some _ -> emit s.tap ctx (Tx_steal { st_victim = victim }));
-    match Sim.tracer ctx with
-    | None -> ()
-    | Some sink ->
-      Obs.Tracer.instant sink ~tid:me ~name:"stm.steal" ~cat:"tx"
-        ~args:[ ("victim", Obs.Json.Int victim); ("locks", Obs.Json.Int !freed) ]
-        (Sim.clock ctx)
+    if Simmem.observed s.smem then
+      Simmem.emit s.smem ctx
+        (Simmem.Tx (Tx_steal { st_victim = victim; st_locks = !freed }))
   end
 
 (* A held stripe: engage this thread's steal watch, and steal once the
@@ -521,7 +510,7 @@ let count_abort s tid = function
 
 (* Top-level (not a closure inside [atomic]) so a pooled transaction's
    fast path allocates nothing. *)
-let rec attempt_loop s d lk budget attempts f on_abort tr tid t0 n last =
+let rec attempt_loop s d lk budget attempts f on_abort tid t0 n last =
   if budget > 0 && n >= budget then raise (Retry_exhausted last);
   let ctx = d.ctx in
   Sim.tick ctx (s.cfg.start_cost + Sim.Rng.int (Sim.rng ctx) 16);
@@ -530,7 +519,6 @@ let rec attempt_loop s d lk budget attempts f on_abort tr tid t0 n last =
      validation would validate against state the thread itself is about
      to overwrite. No-op under the [sc] model. *)
   Simmem.drain s.smem ctx;
-  let t_att = Sim.clock ctx in
   reset d P_stm n;
   Obs.Metrics.incr_t s.c_attempts tid;
   Obs.Metrics.incr_t attempts tid;
@@ -544,39 +532,20 @@ let rec attempt_loop s d lk budget attempts f on_abort tr tid t0 n last =
     Obs.Metrics.incr_t s.c_commits tid;
     Obs.Metrics.observe s.h_writes d.nwrites;
     Obs.Metrics.observe s.h_commit (Sim.clock ctx - t0);
-    emit_commit s.tap d;
-    (match tr with
-     | None -> ()
-     | Some sink ->
-       Obs.Tracer.span sink ~tid ~name:"tx.stm" ~cat:"tx"
-         ~args:
-           [
-             ("attempt", Obs.Json.Int n);
-             ("reads", Obs.Json.Int (Simmem.Read_set.length d.reads));
-             ("writes", Obs.Json.Int d.nwrites);
-           ]
-         t_att (Sim.clock ctx));
+    emit_commit d;
     run_frees d;
     Sim.note_progress ctx;
     v
   | exception Aborted r ->
     count_abort s tid r;
-    settle_abort s.tap d r;
-    (match tr with
-     | None -> ()
-     | Some sink ->
-       Obs.Tracer.instant sink ~tid ~name:"tx.stm.abort" ~cat:"tx"
-         ~args:
-           [ ("reason", Obs.Json.Str (abort_label r)); ("attempt", Obs.Json.Int n) ]
-         (Sim.clock ctx));
+    settle_abort d r;
     Sim.tick ctx s.cfg.abort_cost;
     on_abort r;
     backoff s ctx n;
-    attempt_loop s d lk budget attempts f on_abort tr tid t0 (n + 1) r
+    attempt_loop s d lk budget attempts f on_abort tid t0 (n + 1) r
 
 let atomic s d ~budget ~attempts ~on_abort f =
   let ctx = d.ctx in
   let tid = Sim.tid ctx in
   let lk = s.scratch.(slot_of tid) in
-  attempt_loop s d lk budget attempts f on_abort (Sim.tracer ctx) tid (Sim.clock ctx) 0
-    Conflict
+  attempt_loop s d lk budget attempts f on_abort tid (Sim.clock ctx) 0 Conflict

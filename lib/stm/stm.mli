@@ -101,11 +101,6 @@ val create : ?config:config -> ?metrics:Obs.Metrics.t -> fence:int -> Simmem.t -
 val stats : t -> stats
 val reset_stats : t -> unit
 
-val set_tap : t -> Simmem.Txn.tap -> unit
-(** Where the software path's events go: [Tx_commit] and [Tx_abort]
-    tagged [P_stm], and [Tx_steal]. {!Htm.set_tap} installs its tap here
-    too, so one stream carries the whole escalation story. *)
-
 (** {1 Transactions}
 
     A software attempt runs on the caller's {!Simmem.Tx_desc.t} descriptor:

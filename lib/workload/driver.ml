@@ -77,19 +77,30 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
     Simmem.create ?metrics:o.obs_metrics ?threads ?initial_words:heap_words
       ?alloc ()
   in
-  (match o.obs_tracer with
-   | None -> Sim.set_default_tracer None
-   | Some tr -> Sim.set_default_tracer (Some (Obs.Tracer.process tr ~name)));
-  if o.obs_profile then begin
-    let p = Obs.Profiler.create () in
-    Simmem.set_profiler mem (Some p);
-    st.st_profs <- (name, p) :: st.st_profs
-  end;
-  if o.obs_forensics then begin
-    let f = Obs.Forensics.create () in
-    Simmem.set_forensics mem (Some f);
-    st.st_fors <- (name, f) :: st.st_fors
-  end;
+  (* The tracer process takes the scheduler's slices through the ambient
+     sink and the machine's own events through its tracer sink. *)
+  let tracer =
+    match o.obs_tracer with Some tr -> Some (Obs.Tracer.process tr ~name) | None -> None
+  in
+  Sim.set_default_tracer tracer;
+  let profiler =
+    if o.obs_profile then begin
+      let p = Obs.Profiler.create () in
+      st.st_profs <- (name, p) :: st.st_profs;
+      [ Simmem.profiler_sink p ]
+    end
+    else []
+  in
+  let forensics =
+    if o.obs_forensics then begin
+      let f = Obs.Forensics.create () in
+      st.st_fors <- (name, f) :: st.st_fors;
+      [ Simmem.forensics_sink f ]
+    end
+    else []
+  in
+  Simmem.attach mem
+    (Option.to_list (Option.map Simmem.tracer_sink tracer) @ profiler @ forensics);
   let htm = Htm.create ~config:htm_config ?metrics:o.obs_metrics mem in
   { mem; htm; boot = Sim.boot ~seed () }
 

@@ -18,10 +18,12 @@ type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
 
 (** Harness-wide observability. Workloads build machines internally, so
     the benchmark front-end installs sinks once with {!set_obs}; every
-    {!machine} built afterwards attaches itself — a tracer process (and
-    the ambient {!Sim.set_default_tracer} sink) per machine, the shared
+    {!machine} built afterwards attaches itself — a tracer process per
+    machine (the ambient {!Sim.set_default_tracer} sink for scheduler
+    slices, {!Simmem.tracer_sink} for the machine's events), the shared
     metrics registry as parent of its heap's and HTM domain's registries,
-    and a per-machine contention profiler when [obs_profile] is set. *)
+    and a per-machine contention profiler and forensics aggregator when
+    asked for, all attached through the one {!Simmem.attach} call. *)
 type obs = {
   obs_tracer : Obs.Tracer.t option;
   obs_metrics : Obs.Metrics.t option;

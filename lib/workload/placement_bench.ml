@@ -53,6 +53,16 @@ let policies = [ Simmem.Line_packed; Simmem.Line_isolated; Simmem.Cache_index_aw
    see docs/ALLOCATION.md. *)
 let line_htm = { Htm.default_config with granularity = Htm.Line }
 
+(* Each ablation cell runs one arena machine, labelled by its coordinates;
+   the label finds the machine's profiler again for the snapshot. *)
+let machine_label ~structure ~policy ~threads =
+  Printf.sprintf "placement/%s/%s x%d" structure (Simmem.placement_label policy) threads
+
+let arena_machine ~structure ~policy ~threads ~seed =
+  Driver.machine ~htm_config:line_htm ~seed
+    ~label:(machine_label ~structure ~policy ~threads)
+    ~alloc:(Simmem.Arena policy) ()
+
 let snapshot ~structure ~policy ~threads ~duration ~ops (m : Driver.machine) =
   let st = Htm.stats m.htm in
   {
@@ -63,7 +73,9 @@ let snapshot ~structure ~policy ~threads ~duration ~ops (m : Driver.machine) =
     abort_rate =
       float_of_int st.aborts_conflict /. float_of_int (max 1 st.attempts_hw);
     transfers =
-      (match Simmem.profiler m.mem with
+      (match
+         List.assoc_opt (machine_label ~structure ~policy ~threads) (Driver.profilers ())
+       with
       | Some p -> Obs.Profiler.total_transfers p
       | None -> 0);
   }
@@ -83,11 +95,7 @@ let think = 150
    burst — the "producer allocates, workers use" pattern that packs them. *)
 let counters_one ~policy ~threads ~duration ~seed =
   let m =
-    Driver.machine ~htm_config:line_htm ~seed
-      ~label:
-        (Printf.sprintf "placement/counters/%s x%d" (Simmem.placement_label policy)
-           threads)
-      ~alloc:(Simmem.Arena policy) ()
+    arena_machine ~structure:"counters" ~policy ~threads ~seed
   in
   let counters = Array.init threads (fun _ -> Simmem.malloc m.mem m.boot 1) in
   Array.iter
@@ -115,11 +123,7 @@ let counters_one ~policy ~threads ~duration ~seed =
    structure for the headline claim (and the granule-of-2 size class). *)
 let pairs_one ~policy ~threads ~duration ~seed =
   let m =
-    Driver.machine ~htm_config:line_htm ~seed
-      ~label:
-        (Printf.sprintf "placement/pairs/%s x%d" (Simmem.placement_label policy)
-           threads)
-      ~alloc:(Simmem.Arena policy) ()
+    arena_machine ~structure:"pairs" ~policy ~threads ~seed
   in
   let recs = Array.init threads (fun _ -> Simmem.malloc m.mem m.boot 2) in
   Array.iter
@@ -148,11 +152,7 @@ let pairs_one ~policy ~threads ~duration ~seed =
 let queue_one ~policy ~threads ~duration ~seed =
   let maker = Option.get (Hqueue.find_maker "HTM") in
   let m =
-    Driver.machine ~htm_config:line_htm ~seed
-      ~label:
-        (Printf.sprintf "placement/queue/%s x%d" (Simmem.placement_label policy)
-           threads)
-      ~alloc:(Simmem.Arena policy) ()
+    arena_machine ~structure:"queue" ~policy ~threads ~seed
   in
   let q = maker.make m.htm m.boot ~num_threads:threads in
   for _ = 1 to 64 do

@@ -113,6 +113,7 @@ let prop_concurrent_spec (mk : Collect.Intf.maker) (sname, count, strat) =
       let scn = Explore.Scenario.collect_spec mk ~threads:3 ~ops:4 in
       match
         scn.scn_run ~strategy:(strat seed) ~seed ~faults:None ~record:None ~trace:None
+          ~tracer:None
       with
       | Explore.Scenario.Pass -> true
       | Explore.Scenario.Fail msg -> QCheck.Test.fail_report msg)

@@ -8,7 +8,7 @@ module E = Explore
 let run_recorded ~strategy ~seed (scn : E.Scenario.t) =
   let r = Sim.recorder () in
   let outcome =
-    scn.scn_run ~strategy ~seed ~faults:None ~record:(Some r) ~trace:None
+    scn.scn_run ~strategy ~seed ~faults:None ~record:(Some r) ~trace:None ~tracer:None
   in
   (outcome, r)
 
@@ -100,7 +100,10 @@ let test_broken_rop_found () =
    must pass, or the queue tests themselves would have caught it. *)
 let test_broken_rop_passes_min_clock () =
   let scn = E.Scenario.queue_lin ~key:"broken-rop" E.Mutant.maker ~threads:3 ~ops:5 in
-  match scn.scn_run ~strategy:Sim.Min_clock ~seed:1 ~faults:None ~record:None ~trace:None with
+  match
+    scn.scn_run ~strategy:Sim.Min_clock ~seed:1 ~faults:None ~record:None ~trace:None
+      ~tracer:None
+  with
   | E.Scenario.Pass -> ()
   | E.Scenario.Fail msg -> Alcotest.failf "failed under min-clock: %s" msg
 

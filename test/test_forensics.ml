@@ -1,8 +1,8 @@
 (* Tests for transaction forensics (lib/obs/forensics + lib/simmem capture)
    and the satellite observability additions: metrics percentiles, tracer
    drop accounting, conflict flow events — and the system-level guarantees
-   the `bench doctor` pipeline rests on: witness capture is free (an
-   instrumented run is cycle-identical to a bare one), aggregation is
+   the `bench doctor` pipeline rests on: detaching leaves nothing behind
+   (witness capture being free is test_obs's zero-cost property), aggregation is
    deterministic across worker counts, and the contend experiment's
    witnesses attribute HoHRC aborts to the header line while ROP's spread
    across payload lines. *)
@@ -262,48 +262,9 @@ let test_json_roundtrip_prop =
 (* ------------------------------------------------------------------ *)
 (* Live capture on a real machine                                      *)
 
-(* A workload built to conflict: thread 0 runs long scanning
-   transactions over a 16-word region while three writers hammer it with
-   naked stores. Strong atomicity dooms the scans mid-flight, so
-   witnesses are captured at the transactional validation sites. Returns
-   enough state (sums and per-thread clocks) to detect any virtual-time
-   perturbation. *)
-let run_workload ?forensics ?tracer ~seed () =
-  let mem = Simmem.create () in
-  Simmem.set_forensics mem forensics;
-  let htm = Htm.create mem in
-  let boot = Sim.boot ~seed () in
-  let arr = Simmem.malloc mem boot 16 in
-  Simmem.label mem ~name:"shared" ~base:arr ~words:16;
-  let clocks = Array.make 4 0 in
-  let sum = ref 0 in
-  Sim.run ~seed ?tracer
-    (Array.init 4 (fun i ->
-         fun ctx ->
-           (if i = 0 then
-              for _ = 1 to 20 do
-                sum :=
-                  !sum
-                  + Htm.atomic htm ctx (fun tx ->
-                        let s = ref 0 in
-                        for k = 0 to 15 do
-                          s := !s + Htm.read tx (arr + k)
-                        done;
-                        Htm.write tx arr (!s land 0xff);
-                        !s);
-                Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 16)
-              done
-            else
-              for r = 1 to 40 do
-                Simmem.write mem ctx (arr + ((i * 5 + r) land 15)) r;
-                Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 16)
-              done);
-           clocks.(i) <- Sim.clock ctx));
-  (arr, !sum, Array.to_list clocks)
-
 let test_live_capture () =
   let f = Obs.Forensics.create () in
-  let addr, _, _ = run_workload ~forensics:f ~seed:7 () in
+  let addr, _, _ = Observed_workload.run ~sinks:[ Simmem.forensics_sink f ] ~seed:7 () in
   Alcotest.(check bool) "witnesses captured" true (Obs.Forensics.count f > 0);
   (match Obs.Forensics.lines f with
   | top :: _ ->
@@ -332,7 +293,11 @@ let test_conflict_flows_in_trace () =
   let t = Obs.Tracer.create () in
   let sink = Obs.Tracer.process t ~name:"m" in
   let f = Obs.Forensics.create () in
-  let _ = run_workload ~forensics:f ~tracer:sink ~seed:7 () in
+  let _ =
+    Observed_workload.run
+      ~sinks:[ Simmem.tracer_sink sink; Simmem.forensics_sink f ]
+      ~tracer:sink ~seed:7 ()
+  in
   let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
   Alcotest.(check bool) "flow tail events" true (contains js "\"ph\":\"s\"");
   Alcotest.(check bool) "flow head events" true (contains js "\"ph\":\"f\"");
@@ -344,7 +309,7 @@ let test_conflict_flows_in_trace () =
 let test_escalation_hop_capture () =
   let f = Obs.Forensics.create () in
   let mem = Simmem.create () in
-  Simmem.set_forensics mem (Some f);
+  Simmem.attach mem [ Simmem.forensics_sink f ];
   let htm =
     Htm.create ~config:{ Htm.default_config with tle = Htm.Tle_after 1 } mem
   in
@@ -367,19 +332,22 @@ let test_escalation_hop_capture () =
     Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
   | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs)
 
-(* Observation is free: attaching forensics (and a tracer) never moves
-   virtual time — same final value, same per-thread clocks. *)
-let test_zero_cost_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:25 ~name:"forensics capture never perturbs virtual time"
-       QCheck.(int_range 1 10_000)
-       (fun seed ->
-         let bare = run_workload ~seed () in
-         let f = Obs.Forensics.create () in
-         let t = Obs.Tracer.create () in
-         let sink = Obs.Tracer.process t ~name:"m" in
-         let observed = run_workload ~forensics:f ~tracer:sink ~seed () in
-         Obs.Forensics.count f > 0 && bare = observed))
+(* Detaching is complete: once the last per-access sink goes, the
+   last-writer journal is off and a committed store leaves no entry — the
+   heap is back to paying one untaken branch per access. *)
+let test_detach_unobserved () =
+  let mem = Simmem.create () in
+  let boot = Sim.boot () in
+  let a = Simmem.malloc mem boot 1 in
+  Simmem.attach mem [ Simmem.forensics_sink (Obs.Forensics.create ()) ];
+  Simmem.write mem boot a 1;
+  Alcotest.(check bool) "journal on while attached" true
+    (Option.is_some (Simmem.last_writer mem a));
+  Simmem.attach mem [];
+  Simmem.write mem boot a 2;
+  Alcotest.(check bool) "no journal after detach" true
+    (Option.is_none (Simmem.last_writer mem a));
+  Alcotest.(check bool) "nothing observed" false (Simmem.observed mem)
 
 (* ------------------------------------------------------------------ *)
 (* The doctor pipeline: determinism across jobs, and the contend        *)
@@ -503,7 +471,7 @@ let () =
           Alcotest.test_case "conflict flows in trace" `Quick
             test_conflict_flows_in_trace;
           Alcotest.test_case "escalation hops" `Quick test_escalation_hop_capture;
-          test_zero_cost_prop;
+          Alcotest.test_case "detach is unobserved" `Quick test_detach_unobserved;
         ] );
       ( "doctor",
         [

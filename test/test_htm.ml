@@ -200,20 +200,25 @@ let test_opacity () =
    neither hide a conflict on an early read nor invent one, on either
    path: [config] is the default (hardware) or [Stm_after 0] (every
    attempt in software). Returns the attempts, the committed sum, the
-   aborts seen by the tap, the storing thread and the stored address. *)
+   aborts seen by a sink, the storing thread and the stored address. *)
 let forty_reads_vs_store config target =
   let mem, htm, boot = make ~config () in
-  Simmem.track_writers mem;
   let a = Simmem.malloc mem boot 40 in
   let unrelated = Simmem.malloc mem boot 8 in
   let stored = target a unrelated in
   let aborts = ref [] in
-  Htm.set_tap htm
-    (Some
-       (fun ~tid:_ ~clock:_ -> function
-         | Htm.Tx_abort { ab_reason; ab_witness; _ } ->
-           aborts := (ab_reason, ab_witness) :: !aborts
-         | _ -> ()));
+  (* per-access, so the journal names each witness's aggressor *)
+  Simmem.attach mem
+    [
+      {
+        per_access = true;
+        fold =
+          (fun ~tid:_ ~clock:_ -> function
+            | Simmem.Tx (Htm.Tx_abort { ab_reason; ab_witness; _ }) ->
+              aborts := (ab_reason, ab_witness) :: !aborts
+            | _ -> ());
+      };
+    ];
   let attempts = ref 0 and sum = ref 0 and writer = ref (-1) in
   Sim.run ~seed:21
     [|

@@ -75,6 +75,7 @@ let cross_check (mk : Hqueue.Intf.maker) () =
             (fun strategy ->
               match
                 scn.scn_run ~strategy ~seed ~faults:None ~record:None ~trace:None
+                  ~tracer:None
               with
               | Scenario.Pass -> ()
               | Scenario.Fail msg ->

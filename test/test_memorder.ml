@@ -250,7 +250,7 @@ let test_determinism () =
     ignore
       (scn.scn_run
          ~strategy:(Sim.Pct { pct_seed = 3; pct_depth = 3; pct_length = 200 })
-         ~seed:11 ~faults:None ~record:(Some r) ~trace:None);
+         ~seed:11 ~faults:None ~record:(Some r) ~trace:None ~tracer:None);
     Sim.decision_string r
   in
   Alcotest.(check string) "same seed+model => same schedule" (decisions ())

@@ -289,52 +289,61 @@ let test_profiler_attribution () =
 (* ------------------------------------------------------------------ *)
 (* System level: determinism and zero cost                              *)
 
-(* A small contended HTM workload on a fresh machine; returns the final
-   counter value and each thread's final virtual clock. *)
-let run_workload ?tracer ?metrics ?profile ~seed () =
-  let mem = Simmem.create ?metrics () in
-  (match profile with
-  | Some p -> Simmem.set_profiler mem (Some p)
-  | None -> ());
-  let htm = Htm.create ?metrics mem in
-  let boot = Sim.boot ~seed () in
-  let addr = Simmem.malloc mem boot 8 in
-  Simmem.label mem ~name:"counter" ~base:addr ~words:8;
-  let clocks = Array.make 4 0 in
-  Sim.run ~seed ?tracer
-    (Array.init 4 (fun i ->
-         fun ctx ->
-           for _ = 1 to 15 do
-             Htm.atomic htm ctx (fun tx -> Htm.write tx addr (Htm.read tx addr + 1));
-             Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 40)
-           done;
-           clocks.(i) <- Sim.clock ctx));
-  (Simmem.peek mem addr, Array.to_list clocks)
-
 let test_trace_determinism () =
   let trace_bytes () =
     let t = Obs.Tracer.create () in
     let sink = Obs.Tracer.process t ~name:"machine" in
-    let (_ : int * int list) = run_workload ~tracer:sink ~seed:7 () in
+    let (_ : int * int * int list) =
+      Observed_workload.run ~sinks:[ Simmem.tracer_sink sink ] ~tracer:sink ~seed:7 ()
+    in
     Obs.Json.to_string (Obs.Tracer.to_json t)
   in
   let a = trace_bytes () in
   Alcotest.(check bool) "trace has tx spans" true (contains a "\"tx\"");
   Alcotest.(check string) "same seed, byte-identical trace" a (trace_bytes ())
 
+(* Observation is free on every transaction path: with every machine
+   observer attached through the one hook — tracer, profiler, forensics
+   and the explorer's text trace — and a parent metrics registry, each
+   policy runs cycle-for-cycle as it does bare. *)
+let zero_cost_configs =
+  [
+    Htm.default_config;
+    { Htm.default_config with stm = Htm.Stm_after 0 };
+    Htm.hybrid_config;
+    { Htm.default_config with tle = Htm.Tle_after 1 };
+  ]
+
 let test_zero_cost_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25
-       ~name:"tracing+metrics+profiling never perturb virtual time"
+       ~name:"observers never perturb virtual time, on any path"
        QCheck.(int_range 1 10_000)
        (fun seed ->
-         let bare = run_workload ~seed () in
-         let t = Obs.Tracer.create () in
-         let sink = Obs.Tracer.process t ~name:"m" in
-         let metrics = Obs.Metrics.create () in
-         let profile = Obs.Profiler.create () in
-         let observed = run_workload ~tracer:sink ~metrics ~profile ~seed () in
-         Obs.Tracer.recorded t > 0 && bare = observed))
+         List.for_all
+           (fun config ->
+             let bare = Observed_workload.run ~config ~seed () in
+             let t = Obs.Tracer.create () in
+             let sink = Obs.Tracer.process t ~name:"m" in
+             let metrics = Obs.Metrics.create () in
+             let f = Obs.Forensics.create () in
+             let trace = Explore.Trace.create () in
+             let observed =
+               Observed_workload.run ~config ~metrics
+                 ~sinks:
+                   [
+                     Simmem.tracer_sink sink;
+                     Simmem.profiler_sink (Obs.Profiler.create ());
+                     Simmem.forensics_sink f;
+                     Explore.Trace.sink trace;
+                   ]
+                 ~tracer:sink ~seed ()
+             in
+             Obs.Tracer.recorded t > 0
+             && Obs.Forensics.count f > 0
+             && Explore.Trace.lines trace <> []
+             && bare = observed)
+           zero_cost_configs))
 
 let test_fault_instants_in_trace () =
   let t = Obs.Tracer.create () in

@@ -3,9 +3,9 @@
    disturb.
 
    The allocation tests measure [Gc.minor_words] deltas around complete
-   benchmark cells run with no tap, tracer, profiler or forensics
-   installed. They are amortized bounds, not literal zeroes: thread spawn,
-   machine construction and the workload's own bookkeeping (the ops
+   benchmark cells run with no observer sink attached. They are amortized
+   bounds, not literal zeroes: thread spawn, machine construction and the
+   workload's own bookkeeping (the ops
    arrays, the result record) allocate, but the per-access cost must not —
    a heap word per simulated access would put tens of words per operation
    on the GC and show up as thousands of words per thousand accesses. *)
@@ -147,7 +147,7 @@ let test_zero_alloc_long_read_set () =
    writing 8 (the commit takes stripe locks and writes back), and a
    48-store transaction that overflows Rock's store buffer and escalates
    on every call ([hybrid_config]). The escalated attempt runs on the
-   hardware path's pooled descriptor, builds no event without a tap and
+   hardware path's pooled descriptor, builds no event without a sink and
    raises a prebuilt abort exception, so none of the three allocates. *)
 let test_zero_alloc_stm () =
   let stm0 = { Htm.default_config with stm = Htm.Stm_after 0 } in

@@ -278,14 +278,18 @@ let test_attribution_spurious () =
   let a = Simmem.malloc mem boot 1 in
   let faults = Sim.Fault.make { Sim.Fault.none with spurious_abort_rate = 1.0 } in
   let escalations = ref 0 and stm_commits = ref 0 and hw_aborts = ref 0 in
-  Htm.set_tap htm
-    (Some
-       (fun ~tid:_ ~clock:_ ev ->
-         match ev with
-         | Htm.Tx_escalate { esc_to = Htm.P_stm; _ } -> incr escalations
-         | Htm.Tx_commit { tx_path = Htm.P_stm; _ } -> incr stm_commits
-         | Htm.Tx_abort { ab_path = Htm.P_hw; _ } -> incr hw_aborts
-         | _ -> ()));
+  Simmem.attach mem
+    [
+      {
+        per_access = false;
+        fold =
+          (fun ~tid:_ ~clock:_ -> function
+            | Simmem.Tx (Htm.Tx_escalate { esc_to = Htm.P_stm; _ }) -> incr escalations
+            | Simmem.Tx (Htm.Tx_commit { tx_path = Htm.P_stm; _ }) -> incr stm_commits
+            | Simmem.Tx (Htm.Tx_abort { ab_path = Htm.P_hw; _ }) -> incr hw_aborts
+            | _ -> ());
+      };
+    ];
   let ops = 5 in
   Sim.run ~seed:29 ~faults
     [|
@@ -302,9 +306,9 @@ let test_attribution_spurious () =
   Alcotest.(check int) "software commits carried every op" ops st.stm_commits;
   Alcotest.(check int) "escalations counted" ops st.escalations_stm;
   Alcotest.(check int) "no lock fallbacks" 0 st.lock_fallbacks;
-  Alcotest.(check int) "tap saw the escalations" ops !escalations;
-  Alcotest.(check int) "tap saw the stm commits" ops !stm_commits;
-  Alcotest.(check int) "tap saw the hw aborts" (2 * ops) !hw_aborts;
+  Alcotest.(check int) "sink saw the escalations" ops !escalations;
+  Alcotest.(check int) "sink saw the stm commits" ops !stm_commits;
+  Alcotest.(check int) "sink saw the hw aborts" (2 * ops) !hw_aborts;
   Alcotest.(check int) "all ops applied" ops (Simmem.peek mem a)
 
 (* STM budget exhaustion with TLE enabled falls to the lock; with TLE
@@ -419,7 +423,7 @@ let explore_scenario key strategy ~faults () =
   match Explore.Scenario.build ~key ~threads:3 ~ops:5 () with
   | Error msg -> Alcotest.fail msg
   | Ok scn -> (
-    match scn.scn_run ~strategy ~seed:5 ~faults ~record:None ~trace:None with
+    match scn.scn_run ~strategy ~seed:5 ~faults ~record:None ~trace:None ~tracer:None with
     | Explore.Scenario.Pass -> ()
     | Explore.Scenario.Fail msg -> Alcotest.failf "%s under %s: %s" key "strategy" msg)
 
