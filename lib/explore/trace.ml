@@ -24,13 +24,9 @@ let on_fault t (ev : Sim.Fault.event) =
   in
   note t (Format.asprintf "t%-2d @%-9d flt  %s" ev.ev_tid ev.ev_clock what)
 
-(* Every access and transaction event becomes one line. The sink is
-   per-access, so the last-writer journal is on and abort events carry a
-   resolved conflict witness (aggressor thread, clock, op) — pp_tx_event
-   renders it, so counterexample traces name the write that doomed each
-   transaction. Free: journalling charges zero virtual cycles. The TLE
-   lock release gets no line: the acquisition already marks the critical
-   section. *)
+(* With the last-writer journal on, abort lines name the write that
+   doomed each transaction (pp_tx_event renders the witness).
+   The TLE lock release gets no line: the acquisition marks the section. *)
 let sink t =
   let fold ~tid ~clock (ev : Simmem.event) =
     match ev with
@@ -40,7 +36,7 @@ let sink t =
     | Tx ev -> note t (Format.asprintf "t%-2d @%-9d htm  %a" tid clock Htm.pp_tx_event ev)
     | Miss _ | Label _ | Witness _ | Hop _ -> ()
   in
-  { Simmem.fold; per_access = true }
+  { Simmem.fold; accesses = true; journal = true }
 
 let lines t =
   let l = List.rev t.rev in

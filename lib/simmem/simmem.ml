@@ -233,10 +233,8 @@ let path_label = Txn.path_label
 
 (* ---- Machine events ---------------------------------------------------
 
-   Everything an observer can learn about a machine arrives as one
-   [event], stamped with the acting thread and its clock, through the
-   heap's single sink slot. Emission is observation only: no tick, no
-   RNG, so an observed run is cycle-for-cycle a bare one. *)
+   Everything an observer learns about a machine arrives as one [event]
+   through the heap's single sink slot. Emission never ticks or draws. *)
 
 type event =
   | Access of access
@@ -251,7 +249,11 @@ type event =
     }
   | Tx of Txn.tx_event
 
-type sink = { fold : tid:int -> clock:int -> event -> unit; per_access : bool }
+type sink = {
+  fold : tid:int -> clock:int -> event -> unit;
+  accesses : bool;
+  journal : bool;
+}
 
 (* The Perfetto rendering of the machine's events. Scheduler slices and
    fault instants come from {!Sim.run}'s own tracer, on the same
@@ -304,7 +306,7 @@ let tracer_sink tr =
     | Tx (Tx_steal { st_victim; st_locks }) ->
       instant ~tid "stm.steal" [ int "victim" st_victim; int "locks" st_locks ] clock
   in
-  { fold; per_access = false }
+  { fold; accesses = false; journal = false }
 
 let profiler_sink p =
   let fold ~tid:_ ~clock:_ = function
@@ -313,11 +315,10 @@ let profiler_sink p =
     | Label { name; base; words } -> Obs.Profiler.label p ~name ~base ~words
     | Access _ | Witness _ | Hop _ | Tx _ -> ()
   in
-  { fold; per_access = false }
+  { fold; accesses = false; journal = false }
 
-(* Forensics resolves aggressors from the last-writer journal, which
-   [per_access] turns on; allocation provenance comes off the [Malloc]
-   access events it brings. *)
+(* Forensics resolves aggressors from the last-writer journal; allocation
+   provenance comes off the [Malloc] events every sink receives. *)
 let forensics_sink f =
   let fold ~tid ~clock = function
     | Access (Malloc { base; words }) ->
@@ -329,7 +330,7 @@ let forensics_sink f =
         ~to_path:(path_label to_path) ~reason:(abort_label reason) witness
     | Access _ | Miss _ | Tx _ -> ()
   in
-  { fold; per_access = true }
+  { fold; accesses = false; journal = true }
 
 (* One thread's FIFO store buffer (active only under a buffered
    {!Sim.Memmodel}): a fixed ring of (addr, value) pairs in two
@@ -365,11 +366,13 @@ type t = {
   arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
   (* The observers attached with {!attach}, folded into one function. *)
   mutable sink : (tid:int -> clock:int -> event -> unit) option;
-  (* The one observability test hot paths make: set when an attached
-     sink takes per-access events, which also keeps the last-writer
-     journal, so the no-observer configuration pays a single predictable
-     branch per access and allocates nothing. *)
+  (* The one observability test store paths make: set when an attached
+     sink keeps the last-writer journal ([wr_on]) or takes load, store
+     and atomic events ([acc_on]), so the no-observer configuration pays
+     a single predictable branch per access and allocates nothing. *)
   mutable obs_on : bool;
+  mutable wr_on : bool;
+  mutable acc_on : bool;
   mutable values : int array;
   mutable versions : int array;
   mutable state : Bytes.t;
@@ -412,7 +415,7 @@ type t = {
   h_queue_wait : Obs.Metrics.hist;
   (* Last-writer journal, the aggressor side of conflict witnesses: per
      word, which thread's committed store bumped the version last, what
-     kind of store it was and at what clock. Kept while [obs_on]; the
+     kind of store it was and at what clock. Kept while [wr_on]; the
      arrays are allocated on first enable, and capture is a handful of
      array stores, zero virtual cycles. *)
   mutable wr_tid : int array;
@@ -464,6 +467,8 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
       (if arena_mode then Array.make (Sim.max_threads + 1) None else [||]);
     sink = None;
     obs_on = false;
+    wr_on = false;
+    acc_on = false;
     values = Array.make initial_words 0;
     versions = Array.make initial_words 0;
     state = Bytes.make initial_words (Char.chr st_never);
@@ -582,24 +587,24 @@ let wr_ensure t =
   end
 
 (* Replace the attached observers. The journal starts empty whenever it
-   comes on and is dropped when it goes off, so detaching every
-   per-access sink returns the heap to the unobserved state. *)
+   comes on and is dropped when it goes off, so detaching returns the
+   heap to the unobserved state. *)
 let attach t sinks =
-  let per_access = List.exists (fun s -> s.per_access) sinks in
-  if per_access <> t.obs_on then begin
+  let journal = List.exists (fun s -> s.journal) sinks in
+  if journal <> t.wr_on then begin
     t.wr_tid <- [||];
     t.wr_kind <- Bytes.empty;
     t.wr_clock <- [||];
-    t.obs_on <- per_access;
-    if per_access then wr_ensure t
+    t.wr_on <- journal;
+    if journal then wr_ensure t
   end;
+  t.acc_on <- List.exists (fun s -> s.accesses) sinks;
+  t.obs_on <- t.wr_on || t.acc_on;
   t.sink <-
     (match sinks with
      | [] -> None
      | [ s ] -> Some s.fold
-     | ss ->
-       let folds = List.map (fun s -> s.fold) ss in
-       Some (fun ~tid ~clock ev -> List.iter (fun f -> f ~tid ~clock ev) folds))
+     | ss -> Some (fun ~tid ~clock ev -> List.iter (fun s -> s.fold ~tid ~clock ev) ss))
 
 let note_write t ctx addr op =
   Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
@@ -607,7 +612,7 @@ let note_write t ctx addr op =
   t.wr_clock.(addr) <- Sim.clock ctx
 
 let last_writer t addr =
-  if (not t.obs_on) || addr < 0 || addr >= Array.length t.wr_tid then None
+  if (not t.wr_on) || addr < 0 || addr >= Array.length t.wr_tid then None
   else
     let tid = Array.unsafe_get t.wr_tid addr in
     if tid = no_writer then None
@@ -653,6 +658,11 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
 
 let record_witness t ctx w = if observed t then emit t ctx (Witness w)
 
+(* A committed store, for the journal and the access sinks. *)
+let observe_store t ctx addr v op =
+  if t.wr_on then note_write t ctx addr op;
+  if t.acc_on then emit t ctx (Access (Write { addr; value = v }))
+
 let grow t needed =
   let cur = Array.length t.values in
   let size = ref cur in
@@ -694,7 +704,7 @@ let grow t needed =
   let lw_tid = Array.make nlines (-1) in
   Array.blit t.lw_tid 0 lw_tid 0 (Array.length t.lw_tid);
   t.lw_tid <- lw_tid;
-  if t.obs_on then wr_ensure t
+  if t.wr_on then wr_ensure t
 
 let word_state t addr = Char.code (Bytes.unsafe_get t.state addr)
 
@@ -875,10 +885,7 @@ let drain_one t ctx ~terminal sb =
         sb_pop sb;
         t.values.(addr) <- v;
         bump_version t ctx addr;
-        if t.obs_on then begin
-          note_write t ctx addr Op_store;
-          emit t ctx (Access (Write { addr; value = v }))
-        end
+        if t.obs_on then observe_store t ctx addr v Op_store
       end
     end
   end
@@ -933,7 +940,7 @@ let read t ctx addr =
     Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
     Sim.tick ctx t.cost.read_hit;
     check_live t addr;
-    if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
+    if t.acc_on then emit t ctx (Access (Read { addr; value = v }));
     v
   end
   else begin
@@ -941,7 +948,7 @@ let read t ctx addr =
     Sim.tick ctx (read_cost t ctx addr);
     check_live t addr;
     let v = t.values.(addr) in
-    if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
+    if t.acc_on then emit t ctx (Access (Read { addr; value = v }));
     v
   end
 
@@ -953,10 +960,7 @@ let write_through t ctx addr v =
   check_live t addr;
   t.values.(addr) <- v;
   bump_version t ctx addr;
-  if t.obs_on then begin
-    note_write t ctx addr Op_store;
-    emit t ctx (Access (Write { addr; value = v }))
-  end
+  if t.obs_on then observe_store t ctx addr v Op_store
 
 let write t ctx addr v =
   if buffering t ctx then begin
@@ -987,9 +991,9 @@ let cas t ctx addr ~expected ~desired =
   if success then begin
     t.values.(addr) <- desired;
     bump_version t ctx addr;
-    if t.obs_on then note_write t ctx addr Op_atomic
+    if t.wr_on then note_write t ctx addr Op_atomic
   end
-  else if t.obs_on then
+  else if t.wr_on then
     (* A failed CAS is a coherence-plane conflict in its own right: some
        other thread's committed store got between this thread's read of
        [expected] and its attempt to install [desired]. Non-transactional
@@ -999,7 +1003,7 @@ let cas t ctx addr ~expected ~desired =
     record_witness t ctx
       (conflict_witness t ctx ~addr ~victim_wrote:true ~in_read_set:false
          ~in_write_set:true ~site:"mem.cas" ());
-  if t.obs_on then emit t ctx (Access (Cas { addr; expected; desired; success }));
+  if t.acc_on then emit t ctx (Access (Cas { addr; expected; desired; success }));
   success
 
 let fetch_add t ctx addr d =
@@ -1011,8 +1015,8 @@ let fetch_add t ctx addr d =
   let old = t.values.(addr) in
   t.values.(addr) <- old + d;
   bump_version t ctx addr;
-  if t.obs_on then note_write t ctx addr Op_atomic;
-  if t.obs_on then emit t ctx (Access (Fetch_add { addr; delta = d; old }));
+  if t.wr_on then note_write t ctx addr Op_atomic;
+  if t.acc_on then emit t ctx (Access (Fetch_add { addr; delta = d; old }));
   old
 
 let version t addr = t.versions.(addr)
@@ -1223,14 +1227,14 @@ let malloc t ctx n =
     bump_version t ctx a
   done;
   t.block_words.(base) <- n;
-  if t.obs_on then
+  if t.wr_on then
     for a = base to base + n - 1 do
       note_write t ctx a Op_malloc
     done;
   Obs.Metrics.add t.g_live_words n;
   Obs.Metrics.add t.g_live_blocks 1;
   Obs.Metrics.incr1 t.c_allocs;
-  if t.obs_on then emit t ctx (Access (Malloc { base; words = n }));
+  if observed t then emit t ctx (Access (Malloc { base; words = n }));
   base
 
 let free t ctx base =
@@ -1248,7 +1252,7 @@ let free t ctx base =
       Bytes.unsafe_set t.state a (Char.chr st_freed);
       bump_version t ctx a
     done;
-    if t.obs_on then
+    if t.wr_on then
       for a = base to base + n - 1 do
         note_write t ctx a Op_free
       done;
@@ -1277,7 +1281,7 @@ let free t ctx base =
     Obs.Metrics.add t.g_live_words (-n);
     Obs.Metrics.add t.g_live_blocks (-1);
     Obs.Metrics.incr1 t.c_frees;
-    if t.obs_on then emit t ctx (Access (Free { base; words = n }))
+    if observed t then emit t ctx (Access (Free { base; words = n }))
   end
 
 module Tx_plane = struct
@@ -1293,7 +1297,7 @@ module Tx_plane = struct
       else begin
         let v = t.values.(addr) in
         t.txr_val <- v;
-        if t.obs_on then emit t ctx (Access (Read { addr; value = v }));
+        if t.acc_on then emit t ctx (Access (Read { addr; value = v }));
         t.versions.(addr)
       end
     end
@@ -1310,10 +1314,7 @@ module Tx_plane = struct
       Sim.charge ctx (write_cost t ctx addr);
       t.values.(addr) <- v;
       bump_version t ctx addr;
-      if t.obs_on then begin
-        note_write t ctx addr Op_commit;
-        emit t ctx (Access (Write { addr; value = v }))
-      end;
+      if t.obs_on then observe_store t ctx addr v Op_commit;
       true
     end
 end

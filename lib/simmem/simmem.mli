@@ -199,7 +199,7 @@ val label : t -> name:string -> base:int -> words:int -> unit
     invalidated it, the address they collided on and the access kinds.
     Aggressors are resolved from a per-word {e last-writer journal}
     (thread, clock, store kind at the word's most recent version bump),
-    kept while a per-access sink is attached (see {!attach}).
+    kept while a sink that asks for it is attached (see {!attach}).
 
     All of it is observation only — zero virtual cycles, no RNG, no
     scheduling impact — so instrumented runs are cycle-identical to bare
@@ -304,14 +304,14 @@ end
 
     A machine has one event stream and one attach point. Every observer
     is a {e sink}: a fold from one event, stamped with the acting thread
-    and its clock, to an update of the observer's own state. The
-    tracer, the contention profiler and forensics are the sinks below;
-    the schedule explorer's text trace is another
-    ([Explore.Trace.sink]). Emission charges zero virtual cycles and
-    draws no RNG, so an observed run is cycle-identical to a bare one. *)
+    and its clock, to the observer's own state — the three below and
+    [Explore.Trace.sink]. Emission charges zero virtual cycles and draws
+    no RNG, so an observed run is cycle-identical to a bare one. *)
 
 type event =
-  | Access of access  (** per-access sinks only, after the access *)
+  | Access of access
+      (** after the access; loads, stores and atomics only to sinks that
+          take [accesses], [Malloc] and [Free] to every sink *)
   | Miss of { write : bool; addr : int; line : int; sharers : int; cost : int; wait : int }
       (** one coherence transfer, before its cost is charged: the
           sharer count at request time and the cycles spent queued
@@ -331,15 +331,16 @@ type event =
 type sink = {
   fold : tid:int -> clock:int -> event -> unit;
       (** must not access the heap reentrantly *)
-  per_access : bool;
-      (** also take every [Access] event and keep the last-writer
-          journal, so witnesses name their aggressors *)
+  accesses : bool;  (** also take every load, store and atomic *)
+  journal : bool;
+      (** keep the last-writer journal, so witnesses name their
+          aggressors *)
 }
 
 val attach : t -> sink list -> unit
 (** Replace the heap's observers; every event goes to each sink in list
-    order. With no per-access sink the journal is off and the access
-    path pays one predictable branch; with [[]] nothing is observed. *)
+    order. Unless some sink takes [accesses] or the [journal], an access
+    pays one predictable branch; with [[]] nothing is observed. *)
 
 val observed : t -> bool
 (** Whether any sink is attached. Emitters check it before building an
@@ -363,7 +364,7 @@ val profiler_sink : Obs.Profiler.t -> sink
 
 val forensics_sink : Obs.Forensics.t -> sink
 (** Witnesses, escalation hops, labels and allocation provenance into a
-    forensics aggregator. Per-access: it needs the journal. *)
+    forensics aggregator; keeps the journal. *)
 
 val null : int
 (** The null address, [0]. *)
@@ -405,9 +406,9 @@ val fenced_write : t -> Sim.tctx -> int -> int -> unit
 val cas : t -> Sim.tctx -> int -> expected:int -> desired:int -> bool
 (** Atomic compare-and-swap; bumps the version only on success. Atomics
     are implicit full fences: the thread's store buffer drains first.
-    With forensics attached, a {e failed} CAS records a conflict witness
-    (site ["mem.cas"]) against the word's last writer — how non-
-    transactional lock-free structures surface their contention. *)
+    While the last-writer journal is on, a {e failed} CAS emits a
+    conflict witness (site ["mem.cas"]) against the word's last writer —
+    how non-transactional lock-free structures surface their contention. *)
 
 val fetch_add : t -> Sim.tctx -> int -> int -> int
 (** [fetch_add t ctx addr d] atomically adds [d], returning the old value.

@@ -79,28 +79,19 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
   in
   (* The tracer process takes the scheduler's slices through the ambient
      sink and the machine's own events through its tracer sink. *)
-  let tracer =
-    match o.obs_tracer with Some tr -> Some (Obs.Tracer.process tr ~name) | None -> None
-  in
+  let tracer = Option.map (fun tr -> Obs.Tracer.process tr ~name) o.obs_tracer in
   Sim.set_default_tracer tracer;
-  let profiler =
-    if o.obs_profile then begin
-      let p = Obs.Profiler.create () in
-      st.st_profs <- (name, p) :: st.st_profs;
-      [ Simmem.profiler_sink p ]
-    end
-    else []
-  in
-  let forensics =
-    if o.obs_forensics then begin
-      let f = Obs.Forensics.create () in
-      st.st_fors <- (name, f) :: st.st_fors;
-      [ Simmem.forensics_sink f ]
-    end
-    else []
-  in
+  let profiler = if o.obs_profile then Some (Obs.Profiler.create ()) else None in
+  let forensics = if o.obs_forensics then Some (Obs.Forensics.create ()) else None in
+  Option.iter (fun p -> st.st_profs <- (name, p) :: st.st_profs) profiler;
+  Option.iter (fun f -> st.st_fors <- (name, f) :: st.st_fors) forensics;
   Simmem.attach mem
-    (Option.to_list (Option.map Simmem.tracer_sink tracer) @ profiler @ forensics);
+    (List.filter_map Fun.id
+       [
+         Option.map Simmem.tracer_sink tracer;
+         Option.map Simmem.profiler_sink profiler;
+         Option.map Simmem.forensics_sink forensics;
+       ]);
   let htm = Htm.create ~config:htm_config ?metrics:o.obs_metrics mem in
   { mem; htm; boot = Sim.boot ~seed () }
 

@@ -332,8 +332,8 @@ let test_escalation_hop_capture () =
     Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
   | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs)
 
-(* Detaching is complete: once the last per-access sink goes, the
-   last-writer journal is off and a committed store leaves no entry — the
+(* Detaching is complete: once the last sink goes, the last-writer
+   journal is off and a committed store leaves no entry — the
    heap is back to paying one untaken branch per access. *)
 let test_detach_unobserved () =
   let mem = Simmem.create () in

@@ -207,11 +207,12 @@ let forty_reads_vs_store config target =
   let unrelated = Simmem.malloc mem boot 8 in
   let stored = target a unrelated in
   let aborts = ref [] in
-  (* per-access, so the journal names each witness's aggressor *)
+  (* the journal names each witness's aggressor *)
   Simmem.attach mem
     [
       {
-        per_access = true;
+        accesses = false;
+        journal = true;
         fold =
           (fun ~tid:_ ~clock:_ -> function
             | Simmem.Tx (Htm.Tx_abort { ab_reason; ab_witness; _ }) ->

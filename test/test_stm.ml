@@ -281,7 +281,8 @@ let test_attribution_spurious () =
   Simmem.attach mem
     [
       {
-        per_access = false;
+        accesses = false;
+        journal = false;
         fold =
           (fun ~tid:_ ~clock:_ -> function
             | Simmem.Tx (Htm.Tx_escalate { esc_to = Htm.P_stm; _ }) -> incr escalations
