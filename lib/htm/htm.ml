@@ -135,7 +135,7 @@ let create ?(config = default_config) ?metrics mem =
   {
     hmem = mem;
     cfg = config;
-    pool = Array.make (Sim.max_threads + 1) None;
+    pool = Simmem.Tx_desc.pool mem;
     mreg;
     c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
     c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";

@@ -1,11 +1,19 @@
 let max_tids = 257
 let hist_buckets = 62
 
+(* A per-thread counter's breakdown is [max_tids] slots, which is past
+   the minor heap's largest block; it is allocated on the first
+   attributed increment, so the many per-thread counters a machine
+   registers and never bumps cost no major-heap block. [no_per] is the
+   shared not-yet-allocated marker. *)
 type counter = {
   mutable c_total : int;
-  c_per : int array option;
+  c_threaded : bool;
+  mutable c_per : int array;
   c_parent : counter option;
 }
+
+let no_per = [||]
 
 type gauge = {
   mutable g_cur : int;
@@ -44,27 +52,33 @@ let rec counter ?(per_thread = false) t name =
     let c =
       {
         c_total = 0;
-        c_per = (if per_thread then Some (Array.make max_tids 0) else None);
+        c_threaded = per_thread;
+        c_per = no_per;
         c_parent = parent;
       }
     in
     register t name (M_counter c);
     c
 
+let threaded c tid = c.c_threaded && tid >= 0 && tid < max_tids
+
+let add_per c tid by =
+  if c.c_per == no_per then c.c_per <- Array.make max_tids 0;
+  c.c_per.(tid) <- c.c_per.(tid) + by
+
 let rec incr ?tid ?(by = 1) c =
   c.c_total <- c.c_total + by;
-  (match (c.c_per, tid) with
-   | Some per, Some tid when tid >= 0 && tid < max_tids -> per.(tid) <- per.(tid) + by
-   | _ -> ());
+  (match tid with Some tid when threaded c tid -> add_per c tid by | _ -> ());
   match c.c_parent with None -> () | Some p -> incr ?tid ~by p
 
 (* Hot-path variants: no optional arguments, so callers pass unboxed ints
    and the call compiles to straight-line field updates. *)
 let rec incr_t c tid =
   c.c_total <- c.c_total + 1;
-  (match c.c_per with
-   | Some per when tid >= 0 && tid < max_tids -> per.(tid) <- per.(tid) + 1
-   | _ -> ());
+  if c.c_threaded && tid >= 0 && tid < max_tids then begin
+    let per = c.c_per in
+    if per != no_per then per.(tid) <- per.(tid) + 1 else add_per c tid 1
+  end;
   match c.c_parent with None -> () | Some p -> incr_t p tid
 
 let rec incr1 c =
@@ -78,14 +92,12 @@ let rec incr_by c by =
 let value c = c.c_total
 
 let per_thread c =
-  match c.c_per with
-  | None -> []
-  | Some per ->
-    let acc = ref [] in
-    for tid = max_tids - 1 downto 0 do
-      if per.(tid) <> 0 then acc := (tid, per.(tid)) :: !acc
-    done;
-    !acc
+  let per = c.c_per in
+  let acc = ref [] in
+  for tid = Array.length per - 1 downto 0 do
+    if per.(tid) <> 0 then acc := (tid, per.(tid)) :: !acc
+  done;
+  !acc
 
 let rec gauge t name =
   match Hashtbl.find_opt t.tbl name with
@@ -163,7 +175,7 @@ let hist_count h = h.h_n
 
 let reset_counter c =
   c.c_total <- 0;
-  match c.c_per with None -> () | Some per -> Array.fill per 0 max_tids 0
+  Array.fill c.c_per 0 (Array.length c.c_per) 0
 
 let reset_gauge g =
   g.g_cur <- 0;

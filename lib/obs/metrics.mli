@@ -26,7 +26,9 @@ type counter
 
 val counter : ?per_thread:bool -> t -> string -> counter
 (** Get or register. With [per_thread] the counter additionally keeps a
-    per-thread breakdown (thread ids up to {!max_tids} - 1). *)
+    per-thread breakdown (thread ids up to {!max_tids} - 1), allocated at
+    its first attributed increment: registering one costs no more than a
+    plain counter. *)
 
 val incr : ?tid:int -> ?by:int -> counter -> unit
 (** Add [by] (default 1), attributed to [tid] when the counter is

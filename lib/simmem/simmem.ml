@@ -90,6 +90,10 @@ let granule_of placement n =
 (* Minimum chunk an arena carves from the global extent, in words. *)
 let chunk_min = 512
 
+(* [Cache_index_aware] spreads chunk starts over this many line-index
+   residues. *)
+let colors = 8
+
 (* Per-thread arena. All state is flat ints/arrays: the steady-state
    malloc/free path allocates nothing on the OCaml heap (the remote ring
    doubles amortized, like the heap arrays themselves). *)
@@ -349,11 +353,12 @@ type sbuf = {
   mutable sb_reg : Sim.tctx option;
 }
 
-(* Sharer sets are per-line bitmasks over [cap + 1] bit indices: bit [tid]
-   for runnable threads below the heap's thread capacity [cap], bit [cap]
-   for boot contexts. With the default capacity (61, one word) this is
-   exactly the historical one-word layout; larger capacities spread each
-   line over [sw] consecutive words (62 bits per word, line-major). *)
+(* Per-thread state is indexed by {!slot}: [cap + 1] slots, runnable tids
+   below the heap's thread capacity [cap] in their own slot and boot
+   contexts in the last. Sharer sets are per-line bitmasks over those
+   slots; with the default capacity (61, one word) this is exactly the
+   historical one-word layout, and larger capacities spread each line
+   over [sw] consecutive words (62 bits per word, line-major). *)
 let sh_bits = 62
 
 type t = {
@@ -362,8 +367,8 @@ type t = {
   alloc : alloc_policy;
   cap : int; (* thread capacity: distinct non-boot tids the sharer sets track *)
   sw : int; (* sharer words per line *)
-  sbufs : sbuf array; (* indexed by tid; slot [Sim.boot_tid] stays empty *)
-  arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
+  sbufs : sbuf array; (* per slot; empty unless the model buffers *)
+  arenas : arena option array; (* per slot; empty under Shared_lifo *)
   (* The observers attached with {!attach}, folded into one function. *)
   mutable sink : (tid:int -> clock:int -> event -> unit) option;
   (* The one observability test store paths make: set when an attached
@@ -441,17 +446,37 @@ type stats = {
   atomics : int;
 }
 
-let initial_words = 1 lsl 12
 let default_cap = 61
 
-let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
-    ?(threads = default_cap) ?(initial_words = initial_words)
-    ?(alloc = Shared_lifo) () =
-  if threads < 1 || threads > Sim.max_threads then
-    invalid_arg "Simmem.create: threads out of range";
-  let cap = max default_cap threads in
+(* The heap a run starts with, when the caller does not say. Addresses
+   come from the bump pointer, never from capacity, so this moves only
+   when the arrays grow. The shared allocator starts small: most
+   machines use a few hundred words, and [grow] doubles. An arena heap
+   starts with room for every arena's first chunk — the threads' and the
+   boot context's, which is where the transaction layers' side tables
+   go — because doubling through those first carves costs more than the
+   run keeps; a machine built without a thread count is sized for one. *)
+let default_words alloc threads =
+  match alloc with
+  | Shared_lifo -> 256
+  | Arena placement ->
+    let pad = match placement with Cache_index_aware -> (colors - 1) * line_words | _ -> 0 in
+    let arenas = match threads with Some n -> n + 1 | None -> 2 in
+    line_words + (arenas * (chunk_min + pad))
+
+let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics ?threads
+    ?initial_words ?(alloc = Shared_lifo) () =
+  let cap =
+    match threads with
+    | None -> default_cap
+    | Some n ->
+      if n < 1 || n > Sim.max_threads then invalid_arg "Simmem.create: threads out of range";
+      max default_cap n
+  in
   let sw = (cap + 1 + sh_bits - 1) / sh_bits in
-  let initial_words = max 64 initial_words in
+  let initial_words =
+    max 64 (match initial_words with Some n -> n | None -> default_words alloc threads)
+  in
   let mreg = Obs.Metrics.create ?parent:metrics () in
   let arena_mode = alloc <> Shared_lifo in
   {
@@ -461,10 +486,11 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     cap;
     sw;
     sbufs =
-      Array.init (Sim.max_threads + 1) (fun _ ->
-          { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None });
-    arenas =
-      (if arena_mode then Array.make (Sim.max_threads + 1) None else [||]);
+      (if model.Sim.Memmodel.buffered then
+         Array.init (cap + 1) (fun _ ->
+             { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None })
+       else [||]);
+    arenas = (if arena_mode then Array.make (cap + 1) None else [||]);
     sink = None;
     obs_on = false;
     wr_on = false;
@@ -501,11 +527,12 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
 
 let stats (t : t) =
   let arena_extents = ref [] and remote_frees = ref 0 and remote_pending = ref 0 in
-  for tid = Array.length t.arenas - 1 downto 0 do
-    match t.arenas.(tid) with
+  (* Slots are in tid order, the boot context's last. *)
+  for i = Array.length t.arenas - 1 downto 0 do
+    match t.arenas.(i) with
     | None -> ()
     | Some a ->
-      arena_extents := (tid, a.a_carved) :: !arena_extents;
+      arena_extents := (a.a_tid, a.a_carved) :: !arena_extents;
       remote_frees := !remote_frees + a.a_remote_frees;
       remote_pending := !remote_pending + a.a_rq_len
   done;
@@ -534,14 +561,26 @@ let alloc t = t.alloc
 let null = 0
 
 let line_of addr = addr lsr line_shift
-let line_version t line = t.lversions.(line)
-let line_writer t line = t.lw_tid.(line)
 
-(* Bit index of [tid] in a sharer set: runnable tids map to themselves,
-   boot contexts to the reserved top index. A runnable tid at or beyond
-   the heap's capacity has no bit to occupy — the heap must be created
+(* Public reads stop at the bump pointer, whatever the arrays' capacity. *)
+let check_line name t line =
+  if line < 0 || line lsl line_shift >= t.extent then
+    invalid_arg ("Simmem." ^ name ^ ": line out of heap")
+
+let line_version t line =
+  check_line "line_version" t line;
+  t.lversions.(line)
+
+let line_writer t line =
+  check_line "line_writer" t line;
+  t.lw_tid.(line)
+
+(* The slot of [tid] in every per-thread table (sharer-set bits, store
+   buffers, arenas, transaction descriptors): runnable tids map to
+   themselves, boot contexts to the last slot, [cap]. A runnable tid at
+   or beyond the heap's capacity has no slot — the heap must be created
    with [~threads] covering the run. *)
-let bindex t tid =
+let slot t tid =
   if tid < t.cap then tid
   else if tid = Sim.boot_tid then t.cap
   else
@@ -757,7 +796,7 @@ let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
 let read_cost t ctx addr =
   let tid = Sim.tid ctx in
   let line = addr lsr line_shift in
-  let b = bindex t tid in
+  let b = slot t tid in
   Obs.Metrics.incr_t t.c_reads tid;
   if t.sw = 1 then begin
     (* Paper-scale heaps: the whole sharer set is one word, exactly the
@@ -792,7 +831,7 @@ let read_cost t ctx addr =
 let write_cost t ctx addr =
   let tid = Sim.tid ctx in
   let line = addr lsr line_shift in
-  let b = bindex t tid in
+  let b = slot t tid in
   Obs.Metrics.incr_t t.c_writes tid;
   if t.sw = 1 then begin
     let bit = 1 lsl b in
@@ -840,7 +879,7 @@ let write_cost t ctx addr =
    below collapses to the pre-weak-memory instruction sequence. *)
 
 let buffering t ctx = t.model.Sim.Memmodel.buffered && Sim.tid ctx <> Sim.boot_tid
-let sbuf_of t ctx = t.sbufs.(Sim.tid ctx)
+let sbuf_of t ctx = t.sbufs.(slot t (Sim.tid ctx))
 
 (* Ring primitives: the capacity equals the model's buffer depth (the
    write path drains before pushing at capacity, so it never overflows). *)
@@ -912,7 +951,7 @@ let ensure_drain_hook t ctx sb =
 let drain t ctx =
   if buffering t ctx then drain_all t ctx ~terminal:false (sbuf_of t ctx)
 
-let pending_stores t ctx = (sbuf_of t ctx).sb_len
+let pending_stores t ctx = if buffering t ctx then (sbuf_of t ctx).sb_len else 0
 
 (* The slot of the newest own-buffer entry for [addr] (the ring is
    searched newest-first), or -1. Only consulted when the model forwards
@@ -1019,7 +1058,9 @@ let fetch_add t ctx addr d =
   if t.acc_on then emit t ctx (Access (Fetch_add { addr; delta = d; old }));
   old
 
-let version t addr = t.versions.(addr)
+let version t addr =
+  if addr < 0 || addr >= t.extent then invalid_arg "Simmem.version: out of heap";
+  t.versions.(addr)
 
 let peek t addr =
   if addr < 0 || addr >= t.extent then invalid_arg "Simmem.peek: out of heap";
@@ -1132,8 +1173,9 @@ let arena_rq_push a base gran =
    allocation. *)
 let arena_of t ctx =
   let tid = Sim.tid ctx in
+  let i = slot t tid in
   let a =
-    match t.arenas.(tid) with
+    match t.arenas.(i) with
     | Some a -> a
     | None ->
       let a =
@@ -1151,7 +1193,7 @@ let arena_of t ctx =
           a_reg = None;
         }
       in
-      t.arenas.(tid) <- Some a;
+      t.arenas.(i) <- Some a;
       a
   in
   let current = match a.a_reg with Some c -> c == ctx | None -> false in
@@ -1171,7 +1213,6 @@ let arena_carve t a gran =
     let s = align_line t.extent in
     match t.alloc with
     | Arena Cache_index_aware ->
-      let colors = 8 in
       let color = a.a_tid mod colors in
       let lane = (s lsr line_shift) mod colors in
       s + (((color - lane + colors) mod colors) * line_words)
@@ -1269,7 +1310,7 @@ let free t ctx base =
        let tid = Sim.tid ctx in
        if owner = tid || owner < 0 then arena_fl_push t (arena_of t ctx) gran base
        else
-         match t.arenas.(owner) with
+         match t.arenas.(slot t owner) with
          | Some a -> arena_rq_push a base gran
          | None -> arena_fl_push t (arena_of t ctx) gran base
      end
@@ -1478,10 +1519,12 @@ module Tx_desc = struct
      later one reuses it: the read, write and free sets are arrays that
      only grow. A nested [atomic] finds the pooled one busy and runs on a
      fresh descriptor. *)
+  let pool (mem : heap) = Array.make (mem.cap + 1) None
+
   let acquire pool owner mem gran ctx =
-    let tid = Sim.tid ctx in
+    let i = slot mem (Sim.tid ctx) in
     let d =
-      match pool.(tid) with
+      match pool.(i) with
       | Some d when not d.busy ->
         d.ctx <- ctx;
         d
@@ -1508,7 +1551,7 @@ module Tx_desc = struct
             last_witness = None;
           }
         in
-        if Option.is_none pooled then pool.(tid) <- Some d;
+        if Option.is_none pooled then pool.(i) <- Some d;
         d
     in
     d.busy <- true;

@@ -125,16 +125,26 @@ val create :
     benchmark harness's fleet-wide aggregate); without it the heap still
     keeps a private registry, which is what {!stats} reads.
 
-    [threads] sizes the per-line sharer sets: the heap tracks coherence
-    for runnable thread ids below [max 61 threads] (plus boot contexts).
-    The default covers every paper-scale run in one word per line; scaled
-    experiments pass the simulated thread count and pay one extra word
-    per line per further 62 threads. An access by a runnable tid at or
-    beyond the capacity raises [Invalid_argument].
+    [threads] sets the heap's thread capacity, [max 61 threads]: it
+    tracks runnable thread ids below it, plus boot contexts. Every
+    per-thread table has one slot per tracked id and one for the boot
+    contexts — the per-line sharer sets, the store buffers (built only
+    under a buffered [model]), the arenas (only under an [Arena _]
+    policy) and {!Htm}'s transaction descriptors. The default covers
+    every paper-scale run in one sharer word per line; scaled experiments
+    pass the simulated thread count and pay one extra word per line per
+    further 62 threads. Under an [Arena _] policy [threads] also sizes
+    the default heap (below). An access by a runnable tid at or beyond
+    the capacity raises [Invalid_argument].
 
-    [initial_words] preallocates the heap arrays (default 4096 words);
-    the heap still grows on demand beyond it. Million-word experiments
-    reserve up front so growth never lands mid-measurement.
+    [initial_words] preallocates the heap arrays; the heap still grows
+    on demand beyond it, and addresses never depend on it. The default
+    is what the run is expected to use: 256 words under [Shared_lifo];
+    under [Arena _] room for one first chunk (512 words, plus the
+    coloring gap under [Cache_index_aware]) per thread and one for the
+    boot context, above the reserved first line — [threads + 1] chunks,
+    or two without [threads]. Million-word experiments reserve up front
+    so growth never lands mid-measurement.
 
     [model] selects the memory-consistency variant (default
     {!Sim.Memmodel.sc}, the pre-weak-memory behavior). Under a buffered
@@ -179,12 +189,16 @@ val line_of : int -> int
 (** The cache-line index covering an address (8-word lines). *)
 
 val line_version : t -> int -> int
-(** Current version of a line, by line index (no cost, no yield). *)
+(** Current version of a line, by line index (no cost, no yield).
+    @raise Invalid_argument if the line starts at or past the heap
+    extent. *)
 
 val line_writer : t -> int -> int
 (** Tid whose committed store last bumped this line's version, [-1] if
     never bumped (no cost, no yield). Lets a validator absorb its own
-    bumps instead of self-aborting. *)
+    bumps instead of self-aborting.
+    @raise Invalid_argument if the line starts at or past the heap
+    extent. *)
 
 val label : t -> name:string -> base:int -> words:int -> unit
 (** Region-label an address range for contention attribution (a [Label]
@@ -416,16 +430,19 @@ val fetch_add : t -> Sim.tctx -> int -> int -> int
 
 val drain : t -> Sim.tctx -> unit
 (** Flush this thread's store buffer (in-fiber: each drained store is a
-    scheduling point and may fault). No-op under [sc] or when the buffer
-    is empty. The transaction layers call this at transaction begin so tx
-    reads never miss the thread's own pre-tx stores. *)
+    scheduling point and may fault). No-op under an unbuffered model,
+    for boot contexts, or when the buffer is empty. The transaction
+    layers call this at transaction begin so tx reads never miss the
+    thread's own pre-tx stores. *)
 
 val pending_stores : t -> Sim.tctx -> int
 (** Number of stores currently sitting in this thread's buffer (0 under
-    [sc]). Test/debug introspection; free. *)
+    an unbuffered model and for boot contexts). Test/debug introspection;
+    free. *)
 
 val version : t -> int -> int
-(** Current version of a word (no cost, no yield). *)
+(** Current version of a word (no cost, no yield).
+    @raise Invalid_argument outside the heap extent, like {!peek}. *)
 
 val peek : t -> int -> int
 (** Debug/test read: no cost, no yield, no allocation check (but must be
@@ -536,10 +553,14 @@ module Tx_desc : sig
             escalation hop it drives *)
   }
 
+  val pool : heap -> 'o t option array
+  (** An empty descriptor pool with one slot per thread the heap tracks
+      (its capacity, plus one for boot contexts; see {!create}). *)
+
   val acquire : 'o t option array -> 'o -> heap -> granularity -> Sim.tctx -> 'o t
   (** [acquire pool owner mem gran ctx]: the thread's pooled descriptor
-      (created on first use; the pool is indexed by thread id), marked
-      busy — or a fresh one under a nested [atomic]. *)
+      (created on first use in the thread's slot of a {!pool} built for
+      [mem]), marked busy — or a fresh one under a nested [atomic]. *)
 
   val reset : 'o t -> Txn.tx_path -> int -> unit
   (** Start attempt [n] on a path at the current clock: empty the read,

@@ -182,6 +182,50 @@ let test_metrics_parent_and_reset () =
   Obs.Metrics.add g (-4);
   Alcotest.(check int) "gauge deltas aggregate" 6 (Obs.Metrics.gauge_value pg)
 
+(* Per-thread breakdowns are allocated lazily; what they report is not.
+   A boot-context prefill is attributed to the boot tid (256, the last
+   slot), and a registry reset clears every counter it holds. *)
+let test_metrics_boot_tid () =
+  let mem = Simmem.create ~threads:2 () in
+  let htm = Htm.create mem in
+  let boot = Sim.boot () in
+  let a = Simmem.malloc mem boot 4 in
+  for i = 0 to 3 do
+    Simmem.write mem boot (a + i) i
+  done;
+  ignore (Htm.atomic htm boot (fun tx -> Htm.write tx a (Htm.read tx (a + 1))));
+  Sim.run ~seed:1 [| (fun ctx -> ignore (Simmem.read mem ctx a)) |];
+  let reg = Simmem.metrics mem in
+  let per name = Obs.Metrics.per_thread (Obs.Metrics.counter reg name) in
+  Alcotest.(check (list (pair int int)))
+    "writes: four stores and the committed one, all boot" [ (Sim.boot_tid, 5) ]
+    (per "mem.writes");
+  Alcotest.(check (list (pair int int)))
+    "reads: thread 0 and boot"
+    [ (0, 1); (Sim.boot_tid, 1) ]
+    (per "mem.reads");
+  Alcotest.(check (list (pair int int)))
+    "boot commit" [ (Sim.boot_tid, 1) ]
+    (Obs.Metrics.per_thread (Obs.Metrics.counter (Htm.metrics htm) "htm.commits"));
+  Alcotest.(check (list (pair int int)))
+    "never bumped" []
+    (Obs.Metrics.per_thread (Obs.Metrics.counter (Htm.metrics htm) "htm.aborts.explicit"));
+  let json = Obs.Json.to_string (Obs.Metrics.to_json reg) in
+  Alcotest.(check bool) "json names the boot tid" true
+    (Astring.String.is_infix ~affix:"\"256\":5" json);
+  List.iter
+    (fun r ->
+      Obs.Metrics.reset r;
+      List.iter
+        (fun (name, v) ->
+          match v with
+          | Obs.Metrics.Counter { total; per_tid } ->
+            Alcotest.(check int) (name ^ " reset") 0 total;
+            Alcotest.(check (list (pair int int))) (name ^ " breakdown reset") [] per_tid
+          | Obs.Metrics.Gauge _ | Obs.Metrics.Hist _ -> ())
+        (Obs.Metrics.snapshot r))
+    [ reg; Htm.metrics htm ]
+
 let test_metrics_snapshot () =
   let r = Obs.Metrics.create () in
   ignore (Obs.Metrics.counter r "b");
@@ -395,6 +439,7 @@ let () =
           Alcotest.test_case "gauge and hist" `Quick test_metrics_gauge_hist;
           Alcotest.test_case "parent chain and reset" `Quick test_metrics_parent_and_reset;
           Alcotest.test_case "snapshot" `Quick test_metrics_snapshot;
+          Alcotest.test_case "boot tid, lazy breakdown" `Quick test_metrics_boot_tid;
         ] );
       ( "tracer",
         [

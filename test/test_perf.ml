@@ -233,6 +233,32 @@ let test_switch_alloc_floor () =
        again"
       per_switch floor budget
 
+(* Machine construction costs what the run uses. Blocks past 256 words
+   skip the minor heap, and a machine that built its 257-slot per-thread
+   tables or a fixed 4,096-word heap up front put about 23,000 words
+   straight onto the major heap per build. Counted, not timed: words
+   allocated on the major heap minus those promoted into it, averaged
+   over 100 builds. *)
+let test_machine_construction () =
+  Workload.Driver.set_obs Workload.Driver.no_obs;
+  let build () = ignore (Sys.opaque_identity (Workload.Driver.machine ~threads:16 ())) in
+  build ();
+  build ();
+  let builds = 100 in
+  let _, p0, m0 = Gc.counters () in
+  for _ = 1 to builds do
+    build ()
+  done;
+  let _, p1, m1 = Gc.counters () in
+  let direct = (m1 -. m0 -. (p1 -. p0)) /. float_of_int builds in
+  let budget = 1024. in
+  if direct > budget then
+    Alcotest.failf
+      "Driver.machine ~threads:16 allocated %.0f words directly on the major heap per \
+       build (budget %.0f): a per-thread table or the default heap is sized past what \
+       the run uses again"
+      direct budget
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -283,6 +309,11 @@ let () =
           Alcotest.test_case "STM-path txs, steady state" `Quick test_zero_alloc_stm;
           Alcotest.test_case "16-fiber switch, runtime floor" `Quick
             test_switch_alloc_floor;
+        ] );
+      ( "construction",
+        [
+          Alcotest.test_case "Driver.machine x16, direct major words" `Quick
+            test_machine_construction;
         ] );
       ( "determinism",
         [

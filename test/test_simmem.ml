@@ -172,6 +172,53 @@ let test_fetch_add () =
   Alcotest.(check int) "returns old again" 3 (Simmem.fetch_add mem ctx a (-1));
   Alcotest.(check int) "net value" 2 (Simmem.read mem ctx a)
 
+(* Public reads stop at the bump pointer: what lies past it is capacity,
+   and capacity must never show. *)
+let test_reads_stop_at_extent () =
+  let mem, ctx = make () in
+  let a = Simmem.malloc mem ctx 3 in
+  let extent = (Simmem.stats mem).heap_extent in
+  Alcotest.(check int) "version inside" 1 (Simmem.version mem a);
+  Alcotest.(check int) "line version inside" 3
+    (Simmem.line_version mem (Simmem.line_of a));
+  Alcotest.(check int) "line writer inside" Sim.boot_tid
+    (Simmem.line_writer mem (Simmem.line_of a));
+  let raises name f =
+    match f () with
+    | (_ : int) -> Alcotest.failf "%s past the extent returned a value" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun addr ->
+      raises "version" (fun () -> Simmem.version mem addr);
+      raises "peek" (fun () -> Simmem.peek mem addr))
+    [ extent; extent + 1; 100_000; -1 ];
+  let first_free_line = Simmem.line_of (extent + Simmem.line_of 0 + 7) in
+  List.iter
+    (fun line ->
+      raises "line_version" (fun () -> Simmem.line_version mem line);
+      raises "line_writer" (fun () -> Simmem.line_writer mem line))
+    [ first_free_line; 100_000; -1 ]
+
+(* Without a buffering model there is no store buffer to ask about. *)
+let test_unbuffered_drain () =
+  let mem, boot = make () in
+  let a = Simmem.malloc mem boot 1 in
+  Simmem.write mem boot a 5;
+  Alcotest.(check int) "boot: nothing pending" 0 (Simmem.pending_stores mem boot);
+  Simmem.drain mem boot;
+  let seen = ref [] in
+  Sim.run ~seed:1
+    [|
+      (fun ctx ->
+        Simmem.write mem ctx a 6;
+        let c0 = Sim.clock ctx in
+        let p = Simmem.pending_stores mem ctx in
+        Simmem.drain mem ctx;
+        seen := [ p; Sim.clock ctx - c0; Simmem.peek mem a ]);
+    |];
+  Alcotest.(check (list int)) "sc thread: nothing pending, drain is free" [ 0; 0; 6 ] !seen
+
 let test_coherence_costs () =
   let mem, ctx = make () in
   let a = Simmem.malloc mem ctx 1 in
@@ -280,6 +327,114 @@ let prop_allocator_model =
       st.live_words = expected_words
       && st.live_blocks = Hashtbl.length live
       && Hashtbl.fold (fun b _ acc -> acc && Simmem.is_allocated mem b) live true)
+
+(* Property: the heap's capacity is invisible. A random multi-thread
+   program runs on two machines that differ only in [initial_words] —
+   one starts at 64 words and grows through every doubling, the other
+   never grows — and must see the same values, word versions and faults,
+   the same final clocks and the same [stats]: addresses come from the
+   bump pointer, never from capacity. Operations name blocks through
+   shared slots (or raw addresses, some past the extent), so threads
+   read, write, free and reuse each other's blocks, and double frees and
+   use-after-free faults are part of what is compared. *)
+type cap_op =
+  | C_read of int * int
+  | C_write of int * int * int
+  | C_cas of int * int * int * int
+  | C_faa of int * int * int
+  | C_malloc of int * int
+  | C_free of int
+  | C_fence
+  | C_version of int * int
+
+let cap_slots = 6
+
+let print_cap_op = function
+  | C_read (s, o) -> Printf.sprintf "read %d+%d" s o
+  | C_write (s, o, v) -> Printf.sprintf "write %d+%d %d" s o v
+  | C_cas (s, o, e, d) -> Printf.sprintf "cas %d+%d %d->%d" s o e d
+  | C_faa (s, o, d) -> Printf.sprintf "faa %d+%d %d" s o d
+  | C_malloc (s, n) -> Printf.sprintf "malloc %d <- %d words" s n
+  | C_free s -> Printf.sprintf "free %d" s
+  | C_fence -> "fence"
+  | C_version (s, o) -> Printf.sprintf "version %d+%d" s o
+
+let run_capacity ~model ~alloc ~initial_words threads =
+  let mem = Simmem.create ~model ~alloc ~threads:3 ~initial_words () in
+  let boot = Sim.boot () in
+  (* Slot [cap_slots] and above name raw addresses: 8 words apart, out to
+     well past any extent these programs reach. *)
+  let slots = Array.init cap_slots (fun i -> Simmem.malloc mem boot (1 + i)) in
+  let addr s o = if s < cap_slots then slots.(s) + o else (s * 8) + o in
+  let log = Array.make (Array.length threads) [] in
+  let clocks = Array.make (Array.length threads) 0 in
+  let body i ctx =
+    let record r = log.(i) <- r :: log.(i) in
+    List.iter
+      (fun op ->
+        match
+          match op with
+          | C_read (s, o) -> Simmem.read mem ctx (addr s o)
+          | C_write (s, o, v) ->
+            Simmem.write mem ctx (addr s o) v;
+            0
+          | C_cas (s, o, expected, desired) ->
+            Bool.to_int (Simmem.cas mem ctx (addr s o) ~expected ~desired)
+          | C_faa (s, o, d) -> Simmem.fetch_add mem ctx (addr s o) d
+          | C_malloc (s, n) ->
+            let b = Simmem.malloc mem ctx n in
+            if s < cap_slots then slots.(s) <- b;
+            b
+          | C_free s ->
+            Simmem.free mem ctx (addr s 0);
+            0
+          | C_fence ->
+            Sim.fence ctx;
+            0
+          | C_version (s, o) -> Simmem.version mem (addr s o)
+        with
+        | v -> record (Ok v)
+        | exception Simmem.Fault f -> record (Error (Format.asprintf "%a" Simmem.pp_fault f))
+        | exception Invalid_argument m -> record (Error m))
+      threads.(i);
+    clocks.(i) <- Sim.clock ctx
+  in
+  Sim.run ~seed:3 (Array.mapi (fun i _ -> body i) threads);
+  (log, clocks, Simmem.stats mem)
+
+let prop_capacity_invisible =
+  let open QCheck.Gen in
+  let slot = int_range 0 (cap_slots + 40) and off = int_range 0 3 and v = int_range 0 3 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun s o -> C_read (s, o)) slot off);
+        (4, map3 (fun s o x -> C_write (s, o, x)) slot off v);
+        (2, map3 (fun (s, o) e d -> C_cas (s, o, e, d)) (pair slot off) v v);
+        (2, map3 (fun s o d -> C_faa (s, o, d)) slot off v);
+        (3, map2 (fun s n -> C_malloc (s, n)) (int_range 0 (cap_slots - 1)) (int_range 1 40));
+        (2, map (fun s -> C_free s) slot);
+        (1, return C_fence);
+        (2, map2 (fun s o -> C_version (s, o)) slot off);
+      ]
+  in
+  let prog = array_size (int_range 1 3) (list_size (int_range 0 25) op) in
+  let print p =
+    String.concat " || "
+      (Array.to_list (Array.map (fun l -> String.concat "; " (List.map print_cap_op l)) p))
+  in
+  QCheck.Test.make ~name:"heap capacity is invisible" ~count:60 (QCheck.make ~print prog)
+    (fun threads ->
+      List.for_all
+        (fun (model, alloc) ->
+          run_capacity ~model ~alloc ~initial_words:64 threads
+          = run_capacity ~model ~alloc ~initial_words:65536 threads)
+        [
+          (Sim.Memmodel.sc, Simmem.Shared_lifo);
+          (Sim.Memmodel.sb, Simmem.Shared_lifo);
+          (Sim.Memmodel.sc, Simmem.Arena Simmem.Line_isolated);
+          (Sim.Memmodel.sb, Simmem.Arena Simmem.Line_isolated);
+        ])
 
 (* Property: the shared transactional read set gives exactly the answers
    of a naive one — an assoc list in first-read order, fully rescanned on
@@ -401,6 +556,7 @@ let () =
           Alcotest.test_case "shared-lifo extent" `Quick test_shared_extent;
           Alcotest.test_case "arena extents" `Quick test_arena_extents;
           Alcotest.test_case "block size" `Quick test_block_size;
+          Alcotest.test_case "reads stop at the extent" `Quick test_reads_stop_at_extent;
         ] );
       ( "faults",
         [
@@ -414,6 +570,7 @@ let () =
           Alcotest.test_case "versions" `Quick test_versions;
           Alcotest.test_case "cas" `Quick test_cas_semantics;
           Alcotest.test_case "fetch_add" `Quick test_fetch_add;
+          Alcotest.test_case "unbuffered drain" `Quick test_unbuffered_drain;
         ] );
       ( "coherence",
         [
@@ -426,5 +583,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_allocator_model;
           QCheck_alcotest.to_alcotest prop_read_set_exact;
+          QCheck_alcotest.to_alcotest prop_capacity_invisible;
         ] );
     ]
