@@ -60,15 +60,15 @@ let rec counter ?(per_thread = false) t name =
     register t name (M_counter c);
     c
 
-let threaded c tid = c.c_threaded && tid >= 0 && tid < max_tids
-
 let add_per c tid by =
   if c.c_per == no_per then c.c_per <- Array.make max_tids 0;
   c.c_per.(tid) <- c.c_per.(tid) + by
 
 let rec incr ?tid ?(by = 1) c =
   c.c_total <- c.c_total + by;
-  (match tid with Some tid when threaded c tid -> add_per c tid by | _ -> ());
+  (match tid with
+   | Some tid when c.c_threaded && tid >= 0 && tid < max_tids -> add_per c tid by
+   | _ -> ());
   match c.c_parent with None -> () | Some p -> incr ?tid ~by p
 
 (* Hot-path variants: no optional arguments, so callers pass unboxed ints

@@ -579,13 +579,13 @@ let line_writer t line =
    buffers, arenas, transaction descriptors): runnable tids map to
    themselves, boot contexts to the last slot, [cap]. A runnable tid at
    or beyond the heap's capacity has no slot — the heap must be created
-   with [~threads] covering the run. *)
-let slot t tid =
-  if tid < t.cap then tid
-  else if tid = Sim.boot_tid then t.cap
-  else
-    invalid_arg
-      (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
+   with [~threads] covering the run. Every load and store maps its tid,
+   so the mapping is inlined and its error raised out of line. *)
+let beyond_capacity t tid =
+  invalid_arg (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
+
+let[@inline] slot t tid =
+  if tid < t.cap then tid else if tid = Sim.boot_tid then t.cap else beyond_capacity t tid
 
 let observed t = match t.sink with Some _ -> true | None -> false
 
