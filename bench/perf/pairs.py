@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of perfbench, summarised as one trajectory set.
+
+    python3 bench/perf/pairs.py PARENT_DIR CHANGE_DIR --seed 1 --seconds 40 \\
+        --pairs 10 [--workload NAME ...] --runs runs.jsonl
+    python3 bench/perf/pairs.py --summarise runs.jsonl
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository (made with
+`git archive` or `git clone`, at paths of equal length: perfbench's
+host_heap_mb moves with the length of the executable's path). Each pair
+runs `python3 perfbench/run.py` once in each checkout, the order
+alternating from pair to pair, for every workload. Every raw run is
+appended to the --runs file as one JSON line as soon as it finishes, so
+an interrupted session keeps what it measured.
+
+--summarise prints the set the runs file holds, one JSON object per
+(seed, seconds) group, in the form bench/perf/trajectory.jsonl records
+keep under "sets": per workload and end-to-end metric, the parent's and
+the change's median and quartiles, and the pairs the change won. The
+record around the sets (commit, parent, host note) is written by hand.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def spec():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def quartiles(xs):
+    """(q1, median, q3), linearly interpolated between order statistics."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def stats(xs):
+    q1, med, q3 = quartiles(sorted(xs))
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(xs)}
+
+
+def summarise(runs):
+    """Group raw runs by (seed, seconds) and reduce each to a trajectory set."""
+    better = {m["name"]: m["better"] for m in spec()["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in spec()["end_to_end"]}
+    groups = {}
+    for r in runs:
+        if r["result"] is None:
+            continue
+        groups.setdefault((r["seed"], r["seconds"]), []).append(r)
+    sets = []
+    for (seed, seconds), rs in sorted(groups.items()):
+        workloads = {}
+        for w in sorted({r["workload"] for r in rs}):
+            side = {"parent": {}, "change": {}}
+            failed = {"parent": 0, "change": 0}
+            for r in rs:
+                if r["workload"] != w:
+                    continue
+                failed[r["tree"]] += r["result"]["failed"]
+                for name, m in r["result"]["metrics"].items():
+                    side[r["tree"]].setdefault(name, {})[r["pair"]] = m["value"]
+            rows = {}
+            for name in units:
+                par, chg = side["parent"].get(name, {}), side["change"].get(name, {})
+                common = sorted(set(par) & set(chg))
+                if not common:
+                    continue
+                sign = 1 if better[name] == "higher" else -1
+                wins = sum(1 for p in common if sign * (chg[p] - par[p]) > 0)
+                rows[name] = {
+                    "unit": units[name],
+                    "better": better[name],
+                    "parent": stats([par[p] for p in common]),
+                    "change": stats([chg[p] for p in common]),
+                    "wins": wins,
+                }
+            workloads[w] = {"failed": failed, "metrics": rows}
+        pairs = len({(r["workload"], r["pair"]) for r in rs}) // max(1, len(workloads))
+        sets.append({"seed": seed, "seconds": seconds, "pairs": pairs, "workloads": workloads})
+    return sets
+
+
+def run_pairs(args):
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    workloads = args.workload or [w["name"] for w in spec()["workloads"]]
+    with open(args.runs, "a") as f:
+        for i in range(args.pairs):
+            for w in workloads:
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+                for tree in order:
+                    proc = subprocess.run(
+                        [sys.executable, "perfbench/run.py", "--workload", w,
+                         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+                        cwd=trees[tree], capture_output=True, text=True)
+                    last = proc.stdout.strip().split("\n")[-1] if proc.stdout.strip() else ""
+                    try:
+                        result = json.loads(last)
+                    except ValueError:
+                        result = None
+                    rec = {"tree": tree, "workload": w, "pair": i, "seed": args.seed,
+                           "seconds": args.seconds, "rc": proc.returncode, "result": result}
+                    f.write(json.dumps(rec) + "\n")
+                    f.flush()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=int, default=40)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--runs", help="raw runs file (JSON lines), appended to")
+    ap.add_argument("--summarise", metavar="RUNS", help="summarise a raw runs file")
+    args = ap.parse_args()
+    if args.summarise:
+        with open(args.summarise) as f:
+            runs = [json.loads(l) for l in f if l.strip()]
+        for s in summarise(runs):
+            print(json.dumps(s, sort_keys=True))
+        return
+    if not (args.parent and args.change and args.runs):
+        ap.error("give PARENT_DIR, CHANGE_DIR and --runs, or --summarise RUNS")
+    run_pairs(args)
+
+
+if __name__ == "__main__":
+    main()
