@@ -12,7 +12,7 @@
 type ctx = {
   duration : int;
   seed : int;
-  emit : Workload.Report.table -> unit;
+  emit : Obs.Table.table -> unit;
       (* print the table and capture it for the JSON artifact *)
   ppf : Format.formatter;  (* for non-tabular prose *)
 }
@@ -154,7 +154,7 @@ let aborts =
       in
       ctx.emit
         {
-          Workload.Report.title = "Abort telemetry: ArrayDynAppendDereg collect-update";
+          Obs.Table.title = "Abort telemetry: ArrayDynAppendDereg collect-update";
           xlabel = "period";
           unit = "aborts per collect";
           columns = List.map Workload.Collect_update.step_label abort_steps;
@@ -277,7 +277,7 @@ let contend =
       in
       ctx.emit
         {
-          Workload.Report.title = "Contention workloads (context)";
+          Obs.Table.title = "Contention workloads (context)";
           xlabel = "workload";
           unit = "ops/us";
           columns = [ "throughput" ];
@@ -468,7 +468,7 @@ let ablate =
         ->
         ctx.emit
           {
-            Workload.Report.title = "Ablation: TLE fallback (collect-update, period 2k)";
+            Obs.Table.title = "Ablation: TLE fallback (collect-update, period 2k)";
             xlabel = "mode";
             unit = "ops/us";
             columns = [ "throughput"; "lock fallbacks" ];
@@ -484,7 +484,7 @@ let ablate =
         Format.fprintf ctx.ppf "unsandboxed HTM:   %s@.@." off;
         ctx.emit
           {
-            Workload.Report.title =
+            Obs.Table.title =
               "Ablation: store-buffer capacity (adaptive step discovery)";
             xlabel = "buffer";
             unit = "ops/us";
@@ -561,19 +561,8 @@ let ext_starvation ~duration ~seed mk churn_period =
 let ext_queue_one ~duration ~seed ~threads name =
   let mk = Option.get (Hqueue.find_maker name) in
   let m = Workload.Driver.machine ~seed () in
-  let q = mk.make m.htm m.boot ~num_threads:threads in
-  let deadline = Workload.Driver.warmup + duration in
-  let ops = Array.make threads 0 in
-  Sim.run ~seed
-    (Array.init threads (fun i ->
-         fun ctx ->
-           ops.(i) <-
-             Workload.Driver.measured_loop ctx ~deadline (fun () ->
-                 if Sim.Rng.bool (Sim.rng ctx) then
-                   q.enqueue ctx (Workload.Driver.fresh_value ())
-                 else ignore (q.dequeue ctx))));
-  q.destroy m.boot;
-  Workload.Driver.ops_per_us ~ops:(Array.fold_left ( + ) 0 ops) ~duration
+  let ops = Workload.Queue_bench.coin_flip m mk ~threads ~prefill:0 ~duration ~seed in
+  Workload.Driver.ops_per_us ~ops ~duration
 
 let ext_starve_periods = [ 50_000; 20_000; 10_000; 5_000; 2_000; 1_000 ]
 let ext_starve_makers = [ "ListFastCollect"; "ListFastCollectDeferred" ]
@@ -626,7 +615,7 @@ let ext =
       let nstarve = List.length ext_starve_makers in
       ctx.emit
         {
-          Workload.Report.title =
+          Obs.Table.title =
             "Extension: deferred-free FastCollect, 60 stable handles + 15 churning \
              (section 3.1.2)";
           xlabel = "churn period";
@@ -643,7 +632,7 @@ let ext =
       let nqueue = List.length ext_queue_names in
       ctx.emit
         {
-          Workload.Report.title =
+          Obs.Table.title =
             "Extension: reclamation via fixed hazard array vs Dynamic Collect (section \
              1.2)";
           xlabel = "threads";

@@ -24,11 +24,11 @@ let chart_mode = ref false
 let captured_tables : Obs.Json.t list ref = ref []
 
 let emit ~csv table =
-  captured_tables := Workload.Report.to_json table :: !captured_tables;
-  if csv then Workload.Report.print_csv Format.std_formatter table
+  captured_tables := Obs.Table.to_json table :: !captured_tables;
+  if csv then Obs.Table.print_csv Format.std_formatter table
   else begin
-    Workload.Report.print Format.std_formatter table;
-    if !chart_mode then Workload.Report.plot Format.std_formatter table
+    Obs.Table.print Format.std_formatter table;
+    if !chart_mode then Obs.Table.plot Format.std_formatter table
   end
 
 (* ------------------------------------------------------------------ *)

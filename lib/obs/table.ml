@@ -6,6 +6,13 @@ type table = {
   rows : (string * float option list) list;
 }
 
+(* Keys are compared structurally; [List.find_opt] makes the first match
+   of a cell win. *)
+let pivot ~title ~xlabel ~unit ~rows ~columns ~key ~value results =
+  let cell r c = List.find_opt (fun x -> key x = (r, c)) results |> Option.map value in
+  { title; xlabel; unit; columns;
+    rows = List.map (fun (label, r) -> (label, List.map (cell r) columns)) rows }
+
 let cell = function
   | None -> "-"
   | Some v ->

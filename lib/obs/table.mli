@@ -1,9 +1,8 @@
 (** Shared result rendering: aligned text tables, CSV, ASCII charts.
 
     This is the one home for tabular pretty-printing — the benchmark
-    harness ([Workload.Report] re-exports this module) and the explorer
-    CLI both render through it, so column sizing and number formatting
-    stay consistent everywhere. *)
+    harness and the explorer CLI both render through it, so column
+    sizing and number formatting stay consistent everywhere. *)
 
 type table = {
   title : string;
@@ -13,6 +12,22 @@ type table = {
   rows : (string * float option list) list;
       (** x-axis label, one value per column; [None] prints as "-" *)
 }
+
+val pivot :
+  title:string ->
+  xlabel:string ->
+  unit:string ->
+  rows:(string * 'r) list ->
+  columns:string list ->
+  key:('a -> 'r * string) ->
+  value:('a -> float) ->
+  'a list ->
+  table
+(** [pivot ~rows ~columns ~key ~value results] lays results out as a
+    table: one row per [(label, row_key)] of [rows] and one column per
+    name in [columns], both in the order given. The cell at [(r, c)] is
+    [value] of the first result whose [key] is structurally equal to
+    [(r, c)], or [None] if there is none. *)
 
 val cell : float option -> string
 (** Numeric cell formatting: ["-"] for [None], magnitude-dependent

@@ -25,6 +25,7 @@ type bind = { b_start : int; b_end : int; value : int }
 
 type instance_log = {
   id : int;
+  reg : bind; (* the registration: the oldest of [binds] *)
   mutable binds : bind list; (* newest first *)
   mutable dereg : (int * int) option;
 }
@@ -33,7 +34,7 @@ type collect_log = { c_start : int; c_end : int; returned : int list }
 
 type t = {
   mutable next_value : int;
-  values : (int, instance_log) Hashtbl.t; (* value -> its registration *)
+  values : (int, instance_log * bind) Hashtbl.t; (* value -> its registration, bind *)
   current : (int, instance_log) Hashtbl.t; (* live handle address -> registration *)
   mutable instances : instance_log list;
   mutable collects : collect_log list;
@@ -70,36 +71,37 @@ let stamp t =
 let register t (inst : Collect.Intf.instance) ctx =
   let v = fresh_value t in
   let s = stamp t in
-  match inst.register ctx v with
-  | h ->
-    let e = stamp t in
-    let il = { id = t.next_id; binds = [ { b_start = s; b_end = e; value = v } ]; dereg = None } in
+  let log b_end =
+    let reg = { b_start = s; b_end; value = v } in
+    let il = { id = t.next_id; reg; binds = [ reg ]; dereg = None } in
     t.next_id <- t.next_id + 1;
     t.instances <- il :: t.instances;
-    Hashtbl.replace t.values v il;
-    Hashtbl.replace t.current h il;
+    Hashtbl.replace t.values v (il, reg);
+    il
+  in
+  match inst.register ctx v with
+  | h ->
+    Hashtbl.replace t.current h (log (stamp t));
     h
   | exception ex ->
     (* No handle was returned, so the registration can never become
        "required" — but its value may already be visible to collects. *)
-    let il = { id = t.next_id; binds = [ { b_start = s; b_end = max_int; value = v } ]; dereg = None } in
-    t.next_id <- t.next_id + 1;
-    t.instances <- il :: t.instances;
-    Hashtbl.replace t.values v il;
+    ignore (log max_int);
     raise ex
 
 let update t (inst : Collect.Intf.instance) ctx h =
   let il = Hashtbl.find t.current h in
   let v = fresh_value t in
   let s = stamp t in
+  let log b_end =
+    let b = { b_start = s; b_end; value = v } in
+    il.binds <- b :: il.binds;
+    Hashtbl.replace t.values v (il, b)
+  in
   match inst.update ctx h v with
-  | () ->
-    let e = stamp t in
-    il.binds <- { b_start = s; b_end = e; value = v } :: il.binds;
-    Hashtbl.replace t.values v il
+  | () -> log (stamp t)
   | exception ex ->
-    il.binds <- { b_start = s; b_end = max_int; value = v } :: il.binds;
-    Hashtbl.replace t.values v il;
+    log max_int;
     raise ex
 
 let deregister t (inst : Collect.Intf.instance) ctx h =
@@ -126,31 +128,23 @@ let collect t (inst : Collect.Intf.instance) ctx =
        result set rather than checking half an answer. *)
     raise ex
 
-(* For each value: the completion time of the *next* event (bind or
-   deregister) on the same handle, or max_int if none. *)
-let next_event_end il =
-  let tbl = Hashtbl.create 8 in
-  let dereg_end = match il.dereg with Some (_, e) -> e | None -> max_int in
-  let rec go newer = function
-    | [] -> ()
-    | b :: older ->
-      Hashtbl.replace tbl b.value newer;
-      go b.b_end older
-  in
-  (* binds are newest-first: the event after the newest bind is the dereg *)
-  go dereg_end il.binds;
-  tbl
-
 type verdict = { checked_collects : int; checked_values : int }
 
 exception Violation of string
 
 let check t =
+  (* For each value: the completion time of the *next* event (bind or
+     deregister) on the same handle, or max_int if none. Binds are
+     newest-first, so the event after the newest bind is the dereg. *)
   let next_end = Hashtbl.create 1024 in
+  let rec go newer = function
+    | [] -> ()
+    | b :: older ->
+      Hashtbl.replace next_end b.value newer;
+      go b.b_end older
+  in
   List.iter
-    (fun il ->
-      let tbl = next_event_end il in
-      Hashtbl.iter (fun v e -> Hashtbl.replace next_end v e) tbl)
+    (fun il -> go (match il.dereg with Some (_, e) -> e | None -> max_int) il.binds)
     t.instances;
   let nvalues = ref 0 in
   let collects = List.rev t.collects in
@@ -162,8 +156,7 @@ let check t =
           incr nvalues;
           match Hashtbl.find_opt t.values v with
           | None -> raise (Violation (Printf.sprintf "collect returned unknown value %d" v))
-          | Some il ->
-            let b = List.find (fun b -> b.value = v) il.binds in
+          | Some (_, b) ->
             if b.b_start > c.c_end then
               raise
                 (Violation
@@ -183,12 +176,12 @@ let check t =
       List.iter
         (fun v ->
           match Hashtbl.find_opt t.values v with
-          | Some il -> Hashtbl.replace present il.id ()
+          | Some (il, _) -> Hashtbl.replace present il.id ()
           | None -> ())
         c.returned;
       List.iter
         (fun il ->
-          let reg = List.nth il.binds (List.length il.binds - 1) in
+          let reg = il.reg in
           let required =
             reg.b_end < c.c_start
             && (match il.dereg with None -> true | Some (ds, _) -> ds > c.c_end)

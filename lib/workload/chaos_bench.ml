@@ -410,7 +410,7 @@ let run_all ?jobs ?seed () =
 
 let fi = float_of_int
 
-let crash_table (crashes : crash_result list) : Report.table =
+let crash_table (crashes : crash_result list) : Obs.Table.table =
   {
     title = "Thread crashes mid-operation (3 of 8 threads killed): \
              spec verdicts and leakage";
@@ -429,7 +429,7 @@ let crash_table (crashes : crash_result list) : Report.table =
         crashes;
   }
 
-let queue_table (queues : queue_result list) : Report.table =
+let queue_table (queues : queue_result list) : Obs.Table.table =
   {
     title = "Thread crashes against the queues (2 of 8 threads killed)";
     xlabel = "queue";
@@ -444,7 +444,7 @@ let queue_table (queues : queue_result list) : Report.table =
         queues;
   }
 
-let spurious_table (spurious : spurious_result list) : Report.table =
+let spurious_table (spurious : spurious_result list) : Obs.Table.table =
   {
     title = "Spurious aborts at 15% per attempt, TLE after 6 (all runs \
              completed; watchdog silent)";
@@ -481,7 +481,7 @@ let spurious_note =
    the escalation tail shows up in max-consec-aborts and the\n\
    cycles-to-commit histogram.\n"
 
-let stm_crash_table (stm_crashes : stm_crash_result list) : Report.table =
+let stm_crash_table (stm_crashes : stm_crash_result list) : Obs.Table.table =
   {
     title = "Crashes inside the STM commit window (ListFastCollect, software path)";
     xlabel = "run";
@@ -516,6 +516,6 @@ let tables (s : summary) =
 let report ppf (s : summary) =
   List.iter
     (fun (t, note) ->
-      Report.print ppf t;
+      Obs.Table.print ppf t;
       Format.fprintf ppf "@.%s@." note)
     (tables s)

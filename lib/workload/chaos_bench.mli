@@ -113,7 +113,7 @@ val run_all : ?jobs:int -> ?seed:int -> unit -> summary
 (** All three scenarios: {!Collect.all} under crashes and spurious aborts,
     {!Hqueue.all_with_extensions} under crashes. *)
 
-val tables : summary -> (Report.table * string) list
+val tables : summary -> (Obs.Table.table * string) list
 (** The rendered tables with their explanatory notes, in report order. *)
 
 val report : Format.formatter -> summary -> unit

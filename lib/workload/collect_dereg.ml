@@ -92,28 +92,12 @@ let run ?jobs ?makers ?churners ?periods ?duration ?seed () =
     (Runner.Sweep.run ?jobs (cells ?makers ?churners ?periods ?duration ?seed ()))
 
 let to_table results =
-  let columns =
-    List.fold_left (fun acc r -> if List.mem r.label acc then acc else acc @ [ r.label ]) []
-      results
-  in
   let periods =
     List.sort_uniq (fun a b -> Int.compare b a) (List.map (fun r -> r.dereg_period) results)
   in
-  let rows =
-    List.map
-      (fun p ->
-        ( Collect_update.period_label p,
-          List.map
-            (fun c ->
-              List.find_opt (fun r -> r.dereg_period = p && String.equal r.label c) results
-              |> Option.map (fun r -> r.throughput))
-            columns ))
-      periods
-  in
-  {
-    Report.title = "Figure 7: Collect-(De)Register";
-    xlabel = "dereg period";
-    unit = "ops/us";
-    columns;
-    rows;
-  }
+  Obs.Table.pivot ~title:"Figure 7: Collect-(De)Register" ~xlabel:"dereg period"
+    ~unit:"ops/us"
+    ~rows:(List.map (fun p -> (Collect_update.period_label p, p)) periods)
+    ~columns:(Collect_update.distinct_in_order (List.map (fun r -> r.label) results))
+    ~key:(fun r -> (r.dereg_period, r.label))
+    ~value:(fun r -> r.throughput) results

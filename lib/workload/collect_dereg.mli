@@ -37,4 +37,4 @@ val run :
   unit ->
   result list
 
-val to_table : result list -> Report.table
+val to_table : result list -> Obs.Table.table

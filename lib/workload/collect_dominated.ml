@@ -11,16 +11,10 @@ type result = { algo : string; threads : int; throughput : float }
 let total_budget = 64
 let initial_registered = 32
 
-let run_one (maker : Collect.Intf.maker) ~threads ~duration ~step ~seed =
-  let m =
-    Driver.machine ~seed ~label:(Printf.sprintf "%s x%d" maker.algo_name threads) ()
-  in
-  let cfg =
-    { Collect.Intf.max_slots = total_budget; num_threads = threads; step; min_size = 4 }
-  in
+let mix (m : Driver.machine) (maker : Collect.Intf.maker) ~threads ~budget ~per_thread
+    ~pre_registered ~step ~duration ~seed =
+  let cfg = { Collect.Intf.max_slots = budget; num_threads = threads; step; min_size = 4 } in
   let inst = maker.make m.htm m.boot cfg in
-  let per_thread = max 1 (total_budget / threads) in
-  let pre_registered = max 1 (initial_registered / threads) in
   let deadline = Driver.warmup + duration in
   let ops = Array.make threads 0 in
   let bodies =
@@ -30,7 +24,7 @@ let run_one (maker : Collect.Intf.maker) ~threads ~duration ~step ~seed =
           for _ = 1 to pre_registered do
             Queue.add (inst.register ctx (Driver.fresh_value ())) slots
           done;
-          let buf = Sim.Ibuf.create ~capacity:total_budget () in
+          let buf = Sim.Ibuf.create ~capacity:budget () in
           let rng = Sim.rng ctx in
           Sim.advance_to ctx Driver.warmup;
           while Sim.clock ctx < deadline do
@@ -73,8 +67,17 @@ let run_one (maker : Collect.Intf.maker) ~threads ~duration ~step ~seed =
   in
   Sim.run ~seed bodies;
   inst.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  { algo = maker.algo_name; threads; throughput = Driver.ops_per_us ~ops:total ~duration }
+  Array.fold_left ( + ) 0 ops
+
+let run_one (maker : Collect.Intf.maker) ~threads ~duration ~step ~seed =
+  let m =
+    Driver.machine ~seed ~label:(Printf.sprintf "%s x%d" maker.algo_name threads) ()
+  in
+  let ops =
+    mix m maker ~threads ~budget:total_budget ~per_thread:(max 1 (total_budget / threads))
+      ~pre_registered:(max 1 (initial_registered / threads)) ~step ~duration ~seed
+  in
+  { algo = maker.algo_name; threads; throughput = Driver.ops_per_us ~ops ~duration }
 
 let default_threads = [ 2; 4; 6; 8; 10; 12; 14; 16 ]
 
@@ -95,23 +98,10 @@ let run ?jobs ?makers ?threads ?duration ?step ?seed () =
     (Runner.Sweep.run ?jobs (cells ?makers ?threads ?duration ?step ?seed ()))
 
 let to_table ?(makers = Collect.all) results =
-  let columns = List.map (fun (m : Collect.Intf.maker) -> m.algo_name) makers in
   let threads = List.sort_uniq Int.compare (List.map (fun r -> r.threads) results) in
-  let rows =
-    List.map
-      (fun n ->
-        ( string_of_int n,
-          List.map
-            (fun a ->
-              List.find_opt (fun r -> r.threads = n && String.equal r.algo a) results
-              |> Option.map (fun r -> r.throughput))
-            columns ))
-      threads
-  in
-  {
-    Report.title = "Figure 3: Collect-dominated workload (step 32)";
-    xlabel = "threads";
-    unit = "ops/us";
-    columns;
-    rows;
-  }
+  Obs.Table.pivot ~title:"Figure 3: Collect-dominated workload (step 32)" ~xlabel:"threads"
+    ~unit:"ops/us"
+    ~rows:(List.map (fun n -> (string_of_int n, n)) threads)
+    ~columns:(List.map (fun (m : Collect.Intf.maker) -> m.algo_name) makers)
+    ~key:(fun r -> (r.threads, r.algo))
+    ~value:(fun r -> r.throughput) results

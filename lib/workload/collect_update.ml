@@ -254,26 +254,18 @@ let run_fig6 ?jobs ?updaters ?periods ?duration ?seed () =
 
 let period_label p = if p >= 1000 then Printf.sprintf "%dk" (p / 1000) else string_of_int p
 
+let distinct_in_order labels =
+  List.fold_left (fun acc l -> if List.mem l acc then acc else acc @ [ l ]) [] labels
+
 let to_table ~title results =
-  let columns =
-    List.fold_left (fun acc r -> if List.mem r.label acc then acc else acc @ [ r.label ]) []
-      results
-  in
   let periods =
     List.sort_uniq (fun a b -> Int.compare b a) (List.map (fun r -> r.period) results)
   in
-  let rows =
-    List.map
-      (fun p ->
-        ( period_label p,
-          List.map
-            (fun c ->
-              List.find_opt (fun r -> r.period = p && String.equal r.label c) results
-              |> Option.map (fun r -> r.throughput))
-            columns ))
-      periods
-  in
-  { Report.title; xlabel = "period"; unit = "ops/us"; columns; rows }
+  Obs.Table.pivot ~title ~xlabel:"period" ~unit:"ops/us"
+    ~rows:(List.map (fun p -> (period_label p, p)) periods)
+    ~columns:(distinct_in_order (List.map (fun r -> r.label) results))
+    ~key:(fun r -> (r.period, r.label))
+    ~value:(fun r -> r.throughput) results
 
 let fig6_table results =
   let steps = [ 1; 2; 4; 8; 16; 32 ] in
@@ -290,7 +282,7 @@ let fig6_table results =
       results
   in
   {
-    Report.title = "Figure 6: Step-size distribution (ArrayDynAppendDereg, adaptive)";
+    Obs.Table.title = "Figure 6: Step-size distribution (ArrayDynAppendDereg, adaptive)";
     xlabel = "period";
     unit = "% of slots";
     columns = List.map (fun s -> Printf.sprintf "step%d" s) steps;

@@ -113,5 +113,9 @@ val run_fig6 :
   result list
 (** Adaptive runs whose histograms regenerate Figure 6. *)
 
-val to_table : title:string -> result list -> Report.table
-val fig6_table : result list -> Report.table
+val distinct_in_order : string list -> string list
+(** The list without repeats, each kept at its first occurrence: the
+    column order of a table whose series appear in sweep order. *)
+
+val to_table : title:string -> result list -> Obs.Table.table
+val fig6_table : result list -> Obs.Table.table

@@ -277,32 +277,22 @@ let run_all ?jobs ?threads ?big ?duration ?seed () =
 
 let fi = float_of_int
 
-let grid_table ~shared (grid : grid_result list) : Report.table =
+let grid_table ~shared (grid : grid_result list) =
   let grid = List.filter (fun g -> g.gr_shared = shared) grid in
   let threads = List.sort_uniq Int.compare (List.map (fun g -> g.gr_threads) grid) in
-  {
-    title =
+  let column n = Printf.sprintf "%dT" n in
+  Obs.Table.pivot
+    ~title:
       (if shared then
          "Fallback policies: 48-store transactions, one shared region (full conflict)"
-       else "Fallback policies: 48-store transactions, disjoint per-thread regions");
-    xlabel = "policy";
-    unit = "ops/us";
-    columns = List.map (fun n -> Printf.sprintf "%dT" n) threads;
-    rows =
-      List.map
-        (fun pol ->
-          ( pol.pol_name,
-            List.map
-              (fun n ->
-                List.find_opt
-                  (fun g -> g.gr_policy = pol.pol_name && g.gr_threads = n)
-                  grid
-                |> Option.map (fun g -> g.gr_tput))
-              threads ))
-        policies;
-  }
+       else "Fallback policies: 48-store transactions, disjoint per-thread regions")
+    ~xlabel:"policy" ~unit:"ops/us"
+    ~rows:(List.map (fun pol -> (pol.pol_name, pol.pol_name)) policies)
+    ~columns:(List.map column threads)
+    ~key:(fun g -> (g.gr_policy, column g.gr_threads))
+    ~value:(fun g -> g.gr_tput) grid
 
-let detail_table (grid : grid_result list) : Report.table =
+let detail_table (grid : grid_result list) : Obs.Table.table =
   let at8 =
     List.filter (fun g -> g.gr_shared && g.gr_threads = List.fold_left max 1 default_threads) grid
   in
@@ -323,7 +313,7 @@ let detail_table (grid : grid_result list) : Report.table =
         at8;
   }
 
-let interference_table (interference : interf_result list) : Report.table =
+let interference_table (interference : interf_result list) : Obs.Table.table =
   {
     title =
       Printf.sprintf
@@ -341,7 +331,7 @@ let interference_table (interference : interf_result list) : Report.table =
         interference;
   }
 
-let chaos_table (chaos : chaos_result list) : Report.table =
+let chaos_table (chaos : chaos_result list) : Obs.Table.table =
   {
     title = "Liveness: threads killed inside the STM commit window (locks held)";
     xlabel = "run";
@@ -391,6 +381,6 @@ let tables (s : summary) =
 let report ppf (s : summary) =
   List.iter
     (fun (t, note) ->
-      Report.print ppf t;
+      Obs.Table.print ppf t;
       if note <> "" then Format.fprintf ppf "@.%s@." note)
     (tables s)

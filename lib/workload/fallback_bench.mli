@@ -68,7 +68,7 @@ val run_all :
   ?jobs:int -> ?threads:int list -> ?big:int list -> ?duration:int -> ?seed:int ->
   unit -> summary
 
-val tables : summary -> (Report.table * string) list
+val tables : summary -> (Obs.Table.table * string) list
 (** Rendered tables with their explanatory notes, in report order. *)
 
 val report : Format.formatter -> summary -> unit

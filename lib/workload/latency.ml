@@ -45,7 +45,7 @@ let run ?jobs ?makers ?handles ?updates ?seed () =
 
 let to_table results =
   {
-    Report.title = "Section 5.1: Update latency";
+    Obs.Table.title = "Section 5.1: Update latency";
     xlabel = "algorithm";
     unit = "ns/update";
     columns = [ "latency"; "class" ];

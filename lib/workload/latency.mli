@@ -29,6 +29,6 @@ val run :
   unit ->
   result list
 
-val to_table : result list -> Report.table
+val to_table : result list -> Obs.Table.table
 (** The second column shows the paper's reference value for the class
     (135 or 215 ns). *)

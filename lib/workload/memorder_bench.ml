@@ -138,7 +138,7 @@ let run_all ?jobs ?seed () =
 
 let fi = float_of_int
 
-let search_table (searches : search_result list) : Report.table =
+let search_table (searches : search_result list) : Obs.Table.table =
   {
     title =
       Printf.sprintf
@@ -165,7 +165,7 @@ let search_note =
    the control: transactional publish is atomic and the TLE lock is a\n\
    full fence, so the HTM queue is clean under every variant.\n"
 
-let litmus_table (litmus : litmus_result list) : Report.table =
+let litmus_table (litmus : litmus_result list) : Obs.Table.table =
   {
     title = "Litmus fingerprints (exhaustive schedule enumeration)";
     xlabel = "program/model";
@@ -192,6 +192,6 @@ let tables (s : summary) =
 let report ppf (s : summary) =
   List.iter
     (fun (t, note) ->
-      Report.print ppf t;
+      Obs.Table.print ppf t;
       Format.fprintf ppf "@.%s@." note)
     (tables s)

@@ -52,5 +52,5 @@ val cells : ?seed:int -> unit -> piece Runner.Cell.t list
 
 val summary_of_pieces : piece list -> summary
 val run_all : ?jobs:int -> ?seed:int -> unit -> summary
-val tables : summary -> (Report.table * string) list
+val tables : summary -> (Obs.Table.table * string) list
 val report : Format.formatter -> summary -> unit

@@ -123,7 +123,7 @@ let to_table results =
       xs
   in
   {
-    Report.title = "Figure 8: Collect throughput vs time (slots alternate 16 <-> 64)";
+    Obs.Table.title = "Figure 8: Collect throughput vs time (slots alternate 16 <-> 64)";
     xlabel = "time ms";
     unit = "ops/us";
     columns;

@@ -151,27 +151,9 @@ let pairs_one ~policy ~threads ~duration ~seed =
 (* The fig 1 coin-flip loop on the HTM queue, arena-allocated. *)
 let queue_one ~policy ~threads ~duration ~seed =
   let maker = Option.get (Hqueue.find_maker "HTM") in
-  let m =
-    arena_machine ~structure:"queue" ~policy ~threads ~seed
-  in
-  let q = maker.make m.htm m.boot ~num_threads:threads in
-  for _ = 1 to 64 do
-    q.enqueue m.boot (Driver.fresh_value ())
-  done;
-  let deadline = Driver.warmup + duration in
-  let ops = Array.make threads 0 in
-  let bodies =
-    Array.init threads (fun i ->
-        fun ctx ->
-          ops.(i) <-
-            Driver.measured_loop ctx ~deadline (fun () ->
-                if Sim.Rng.bool (Sim.rng ctx) then q.enqueue ctx (Driver.fresh_value ())
-                else ignore (q.dequeue_drop ctx)))
-  in
-  Sim.run ~seed bodies;
-  q.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  snapshot ~structure:"queue" ~policy ~threads ~duration ~ops:total m
+  let m = arena_machine ~structure:"queue" ~policy ~threads ~seed in
+  let ops = Queue_bench.coin_flip m maker ~threads ~prefill:64 ~duration ~seed in
+  snapshot ~structure:"queue" ~policy ~threads ~duration ~ops m
 
 (* The reclamation competitor sweep: fig 1's loop and prefill, but on
    arena machines, with Michael-Scott+EBR as the third column. The
@@ -186,24 +168,8 @@ let competitor_one name ~threads ~duration ~seed =
       ~label:(Printf.sprintf "placement/fig1/%s x%d" name threads)
       ~alloc:(Simmem.Arena Simmem.Line_isolated) ()
   in
-  let q = maker.make m.htm m.boot ~num_threads:threads in
-  for _ = 1 to 64 do
-    q.enqueue m.boot (Driver.fresh_value ())
-  done;
-  let deadline = Driver.warmup + duration in
-  let ops = Array.make threads 0 in
-  let bodies =
-    Array.init threads (fun i ->
-        fun ctx ->
-          ops.(i) <-
-            Driver.measured_loop ctx ~deadline (fun () ->
-                if Sim.Rng.bool (Sim.rng ctx) then q.enqueue ctx (Driver.fresh_value ())
-                else ignore (q.dequeue_drop ctx)))
-  in
-  Sim.run ~seed bodies;
-  q.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  { queue = name; q_threads = threads; q_throughput = Driver.ops_per_us ~ops:total ~duration }
+  let ops = Queue_bench.coin_flip m maker ~threads ~prefill:64 ~duration ~seed in
+  { queue = name; q_threads = threads; q_throughput = Driver.ops_per_us ~ops ~duration }
 
 let ablation_threads = [ 4; 8 ]
 let structures = [ "counters"; "pairs"; "queue" ]
@@ -255,50 +221,17 @@ let fig1_results pieces =
 let policy_columns = List.map Simmem.placement_label policies
 
 let metric_table ~title ~unit metric results =
-  let rows =
-    List.concat_map
-      (fun s ->
-        List.map
-          (fun n ->
-            ( Printf.sprintf "%s/x%d" s n,
-              List.map
-                (fun p ->
-                  List.find_opt
-                    (fun r ->
-                      r.structure = s && r.threads = n && String.equal r.policy p)
-                    results
-                  |> Option.map metric)
-                policy_columns ))
-          ablation_threads)
-      structures
-  in
-  { Report.title; xlabel = "structure/threads"; unit; columns = policy_columns; rows }
+  Obs.Table.pivot ~title ~xlabel:"structure/threads" ~unit
+    ~rows:
+      (List.concat_map
+         (fun s -> List.map (fun n -> (Printf.sprintf "%s/x%d" s n, (s, n))) ablation_threads)
+         structures)
+    ~columns:policy_columns
+    ~key:(fun r -> ((r.structure, r.threads), r.policy))
+    ~value:metric results
 
 let to_tables pieces =
   let abl = ablations pieces in
-  let fig1 = fig1_results pieces in
-  let competitor_table =
-    let rows =
-      List.map
-        (fun n ->
-          ( string_of_int n,
-            List.map
-              (fun q ->
-                List.find_opt
-                  (fun r -> r.q_threads = n && String.equal r.queue q)
-                  fig1
-                |> Option.map (fun r -> r.q_throughput))
-              competitor_names ))
-        competitor_threads
-    in
-    {
-      Report.title = "Placement: queue throughput on arena heaps (fig 1 shape, +EBR)";
-      xlabel = "threads";
-      unit = "ops/us";
-      columns = competitor_names;
-      rows;
-    }
-  in
   [
     metric_table ~title:"Placement ablation: throughput (line-granularity HTM)"
       ~unit:"ops/us" (fun r -> r.throughput) abl;
@@ -306,5 +239,10 @@ let to_tables pieces =
       ~unit:"aborts per attempt" (fun r -> r.abort_rate) abl;
     metric_table ~title:"Placement ablation: coherence line transfers"
       ~unit:"transfers" (fun r -> float_of_int r.transfers) abl;
-    competitor_table;
+    Obs.Table.pivot ~title:"Placement: queue throughput on arena heaps (fig 1 shape, +EBR)"
+      ~xlabel:"threads" ~unit:"ops/us"
+      ~rows:(List.map (fun n -> (string_of_int n, n)) competitor_threads)
+      ~columns:competitor_names
+      ~key:(fun r -> (r.q_threads, r.queue))
+      ~value:(fun r -> r.q_throughput) (fig1_results pieces);
   ]

@@ -52,4 +52,4 @@ val run : ?jobs:int -> ?duration:int -> ?seed:int -> unit -> piece list
 
 val ablations : piece list -> result list
 val fig1_results : piece list -> queue_result list
-val to_tables : piece list -> Report.table list
+val to_tables : piece list -> Obs.Table.table list

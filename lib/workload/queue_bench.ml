@@ -4,10 +4,8 @@
 
 type result = { queue : string; threads : int; throughput : float }
 
-let run_one (maker : Hqueue.Intf.maker) ~threads ~duration ~prefill ~seed =
-  let m =
-    Driver.machine ~seed ~label:(Printf.sprintf "%s x%d" maker.queue_name threads) ()
-  in
+let coin_flip (m : Driver.machine) (maker : Hqueue.Intf.maker) ~threads ~prefill ~duration
+    ~seed =
   let q = maker.make m.htm m.boot ~num_threads:threads in
   for _ = 1 to prefill do
     q.enqueue m.boot (Driver.fresh_value ())
@@ -24,8 +22,14 @@ let run_one (maker : Hqueue.Intf.maker) ~threads ~duration ~prefill ~seed =
   in
   Sim.run ~seed bodies;
   q.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  { queue = maker.queue_name; threads; throughput = Driver.ops_per_us ~ops:total ~duration }
+  Array.fold_left ( + ) 0 ops
+
+let run_one (maker : Hqueue.Intf.maker) ~threads ~duration ~prefill ~seed =
+  let m =
+    Driver.machine ~seed ~label:(Printf.sprintf "%s x%d" maker.queue_name threads) ()
+  in
+  let ops = coin_flip m maker ~threads ~prefill ~duration ~seed in
+  { queue = maker.queue_name; threads; throughput = Driver.ops_per_us ~ops ~duration }
 
 let default_threads = [ 2; 4; 6; 8; 10; 12; 14; 16 ]
 
@@ -45,23 +49,10 @@ let run ?jobs ?threads ?duration ?prefill ?seed () =
     (Runner.Sweep.run ?jobs (cells ?threads ?duration ?prefill ?seed ()))
 
 let to_table results =
-  let columns = List.map (fun (m : Hqueue.Intf.maker) -> m.queue_name) Hqueue.all in
   let threads = List.sort_uniq Int.compare (List.map (fun r -> r.threads) results) in
-  let rows =
-    List.map
-      (fun n ->
-        ( string_of_int n,
-          List.map
-            (fun q ->
-              List.find_opt (fun r -> r.threads = n && String.equal r.queue q) results
-              |> Option.map (fun r -> r.throughput))
-            columns ))
-      threads
-  in
-  {
-    Report.title = "Figure 1: Queue throughput vs threads";
-    xlabel = "threads";
-    unit = "ops/us";
-    columns;
-    rows;
-  }
+  Obs.Table.pivot ~title:"Figure 1: Queue throughput vs threads" ~xlabel:"threads"
+    ~unit:"ops/us"
+    ~rows:(List.map (fun n -> (string_of_int n, n)) threads)
+    ~columns:(List.map (fun (m : Hqueue.Intf.maker) -> m.queue_name) Hqueue.all)
+    ~key:(fun r -> (r.threads, r.queue))
+    ~value:(fun r -> r.throughput) results

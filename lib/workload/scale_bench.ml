@@ -10,115 +10,38 @@
     Machines here are built with [~threads] (so the heap sizes its sharer
     sets for the wide run) and [~heap_words] (a million-word initial
     extent, so heap growth never lands inside the measured window). The
-    workload loops themselves are deliberately the same code shape as
-    {!Queue_bench} and {!Collect_dominated}; only the population scales
-    with the thread count. *)
+    workloads are {!Queue_bench.coin_flip} and {!Collect_dominated.mix}
+    themselves; only the population scales with the thread count. *)
 
 type result = { subject : string; threads : int; throughput : float }
 
 let heap_words = 1 lsl 20
 
-(* Queue cells: the fig1 loop (coin-flip enqueue/dequeue, prefilled) at
-   scale. Prefill grows with the thread count so the queue does not drain
-   to the empty-queue fast path at 256 threads. *)
-let queue_one (maker : Hqueue.Intf.maker) ~threads ~duration ~seed =
-  let m =
-    Driver.machine ~seed
-      ~label:(Printf.sprintf "scale/%s x%d" maker.queue_name threads)
-      ~threads ~heap_words ()
-  in
-  let q = maker.make m.htm m.boot ~num_threads:threads in
-  for _ = 1 to 4 * threads do
-    q.enqueue m.boot (Driver.fresh_value ())
-  done;
-  let deadline = Driver.warmup + duration in
-  let ops = Array.make threads 0 in
-  let bodies =
-    Array.init threads (fun i ->
-        fun ctx ->
-          ops.(i) <-
-            Driver.measured_loop ctx ~deadline (fun () ->
-                if Sim.Rng.bool (Sim.rng ctx) then q.enqueue ctx (Driver.fresh_value ())
-                else ignore (q.dequeue_drop ctx)))
-  in
-  Sim.run ~seed bodies;
-  q.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  { subject = maker.queue_name; threads;
-    throughput = Driver.ops_per_us ~ops:total ~duration }
+let machine ~name ~threads ~seed =
+  Driver.machine ~seed ~label:(Printf.sprintf "scale/%s x%d" name threads) ~threads
+    ~heap_words ()
 
-(* Collect cells: the fig3 mix (collect 90 %, update 8 %, register 1 %,
-   deregister 1 %) with the slot population scaled to the thread count —
-   four slots of budget per thread, half registered before measurement —
-   so a 256-thread collect really traverses a 256-thread-sized structure
-   instead of fig3's fixed 64 slots. *)
+(* Queue cells: the fig1 loop at scale. Prefill grows with the thread
+   count so the queue does not drain to the empty-queue fast path at 256
+   threads. *)
+let queue_one (maker : Hqueue.Intf.maker) ~threads ~duration ~seed =
+  let m = machine ~name:maker.queue_name ~threads ~seed in
+  let ops =
+    Queue_bench.coin_flip m maker ~threads ~prefill:(4 * threads) ~duration ~seed
+  in
+  { subject = maker.queue_name; threads; throughput = Driver.ops_per_us ~ops ~duration }
+
+(* Collect cells: the fig3 mix with the slot population scaled to the
+   thread count — four slots of budget per thread, half registered before
+   measurement — so a 256-thread collect really traverses a
+   256-thread-sized structure instead of fig3's fixed 64 slots. *)
 let collect_one (maker : Collect.Intf.maker) ~threads ~duration ~seed =
-  let m =
-    Driver.machine ~seed
-      ~label:(Printf.sprintf "scale/%s x%d" maker.algo_name threads)
-      ~threads ~heap_words ()
+  let m = machine ~name:maker.algo_name ~threads ~seed in
+  let ops =
+    Collect_dominated.mix m maker ~threads ~budget:(4 * threads) ~per_thread:4
+      ~pre_registered:2 ~step:(Collect.Intf.Fixed 32) ~duration ~seed
   in
-  let per_thread = 4 in
-  let cfg =
-    { Collect.Intf.max_slots = per_thread * threads; num_threads = threads;
-      step = Collect.Intf.Fixed 32; min_size = 4 }
-  in
-  let inst = maker.make m.htm m.boot cfg in
-  let deadline = Driver.warmup + duration in
-  let ops = Array.make threads 0 in
-  let bodies =
-    Array.init threads (fun i ->
-        fun ctx ->
-          let slots = Queue.create () in
-          for _ = 1 to per_thread / 2 do
-            Queue.add (inst.register ctx (Driver.fresh_value ())) slots
-          done;
-          let buf = Sim.Ibuf.create ~capacity:(per_thread * threads) () in
-          let rng = Sim.rng ctx in
-          Sim.advance_to ctx Driver.warmup;
-          while Sim.clock ctx < deadline do
-            let dice = Sim.Rng.int rng 100 in
-            let performed =
-              if dice < 90 then begin
-                Driver.tick_dispatch ctx;
-                Sim.Ibuf.clear buf;
-                inst.collect ctx buf;
-                true
-              end
-              else if dice < 98 then begin
-                if Queue.is_empty slots then false
-                else begin
-                  Driver.tick_dispatch ctx;
-                  let h = Queue.pop slots in
-                  inst.update ctx h (Driver.fresh_value ());
-                  Queue.add h slots;
-                  true
-                end
-              end
-              else if dice < 99 then begin
-                if Queue.length slots >= per_thread then false
-                else begin
-                  Driver.tick_dispatch ctx;
-                  Queue.add (inst.register ctx (Driver.fresh_value ())) slots;
-                  true
-                end
-              end
-              else if Queue.is_empty slots then false
-              else begin
-                Driver.tick_dispatch ctx;
-                inst.deregister ctx (Queue.pop slots);
-                true
-              end
-            in
-            if performed then ops.(i) <- ops.(i) + 1 else Sim.tick ctx 20
-          done;
-          Queue.iter (fun h -> inst.deregister ctx h) slots)
-  in
-  Sim.run ~seed bodies;
-  inst.destroy m.boot;
-  let total = Array.fold_left ( + ) 0 ops in
-  { subject = maker.algo_name; threads;
-    throughput = Driver.ops_per_us ~ops:total ~duration }
+  { subject = maker.algo_name; threads; throughput = Driver.ops_per_us ~ops ~duration }
 
 let default_threads = [ 16; 64; 128; 256 ]
 let queue_names = [ "HTM"; "MichaelScott"; "MichaelScott+ROP" ]
@@ -151,18 +74,9 @@ let cells ?(threads = default_threads) ?(duration = 200_000) ?(seed = 9) () =
 
 let table ~title ~columns results =
   let threads = List.sort_uniq Int.compare (List.map (fun r -> r.threads) results) in
-  let rows =
-    List.map
-      (fun n ->
-        ( string_of_int n,
-          List.map
-            (fun s ->
-              List.find_opt (fun r -> r.threads = n && String.equal r.subject s) results
-              |> Option.map (fun r -> r.throughput))
-            columns ))
-      threads
-  in
-  { Report.title; xlabel = "threads"; unit = "ops/us"; columns; rows }
+  Obs.Table.pivot ~title ~xlabel:"threads" ~unit:"ops/us"
+    ~rows:(List.map (fun n -> (string_of_int n, n)) threads)
+    ~columns ~key:(fun r -> (r.threads, r.subject)) ~value:(fun r -> r.throughput) results
 
 let to_tables results =
   let qs, cs =

@@ -27,5 +27,5 @@ val cells :
 (** One cell per (thread count x subject): the queue block then the
     collect block, each in canonical sweep order. *)
 
-val to_tables : result list -> Report.table list
+val to_tables : result list -> Obs.Table.table list
 (** The two tables: queue throughput and the collect-dominated mix. *)

@@ -96,7 +96,7 @@ let collect_space ?jobs ?peak ?seed () =
 
 let to_table ~title results =
   {
-    Report.title;
+    Obs.Table.title;
     xlabel = "structure";
     unit = "words";
     columns = [ "peak"; "quiescent" ];

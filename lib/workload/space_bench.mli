@@ -12,4 +12,4 @@ val queue_cells : ?peak_len:int -> ?seed:int -> unit -> result Runner.Cell.t lis
 val collect_cells : ?peak:int -> ?seed:int -> unit -> result Runner.Cell.t list
 val queue_space : ?jobs:int -> ?peak_len:int -> ?seed:int -> unit -> result list
 val collect_space : ?jobs:int -> ?peak:int -> ?seed:int -> unit -> result list
-val to_table : title:string -> result list -> Report.table
+val to_table : title:string -> result list -> Obs.Table.table

@@ -1,9 +1,8 @@
 (** Benchmark drivers reproducing every table and figure of the paper's
     evaluation (§5), plus the space measurements backing the §1 claims.
     Each module runs a workload on the simulated machine and renders a
-    {!Report.table}; [bench/main.ml] is the command-line front end. *)
+    {!Obs.Table.table}; [bench/main.ml] is the command-line front end. *)
 
-module Report = Report
 module Driver = Driver
 module Queue_bench = Queue_bench
 module Latency = Latency

@@ -63,9 +63,137 @@ let sweep_cfgs =
       ])
     [ 3001; 3101; 3201; 3301 ]
 
+(* The oracle itself, on hand-written single-thread histories: a stub
+   instance whose collect returns whatever the case chose, so each of the
+   four violations can be provoked on purpose. Logical stamps count every
+   wrapper entry and exit from 1, which makes the messages exact. *)
+module Stub = struct
+  type t = {
+    inst : Collect.Intf.instance;
+    answer : int list ref;  (** what the next collect returns *)
+    crash : bool ref;  (** the next register/update/deregister raises *)
+  }
+
+  let create () =
+    let answer = ref [] and crash = ref false and next_handle = ref 100 in
+    let maybe_crash () =
+      if !crash then begin
+        crash := false;
+        raise Sim.Stop_thread
+      end
+    in
+    let inst =
+      {
+        Collect.Intf.name = "stub";
+        register =
+          (fun _ _ ->
+            maybe_crash ();
+            incr next_handle;
+            !next_handle);
+        update = (fun _ _ _ -> maybe_crash ());
+        deregister = (fun _ _ -> maybe_crash ());
+        collect = (fun _ buf -> List.iter (Sim.Ibuf.add buf) !answer);
+        destroy = (fun _ -> ());
+        step_histogram = (fun () -> []);
+      }
+    in
+    { inst; answer; crash }
+end
+
+(* Run [history] against a fresh checker and stub, then check it. *)
+let run_history history =
+  let spec = Collect_spec.create () in
+  let stub = Stub.create () in
+  let ctx = Sim.boot () in
+  let collect answer =
+    stub.answer := answer;
+    Collect_spec.collect spec stub.inst ctx
+  in
+  let crashing f =
+    stub.crash := true;
+    match f () with
+    | _ -> Alcotest.fail "stub operation did not crash"
+    | exception Sim.Stop_thread -> ()
+  in
+  history ~spec ~inst:stub.inst ~ctx ~collect ~crashing;
+  Collect_spec.check spec
+
+let rejects expected history () =
+  match run_history history with
+  | _ -> Alcotest.failf "history accepted; expected %S" expected
+  | exception Collect_spec.Violation msg -> Alcotest.(check string) "violation" expected msg
+
+let accepts ~collects ~values history () =
+  match run_history history with
+  | v ->
+    Alcotest.(check int) "checked collects" collects v.checked_collects;
+    Alcotest.(check int) "checked values" values v.checked_values
+  | exception Collect_spec.Violation msg -> Alcotest.failf "history rejected: %s" msg
+
+let oracle_cases =
+  [
+    ( "unknown value",
+      rejects "collect returned unknown value 99"
+        (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          ignore (Collect_spec.register spec inst ctx);
+          collect [ 1; 99 ]) );
+    ( "bound after the collect ended",
+      rejects "value 1 bound at [3,4], after collect [1,2] ended"
+        (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          collect [ 1 ];
+          ignore (Collect_spec.register spec inst ctx)) );
+    ( "superseded by an update",
+      rejects "value 1 superseded at 4, before collect [5,6] began"
+        (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          let h = Collect_spec.register spec inst ctx in
+          Collect_spec.update spec inst ctx h;
+          collect [ 1 ]) );
+    ( "superseded by a deregister",
+      rejects "value 1 superseded at 4, before collect [5,6] began"
+        (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          let h = Collect_spec.register spec inst ctx in
+          Collect_spec.deregister spec inst ctx h;
+          collect [ 1 ]) );
+    ( "required handle missing",
+      rejects "handle 1 (registered at [3,4]) missing from collect [7,8]"
+        (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          let h0 = Collect_spec.register spec inst ctx in
+          ignore (Collect_spec.register spec inst ctx);
+          Collect_spec.update spec inst ctx h0;
+          collect [ 3 ]) );
+    ( "clean history",
+      accepts ~collects:3 ~values:5 (fun ~spec ~inst ~ctx ~collect ~crashing:_ ->
+          let h0 = Collect_spec.register spec inst ctx in
+          let h1 = Collect_spec.register spec inst ctx in
+          collect [ 1; 2 ];
+          Collect_spec.update spec inst ctx h0;
+          collect [ 3; 2 ];
+          Collect_spec.deregister spec inst ctx h1;
+          collect [ 3 ]) );
+    ( "crashed binds are allowed, never required",
+      accepts ~collects:4 ~values:3 (fun ~spec ~inst ~ctx ~collect ~crashing ->
+          (* value 1: a register that never returned *)
+          crashing (fun () -> ignore (Collect_spec.register spec inst ctx));
+          collect [];
+          collect [ 1 ];
+          (* value 2 registered; value 3: an update that never returned,
+             so 2 is never superseded and either may be returned *)
+          let h = Collect_spec.register spec inst ctx in
+          crashing (fun () -> Collect_spec.update spec inst ctx h);
+          collect [ 2 ];
+          collect [ 3 ]) );
+    ( "crashed deregister excuses its handle",
+      accepts ~collects:1 ~values:0 (fun ~spec ~inst ~ctx ~collect ~crashing ->
+          let h = Collect_spec.register spec inst ctx in
+          crashing (fun () -> Collect_spec.deregister spec inst ctx h);
+          collect []) );
+  ]
+
 let () =
   Alcotest.run "collect-spec"
     [
+      ( "oracle",
+        List.map (fun (name, f) -> Alcotest.test_case name `Quick f) oracle_cases );
       ( "chaos",
         List.map (fun (name, cfg) -> Alcotest.test_case name `Quick (run_cfg name cfg)) cfgs );
       ( "seed-sweep",

@@ -265,7 +265,7 @@ let test_machine_construction () =
 let render tables =
   let buf = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer buf in
-  List.iter (Workload.Report.print ppf) tables;
+  List.iter (Obs.Table.print ppf) tables;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
