@@ -126,8 +126,8 @@ let backoff_base = 50
 let backoff_cap = 4096
 
 let backoff_once ctx bound =
-  Sim.tick ctx ((bound / 2) + Sim.Rng.int (Sim.rng ctx) (max 1 (bound / 2)));
-  min backoff_cap (bound * 2)
+  Sim.tick ctx ((bound / 2) + Sim.Rng.int (Sim.rng ctx) (Int.max 1 (bound / 2)));
+  Int.min backoff_cap (bound * 2)
 
 type 'r t = {
   mem : Simmem.t;

@@ -295,7 +295,7 @@ let acquire_lock h ctx =
   let rec spin n =
     if not (Simmem.cas h.hmem ctx h.lock_addr ~expected:0 ~desired:1) then begin
       backoff h ctx n;
-      spin (min (n + 1) 6)
+      spin (Int.min (n + 1) 6)
     end
   in
   spin 0

@@ -133,7 +133,7 @@ let rec hist t name =
 
 let bucket_of d =
   let rec go i d = if d <= 1 || i = hist_buckets - 1 then i else go (i + 1) (d lsr 1) in
-  go 0 (max d 0)
+  go 0 (Int.max d 0)
 
 let rec observe h v =
   let b = bucket_of v in

@@ -86,12 +86,13 @@ type tctx = {
 
 and sched = {
   ctxs : tctx array;
-  (* The clock each thread parked at, [max_int] while it runs or once it
-     has finished: at once the runnable set and the pick key, so a switch
-     is one int store on each side and the pick one flat scan. *)
-  clocks : int array;
+  (* The clock plane ([plane_get]): the clock each thread parked at,
+     [parked] while it runs or once it has finished. At once the runnable
+     set and the pick key, so a switch is one store on each side and the
+     pick one flat scan. *)
+  clocks : Bytes.t;
   (* Each parked thread's continuation; a slot is meaningful only while
-     its [clocks] entry is below [max_int]. *)
+     its [clocks] entry is below [parked]. *)
   conts : (unit, unit) Effect.Deep.continuation array;
   (* Set by a thread's first instruction: only the watchdog diagnostic
      tells a thread that never ran from a parked one. *)
@@ -318,43 +319,66 @@ let deviations r = List.rev r.rev_devs
 let choices r = List.rev r.rev_choices
 let decision_string r = String.concat ";" (List.rev_map string_of_int r.rev_picks)
 
-(* [pick_min] (sim.mli) on the scheduler's own arrays: the second minimum
-   lands in [m2], so the run loop's min_other update needs no second
-   scan. The first pass is branch-free, because the clock compares of an
-   in-cell schedule are data-dependent and mispredict as branches; it
-   also flags whether any entry tied the running minimum when visited.
-   Only then (a minority of picks) does the exact reservoir loop run:
-   with no tie it would draw nothing and keep the first argmin, which
-   the first pass already has. *)
-let min_scan rng clocks m2 =
-  let n = Array.length clocks in
-  let m = ref max_int and sec = ref max_int and arg = ref (-1) and tied = ref 0 in
+(* The clock plane: each thread's parked clock as an untagged int64, 8
+   bytes per thread, [parked] (= [Int64.max_int]) while it runs or once
+   it has finished. The pick's arithmetic then runs on unboxed int64
+   locals, with no tag fixups. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let parked = Int64.max_int
+let plane_width p = Bytes.length p lsr 3
+let[@inline] plane_get p i = get64 p (i lsl 3)
+let[@inline] plane_set p i c = set64 p (i lsl 3) c
+
+let plane_make n =
+  let p = Bytes.create (n lsl 3) in
   for i = 0 to n - 1 do
-    let c = Array.unsafe_get clocks i in
-    let d = c - !m in
-    let lt = d asr 62 (* -1 when c < m, else 0 *) in
-    (* The sign bit is set when d = 0 and c < max_int: a tie the
-       reservoir scan draws on. *)
-    tied := !tied lor ((d - 1) land lnot (d lor (c + 1)));
-    let t = d land lt in
-    (* [sec] becomes min sec (max c m): [m] itself when c undercuts it. *)
-    let e = c - t - !sec in
-    sec := !sec + (e land (e asr 62));
-    m := !m + t;
-    arg := !arg + ((i - !arg) land lt)
+    plane_set p i parked
   done;
-  m2 := !sec;
-  if !tied >= 0 then !arg
+  p
+
+(* [pick_min] (sim.mli) on a clock plane: the second minimum lands in
+   [m2], so the run loop's min_other update needs no second scan. The
+   first pass is branch-free, because the clock compares of an in-cell
+   schedule are data-dependent and mispredict as branches; it also flags
+   whether any entry tied the running minimum when visited. Only then (a
+   minority of picks) does the exact reservoir loop run: with no tie it
+   would draw nothing and keep the first argmin, which the first pass
+   already has. The pass starts from [top], above every clock and below
+   [parked], so a parked entry never ties and a real one always
+   undercuts the start. *)
+let min_scan rng clocks m2 =
+  let n = plane_width clocks in
+  let top = Int64.pred parked in
+  let m = ref top and sec = ref top and arg = ref (-1L) and i = ref 0L in
+  (* Sign bit cleared by a tie: d lor (-d) is non-negative only at 0. *)
+  let untied = ref (-1L) in
+  for k = 0 to n - 1 do
+    let c = plane_get clocks k in
+    let d = Int64.sub c !m in
+    let lt = Int64.shift_right d 63 (* -1 when c < m, else 0 *) in
+    untied := Int64.logand !untied (Int64.logor d (Int64.neg d));
+    let t = Int64.logand d lt in
+    (* [sec] becomes min sec (max c m): [m] itself when c undercuts it. *)
+    let e = Int64.sub (Int64.sub c t) !sec in
+    sec := Int64.add !sec (Int64.logand e (Int64.shift_right e 63));
+    m := Int64.add !m t;
+    arg := Int64.add !arg (Int64.logand (Int64.sub !i !arg) lt);
+    i := Int64.succ !i
+  done;
+  m2 := (if !sec = top then max_int else Int64.to_int !sec);
+  if !untied < 0L then Int64.to_int !arg
   else begin
-    let best = ref (-1) and best_clock = ref max_int and ties = ref 0 in
+    let best = ref (-1) and best_clock = ref parked and ties = ref 0 in
     for i = 0 to n - 1 do
-      let c = clocks.(i) in
+      let c = plane_get clocks i in
       if c < !best_clock then begin
         best_clock := c;
         best := i;
         ties := 1
       end
-      else if c = !best_clock && c < max_int then begin
+      else if c = !best_clock && c < parked then begin
         incr ties;
         if Rng.int rng !ties = 0 then best := i
       end
@@ -363,24 +387,34 @@ let min_scan rng clocks m2 =
   end
 
 let pick_min rng clocks =
+  let plane = plane_make (Array.length clocks) in
+  Array.iteri
+    (fun i c -> plane_set plane i (if c = max_int then parked else Int64.of_int c))
+    clocks;
   let m2 = ref max_int in
-  let i = min_scan rng clocks m2 in
+  let i = min_scan rng plane m2 in
   (i, !m2)
 
-let is_runnable s i = s.clocks.(i) < max_int
+let is_runnable s i = plane_get s.clocks i < parked
 
 let count_runnable s =
-  Array.fold_left (fun n c -> if c < max_int then n + 1 else n) 0 s.clocks
+  let n = ref 0 in
+  for i = 0 to plane_width s.clocks - 1 do
+    if is_runnable s i then incr n
+  done;
+  !n
 
 let runnable_mask s =
   let m = ref 0 in
-  Array.iteri (fun i c -> if c < max_int then m := !m lor (1 lsl i)) s.clocks;
+  for i = 0 to plane_width s.clocks - 1 do
+    if is_runnable s i then m := !m lor (1 lsl i)
+  done;
   !m
 
 (* The [k]th runnable thread in index order, or [-1]. *)
 let nth_runnable s k =
   let rec go i seen =
-    if i = Array.length s.clocks then -1
+    if i = plane_width s.clocks then -1
     else if not (is_runnable s i) then go (i + 1) seen
     else if seen = k then i
     else go (i + 1) (seen + 1)
@@ -457,10 +491,10 @@ let handler s t : (unit, unit) Effect.Deep.handler =
      here is a measurable share of the whole simulation's allocation. *)
   let on_yield (k : (unit, unit) Effect.Deep.continuation) =
     s.conts.(t.ctx_tid) <- k;
-    s.clocks.(t.ctx_tid) <- t.clock
+    plane_set s.clocks t.ctx_tid (Int64.of_int t.clock)
   in
   let some_on_yield = Some on_yield in
-  (* A finished thread's [clocks] entry is already [max_int]: it was
+  (* A finished thread's [clocks] entry is already [parked]: it was
      running. *)
   let finish () =
     drain_terminal t;
@@ -568,7 +602,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
   in
   let filler = placeholder () in
   let s =
-    { ctxs; clocks = Array.make n max_int; conts = Array.make n filler;
+    { ctxs; clocks = plane_make n; conts = Array.make n filler;
       started = Array.make n false; srng = Rng.split root; live = n; min_other = 0;
       pick_min2 = ref max_int; wd_budget = Option.value watchdog ~default:max_int;
       wd_diag = diag; wd_last = 0;
@@ -600,7 +634,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
       end;
       s.min_other <- (if s.explore then min_int else !(s.pick_min2));
       let slice_start = t.clock in
-      s.clocks.(i) <- max_int;
+      plane_set s.clocks i parked;
       Effect.Deep.continue s.conts.(i) ();
       (match sink with
        | None -> ()
@@ -619,11 +653,11 @@ module Backoff = struct
      (the shift itself saturates at 9 so the envelope is total for any
      [n]). Exposed as functions of their inputs so qcheck can state the
      monotone-until-cap property without driving a scheduler. *)
-  let bound ~base ~cap n = min cap (base lsl min n 9)
+  let bound ~base ~cap n = Int.min cap (base lsl Int.min n 9)
 
   (* One randomized delay inside the envelope: uniform in
      [bound/2, bound). Deterministic in (rng state, base, cap, n). *)
   let delay ~base ~cap rng n =
     let hi = bound ~base ~cap n in
-    (hi / 2) + Rng.int rng (max 1 (hi / 2))
+    (hi / 2) + Rng.int rng (Int.max 1 (hi / 2))
 end

@@ -782,11 +782,12 @@ let observe_miss t ctx ~write ~addr ~line ~sharers ~cost ~wait =
    duration of the transfer ([line_busy]), so contended lines serialize
    their misses — the ping-pong bottleneck that caps the scalability of
    hot-spot structures like queue head/tail words. [sharers] is the
-   pre-miss sharer count (for the contention profile); the returned cost
+   pre-miss sharer count, which only the [Miss] event carries, so callers
+   count it only when a sink listens (0 otherwise); the returned cost
    includes any queuing delay. *)
 let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
   let now = Sim.clock ctx in
-  let start = max now t.line_busy.(line) in
+  let start = Int.max now t.line_busy.(line) in
   let finish = start + base in
   t.line_busy.(line) <- finish;
   observe_miss t ctx ~write ~addr ~line ~sharers ~cost:(finish - now)
@@ -807,7 +808,8 @@ let read_cost t ctx addr =
     else begin
       t.sharers.(line) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
-      miss_cost t ctx ~write:false ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:false ~addr ~line
+        ~sharers:(if observed t then popcount s else 0)
         ~base:t.cost.read_miss
     end
   end
@@ -820,9 +822,10 @@ let read_cost t ctx addr =
       t.sharers.(wi) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
       let n = ref 0 in
-      for k = w0 to w0 + t.sw - 1 do
-        if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
-      done;
+      if observed t then
+        for k = w0 to w0 + t.sw - 1 do
+          if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
+        done;
       miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
         ~base:t.cost.read_miss
     end
@@ -840,7 +843,8 @@ let write_cost t ctx addr =
     else begin
       t.sharers.(line) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~write:true ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:true ~addr ~line
+        ~sharers:(if observed t then popcount s else 0)
         ~base:t.cost.write_miss
     end
   end
@@ -855,9 +859,9 @@ let write_cost t ctx addr =
       done;
     if !exclusive then t.cost.write_hit
     else begin
-      let n = ref 0 in
+      let n = ref 0 and obs = observed t in
       for k = w0 to w0 + t.sw - 1 do
-        n := !n + popcount t.sharers.(k);
+        if obs then n := !n + popcount t.sharers.(k);
         t.sharers.(k) <- 0
       done;
       t.sharers.(wi) <- bit;

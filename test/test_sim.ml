@@ -176,7 +176,8 @@ let prop_deterministic_final_clocks =
    runnable entries with the reservoir tie-break, in ascending index
    order, that the scheduler has always made. Clocks come from a tiny
    range so ties are dense, with [max_int] holes for threads that cannot
-   run. The pick, the second minimum and the RNG state afterwards (the
+   run and a few clocks just below [max_int], next to the scheduler's
+   parked sentinel. The pick, the second minimum and the RNG state afterwards (the
    next [Rng.bits]) must all agree. *)
 let oracle_pick rng clocks =
   let runnable =
@@ -204,7 +205,9 @@ let clock_array_gen =
     int_range 0 3 >>= fun range ->
     int_range 0 4 >>= fun holes ->
     array_size (return width)
-      (frequency [ (holes, return max_int); (4, int_range 0 range) ]))
+      (frequency
+         [ (holes, return max_int); (4, int_range 0 range);
+           (1, int_range (max_int - 3) (max_int - 1)) ]))
 
 let prop_pick_matches_oracle =
   QCheck.Test.make ~name:"pick: flat scan = list-scan reservoir oracle" ~count:2000
@@ -216,6 +219,15 @@ let prop_pick_matches_oracle =
     (fun (clocks, seed) ->
       let r = Sim.Rng.create seed and r' = Sim.Rng.create seed in
       Sim.pick_min r clocks = oracle_pick r' clocks && Sim.Rng.bits r = Sim.Rng.bits r')
+
+(* A tie with the running minimum draws even when a later entry
+   undercuts it: [|5;5;3|] draws once at index 1 and still picks index 2.
+   An exact pick cannot look only at the ties of the final minimum. *)
+let test_pick_prefix_tie () =
+  let r = Sim.Rng.create 7 and r' = Sim.Rng.create 7 in
+  Alcotest.(check (pair int int)) "pick and second" (2, 5) (Sim.pick_min r [| 5; 5; 3 |]);
+  ignore (Sim.Rng.bits r');
+  Alcotest.(check int) "exactly one draw" (Sim.Rng.bits r') (Sim.Rng.bits r)
 
 (* Backoff obeys its contract for arbitrary base/cap: the delay of
    attempt [n] lands in [bound/2, bound], where the bound doubles per
@@ -262,6 +274,7 @@ let () =
           Alcotest.test_case "thread count limits" `Quick test_thread_count_limits;
           Alcotest.test_case "charge is atomic" `Quick test_charge_no_yield;
           Alcotest.test_case "fairness" `Quick test_fairness;
+          Alcotest.test_case "pick draws on a prefix tie" `Quick test_pick_prefix_tie;
         ] );
       ("backoff", [ Alcotest.test_case "grow and reset" `Quick test_backoff_grows_and_resets ]);
       ( "property",
