@@ -2,15 +2,15 @@
 """Flat profile of one perfbench workload: where its host time goes, by function.
 
     python3 bench/perf/profile.py --workload queue-x16 --seconds 3 [--seed 1]
-        [--top 25] [--us 1000] [--modules] [--json]
+        [--modules] [--json]
 
 Builds perfbench/main.exe with dune, compiles the SIGPROF sampler
 bench/perf/sprof.c with the system cc, runs the workload under
 LD_PRELOAD, and maps every sampled instruction pointer to the function
 symbol that contains it (nm over the executable, offset by the load
-address the process's maps recorded). Prints the top functions by share
-of samples; --modules adds the shares summed per OCaml compilation unit
-(camlSim, camlSim__Rng, ...), --json prints one JSON object instead.
+address the process's maps recorded). Prints the top 25 functions by
+share of samples; --modules adds the shares summed per OCaml compilation
+unit (camlSim, camlSim__Rng, ...), --json prints one JSON object instead.
 Samples outside the executable count under the mapped file's name.
 
 The sampler needs no hardware counters, perf or debugger: it uses the
@@ -29,6 +29,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 EXE = os.path.join(ROOT, "_build", "default", "perfbench", "main.exe")
 SPROF = os.path.join(ROOT, "bench", "perf", "sprof.c")
+TOP = 25
 
 
 def build(tmp):
@@ -39,7 +40,7 @@ def build(tmp):
 
 
 def sample(so, out, args):
-    env = dict(os.environ, LD_PRELOAD=so, SPROF_OUT=out, SPROF_US=str(args.us))
+    env = dict(os.environ, LD_PRELOAD=so, SPROF_OUT=out)
     cmd = [EXE, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds)]
     subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
@@ -120,8 +121,6 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seconds", type=float, default=3)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--top", type=int, default=25)
-    ap.add_argument("--us", type=int, default=1000, help="sampling interval, CPU microseconds")
     ap.add_argument("--modules", action="store_true")
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
@@ -142,11 +141,11 @@ def main():
         return
     print("%s seed %d, %g s: %d samples" % (args.workload, args.seed, args.seconds,
                                              len(samples)))
-    for r in functions[:args.top]:
+    for r in functions[:TOP]:
         print("%6.2f%%  %7d  %s" % (r["share"], r["samples"], r["name"]))
     if args.modules:
         print("by module:")
-        for r in shares(modules)[:args.top]:
+        for r in shares(modules)[:TOP]:
             print("%6.2f%%  %7d  %s" % (r["share"], r["samples"], r["name"]))
 
 

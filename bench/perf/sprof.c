@@ -1,10 +1,11 @@
 /* A flat SIGPROF sampler, loaded with LD_PRELOAD (see profile.py).
 
-   SPROF_OUT names the output file; SPROF_US is the sampling interval in
-   microseconds of process CPU time (default 1000). Each SIGPROF records
-   the interrupted instruction pointer. At exit the file gets one hex
-   address per line, a line "--", then a copy of /proc/self/maps so the
-   addresses can be mapped back to the executable's symbols. */
+   SPROF_OUT names the output file. The timer asks for one sample per
+   millisecond of process CPU time (the kernel rounds that up to its
+   tick). Each SIGPROF records the interrupted instruction pointer. At
+   exit the file gets one hex address per line, a line "--", then a copy
+   of /proc/self/maps so the addresses can be mapped back to the
+   executable's symbols. */
 #define _GNU_SOURCE
 #include <signal.h>
 #include <stdio.h>
@@ -12,6 +13,7 @@
 #include <sys/time.h>
 #include <ucontext.h>
 
+#define INTERVAL_US 1000
 #define MAX_SAMPLES (1 << 22)
 static unsigned long samples[MAX_SAMPLES];
 static volatile unsigned long n_samples;
@@ -28,13 +30,11 @@ static void on_prof(int sig, siginfo_t *si, void *uc_) {
 }
 
 __attribute__((constructor)) static void sprof_start(void) {
-  const char *us = getenv("SPROF_US");
-  long interval = us ? atol(us) : 1000;
   struct sigaction sa = {0};
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigaction(SIGPROF, &sa, NULL);
-  struct itimerval it = {{0, interval}, {0, interval}};
+  struct itimerval it = {{0, INTERVAL_US}, {0, INTERVAL_US}};
   setitimer(ITIMER_PROF, &it, NULL);
 }
 
