@@ -348,6 +348,137 @@ let test_stm_budget_to_tle () =
     (st.lock_fallbacks > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The retry contract, pinned on the software path and across the
+   hardware → software hop.                                             *)
+
+(* With no lock to fall back to, a block that always aborts runs exactly
+   [stm_attempts] software attempts, then raises the last reason. *)
+let test_stm_budget_raises () =
+  let mem = Simmem.create () in
+  let config =
+    { stm_forced with stm = Htm.Stm_after 0; stm_attempts = 2; tle = Htm.Tle_never }
+  in
+  let htm = Htm.create ~config mem in
+  let runs = ref 0 and aborts = ref [] in
+  let outcome = ref "returned" in
+  Sim.run ~seed:5
+    [|
+      (fun ctx ->
+        match
+          Htm.atomic htm ctx
+            ~on_abort:(fun r -> aborts := r :: !aborts)
+            (fun tx ->
+              incr runs;
+              Htm.abort tx)
+        with
+        | () -> ()
+        | exception Htm.Retry_exhausted r ->
+          outcome := "Retry_exhausted " ^ Htm.abort_label r);
+    |];
+  Alcotest.(check string) "budget runs dry with the last reason"
+    ("Retry_exhausted " ^ Htm.abort_label Htm.Explicit)
+    !outcome;
+  Alcotest.(check int) "block ran exactly twice" 2 !runs;
+  let st = Htm.stats htm in
+  Alcotest.(check int) "two software attempts" 2 st.attempts_stm;
+  Alcotest.(check int) "no hardware attempt" 0 st.attempts_hw;
+  Alcotest.(check int) "no lock fallback" 0 st.lock_fallbacks;
+  Alcotest.(check int) "on_abort once per software abort" 2 (List.length !aborts)
+
+(* [on_abort] fires once per aborted software attempt, with its reason. *)
+let test_stm_on_abort_hook () =
+  let _mem, htm, _boot = make_stm () in
+  let seen = ref [] and runs = ref 0 in
+  Sim.run ~seed:5
+    [|
+      (fun ctx ->
+        Htm.atomic htm ctx
+          ~on_abort:(fun r -> seen := r :: !seen)
+          (fun tx ->
+            incr runs;
+            if !runs <= 3 then Htm.abort tx));
+    |];
+  Alcotest.(check int) "block ran four times" 4 !runs;
+  Alcotest.(check (list string)) "hook per software abort"
+    [ "explicit"; "explicit"; "explicit" ]
+    (List.map Htm.abort_label !seen);
+  let st = Htm.stats htm in
+  Alcotest.(check int) "four software attempts" 4 st.attempts_stm;
+  Alcotest.(check int) "one software commit" 1 st.stm_commits
+
+(* Hardware attempts count 0, 1, ...; the escalated block counts its
+   software attempts from 0 again, in the descriptor and in the events. *)
+let test_attempt_numbers_restart () =
+  let mem = Simmem.create () in
+  let htm = Htm.create ~config:Htm.hybrid_config mem in
+  let evs = ref [] in
+  Simmem.attach mem
+    [
+      {
+        accesses = false;
+        journal = false;
+        fold =
+          (fun ~tid:_ ~clock:_ -> function
+            | Simmem.Tx (Htm.Tx_abort { ab_path; ab_attempt; _ }) ->
+              evs := (Htm.path_label ab_path, ab_attempt) :: !evs
+            | Simmem.Tx (Htm.Tx_commit { tx_path; tx_attempt; _ }) ->
+              evs := (Htm.path_label tx_path, tx_attempt) :: !evs
+            | _ -> ());
+      };
+    ];
+  let numbers = ref [] and runs = ref 0 in
+  Sim.run ~seed:5
+    [|
+      (fun ctx ->
+        Htm.atomic htm ctx (fun tx ->
+            numbers := Htm.attempt_number tx :: !numbers;
+            incr runs;
+            if !runs <= 4 then Htm.abort tx));
+    |];
+  Alcotest.(check (list int)) "attempt numbers" [ 0; 1; 0; 1; 2 ] (List.rev !numbers);
+  let hw = Htm.path_label Htm.P_hw and stm = Htm.path_label Htm.P_stm in
+  Alcotest.(check (list (pair string int)))
+    "events carry the per-path numbers"
+    [ (hw, 0); (hw, 1); (stm, 0); (stm, 1); (stm, 2) ]
+    (List.rev !evs)
+
+(* A hardware Overflow escalates at once: the clock between its abort
+   event and the escalation pays the hardware abort cost and nothing
+   else — no backoff, since no hardware retry could fit the write set. *)
+let test_overflow_escalates_without_backoff () =
+  let mem = Simmem.create () in
+  let htm = Htm.create ~config:Htm.hybrid_config mem in
+  let boot = Sim.boot () in
+  let a = Simmem.malloc mem boot 40 in
+  let abort_at = ref (-1) and escalate_at = ref (-1) in
+  Simmem.attach mem
+    [
+      {
+        accesses = false;
+        journal = false;
+        fold =
+          (fun ~tid:_ ~clock -> function
+            | Simmem.Tx (Htm.Tx_abort { ab_reason = Htm.Overflow; ab_path = Htm.P_hw; _ }) ->
+              abort_at := clock
+            | Simmem.Tx (Htm.Tx_escalate { esc_to = Htm.P_stm; _ }) -> escalate_at := clock
+            | _ -> ());
+      };
+    ];
+  Sim.run ~seed:5
+    [|
+      (fun ctx ->
+        Htm.atomic htm ctx (fun tx ->
+            for j = 0 to 39 do
+              Htm.write tx (a + j) j
+            done));
+    |];
+  Alcotest.(check bool) "overflow abort seen" true (!abort_at >= 0);
+  Alcotest.(check bool) "escalation seen" true (!escalate_at >= 0);
+  (* 100 cycles: the hardware abort cost *)
+  Alcotest.(check int) "abort cost, no backoff" 100 (!escalate_at - !abort_at);
+  Alcotest.(check int) "committed in software" 1 (Htm.stats htm).stm_commits
+
+(* ------------------------------------------------------------------ *)
 (* Backoff envelope: monotone until cap, then constant; delays land in
    [bound/2, bound) and are a pure function of the RNG stream.          *)
 
@@ -464,6 +595,15 @@ let () =
           Alcotest.test_case "per-path attribution exact" `Quick
             test_attribution_spurious;
           Alcotest.test_case "stm budget falls to TLE" `Quick test_stm_budget_to_tle;
+        ] );
+      ( "retry contract",
+        [
+          Alcotest.test_case "stm budget raises without TLE" `Quick test_stm_budget_raises;
+          Alcotest.test_case "on_abort per software abort" `Quick test_stm_on_abort_hook;
+          Alcotest.test_case "software attempts restart at 0" `Quick
+            test_attempt_numbers_restart;
+          Alcotest.test_case "overflow escalates without backoff" `Quick
+            test_overflow_escalates_without_backoff;
         ] );
       ( "backoff",
         List.map QCheck_alcotest.to_alcotest
