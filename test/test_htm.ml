@@ -387,6 +387,25 @@ let test_on_abort_hook () =
   Alcotest.(check bool) "reasons recorded" true
     (List.for_all (fun r -> r = Htm.Explicit) !seen)
 
+(* A parent registry lists metrics in first-registration order, so the
+   order a hybrid domain registers its [stm.*] and [htm.*] metrics in is
+   visible in every snapshot and [--metrics] dump. *)
+let test_metric_registration_order () =
+  let parent = Obs.Metrics.create () in
+  let _htm = Htm.create ~config:Htm.hybrid_config ~metrics:parent (Simmem.create ()) in
+  Alcotest.(check (list string))
+    "registration order"
+    [
+      "stm.writes_per_tx"; "stm.commit_cycles"; "stm.clock_bumps"; "stm.steals";
+      "stm.attempts"; "stm.aborts.explicit"; "stm.aborts.illegal"; "stm.aborts.locked";
+      "stm.aborts.conflict"; "stm.commits"; "htm.stores_per_tx"; "htm.commit_cycles";
+      "htm.max_consecutive_aborts"; "htm.escalations.stm"; "htm.attempts.tle";
+      "htm.attempts.stm"; "htm.attempts.hw"; "htm.commit_cycles_total"; "htm.fallbacks";
+      "htm.aborts.spurious"; "htm.aborts.lock_held"; "htm.aborts.explicit";
+      "htm.aborts.illegal"; "htm.aborts.overflow"; "htm.aborts.conflict"; "htm.commits";
+    ]
+    (List.map fst (Obs.Metrics.snapshot parent))
+
 let prop_concurrent_transfers_preserve_sum =
   (* Bank-transfer property: concurrent transactional transfers between
      accounts never create or destroy money. *)
@@ -430,6 +449,8 @@ let () =
           Alcotest.test_case "abort discards writes" `Quick test_abort_discards;
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "on_abort hook" `Quick test_on_abort_hook;
+          Alcotest.test_case "metric registration order" `Quick
+            test_metric_registration_order;
         ] );
       ( "isolation",
         [
