@@ -18,12 +18,6 @@ type granularity = Simmem.granularity = Word | Line
 
 type config = {
   store_buffer : int;
-  tx_begin_cost : int;
-  tx_commit_cost : int;
-  tx_store_cost : int;
-  tx_abort_cost : int;
-  backoff_base : int;
-  backoff_max : int;
   sandboxed : bool;
   granularity : granularity;
   tle : tle_mode;
@@ -33,18 +27,17 @@ type config = {
   max_attempts : int;
 }
 
+(* Rock's cycle costs. Store-buffer insertion is pipelined and
+   effectively free on Rock; the 32-entry capacity is the constraint that
+   matters for sizing. A zero-cost tick is still a scheduling point. *)
+let tx_begin_cost = 25
+let tx_commit_cost = 35
+let tx_store_cost = 0
+let tx_abort_cost = 100
+
 let default_config =
   {
     store_buffer = 32;
-    tx_begin_cost = 25;
-    tx_commit_cost = 35;
-    (* Store-buffer insertion is pipelined and effectively free on Rock;
-       the cost here models the per-element loop work of a telescoped scan;
-       the 32-entry capacity is the constraint that matters for sizing. *)
-    tx_store_cost = 0;
-    tx_abort_cost = 100;
-    backoff_base = 60;
-    backoff_max = 16384;
     sandboxed = true;
     granularity = Word;
     tle = Tle_never;
@@ -94,68 +87,20 @@ type t = {
   (* Pooled per-thread transaction descriptors ({!Simmem.Tx_desc.acquire}). *)
   pool : tx option array;
   mreg : Obs.Metrics.t;
-  c_commits : Obs.Metrics.counter;
-  c_conflict : Obs.Metrics.counter;
-  c_overflow : Obs.Metrics.counter;
-  c_illegal : Obs.Metrics.counter;
-  c_explicit : Obs.Metrics.counter;
-  c_lock : Obs.Metrics.counter;
-  c_spurious : Obs.Metrics.counter;
+  hw : t path;  (* htm.commits, htm.aborts.*, htm.attempts.hw, htm.stores_per_tx *)
+  stm_path : t path option;  (* the software path, iff [stm] is *)
   c_fallbacks : Obs.Metrics.counter;
   c_cycles : Obs.Metrics.counter;
-  c_att_hw : Obs.Metrics.counter;
   c_att_stm : Obs.Metrics.counter;
   c_att_tle : Obs.Metrics.counter;
   c_esc_stm : Obs.Metrics.counter;
   g_consec : Obs.Metrics.gauge;
   h_commit : Obs.Metrics.hist;
-  h_stores : Obs.Metrics.hist;
   lock_addr : int;
   stm : Stm.t option;
 }
 
 and tx = t Simmem.Tx_desc.t
-
-let create ?(config = default_config) ?metrics mem =
-  (* The TLE lock gets its own cache line so lock traffic does not
-     false-share with application data. *)
-  let boot = Sim.boot () in
-  let lock_addr = Simmem.malloc mem boot 8 in
-  Simmem.label mem ~name:"Htm.tle_lock" ~base:lock_addr ~words:8;
-  (* The STM side table is only allocated when a policy can reach it, so
-     default-configured machines keep their exact heap layout (and hence
-     their committed benchmark baselines) bit-for-bit. *)
-  let stm =
-    match config.stm with
-    | Stm_never -> None
-    | Stm_after _ ->
-      Some (Stm.create ~config:config.stm_config ?metrics ~fence:lock_addr mem)
-  in
-  let mreg = Obs.Metrics.create ?parent:metrics () in
-  {
-    hmem = mem;
-    cfg = config;
-    pool = Simmem.Tx_desc.pool mem;
-    mreg;
-    c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
-    c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
-    c_overflow = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.overflow";
-    c_illegal = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.illegal";
-    c_explicit = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.explicit";
-    c_lock = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.lock_held";
-    c_spurious = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.spurious";
-    c_fallbacks = Obs.Metrics.counter mreg "htm.fallbacks";
-    c_cycles = Obs.Metrics.counter mreg "htm.commit_cycles_total";
-    c_att_hw = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.hw";
-    c_att_stm = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.stm";
-    c_att_tle = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.tle";
-    c_esc_stm = Obs.Metrics.counter mreg "htm.escalations.stm";
-    g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts";
-    h_commit = Obs.Metrics.hist mreg "htm.commit_cycles";
-    h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
-    lock_addr;
-    stm;
-  }
 
 let mem t = t.hmem
 let config t = t.cfg
@@ -165,16 +110,16 @@ let stm t = t.stm
 let stats t =
   let s_stats = Option.map Stm.stats t.stm in
   {
-    commits = Obs.Metrics.value t.c_commits;
-    aborts_conflict = Obs.Metrics.value t.c_conflict;
-    aborts_overflow = Obs.Metrics.value t.c_overflow;
-    aborts_illegal = Obs.Metrics.value t.c_illegal;
-    aborts_explicit = Obs.Metrics.value t.c_explicit;
-    aborts_lock = Obs.Metrics.value t.c_lock;
-    aborts_spurious = Obs.Metrics.value t.c_spurious;
+    commits = Obs.Metrics.value t.hw.commits;
+    aborts_conflict = aborts t.hw.aborts Conflict;
+    aborts_overflow = aborts t.hw.aborts Overflow;
+    aborts_illegal = aborts t.hw.aborts Illegal;
+    aborts_explicit = aborts t.hw.aborts Explicit;
+    aborts_lock = aborts t.hw.aborts Lock_held;
+    aborts_spurious = aborts t.hw.aborts Spurious;
     lock_fallbacks = Obs.Metrics.value t.c_fallbacks;
     max_consecutive_aborts = Obs.Metrics.gauge_max t.g_consec;
-    attempts_hw = Obs.Metrics.value t.c_att_hw;
+    attempts_hw = Obs.Metrics.value t.hw.attempts;
     attempts_stm = Obs.Metrics.value t.c_att_stm;
     attempts_tle = Obs.Metrics.value t.c_att_tle;
     escalations_stm = Obs.Metrics.value t.c_esc_stm;
@@ -238,7 +183,7 @@ let read tx addr =
 let consume_store_slot tx =
   tx.nstores <- tx.nstores + 1;
   if tx.nstores > tx.owner.cfg.store_buffer then abort_with Overflow;
-  Sim.tick tx.ctx tx.owner.cfg.tx_store_cost
+  Sim.tick tx.ctx tx_store_cost
 
 let write tx addr v =
   match tx.path with
@@ -251,8 +196,8 @@ let write tx addr v =
 
 let record tx =
   match tx.path with
-  | P_tle -> Sim.tick tx.ctx tx.owner.cfg.tx_store_cost
-  | P_stm -> Stm.record (sw tx) tx
+  | P_tle -> Sim.tick tx.ctx tx_store_cost
+  | P_stm -> Stm.record tx
   | P_hw -> consume_store_slot tx
 
 let abort tx =
@@ -272,29 +217,131 @@ let commit tx =
   end;
   let freed = first_freed_write tx in
   if freed >= 0 then illegal tx freed;
-  Sim.charge tx.ctx tx.owner.cfg.tx_commit_cost;
+  Sim.charge tx.ctx tx_commit_cost;
   for i = 0 to tx.nwrites - 1 do
     let ok = Simmem.Tx_plane.commit_write mem tx.ctx tx.waddr.(i) tx.wval.(i) in
     assert ok
   done;
   Sim.tick tx.ctx 0
 
-let count_abort h ~tid = function
-  | Conflict -> Obs.Metrics.incr_t h.c_conflict tid
-  | Overflow -> Obs.Metrics.incr_t h.c_overflow tid
-  | Illegal -> Obs.Metrics.incr_t h.c_illegal tid
-  | Explicit -> Obs.Metrics.incr_t h.c_explicit tid
-  | Lock_held -> Obs.Metrics.incr_t h.c_lock tid
-  | Spurious -> Obs.Metrics.incr_t h.c_spurious tid
+let tle_enabled h = match h.cfg.tle with Tle_never -> false | Tle_after _ -> true
 
-let backoff h ctx n =
-  Sim.tick ctx
-    (Sim.Backoff.delay ~base:h.cfg.backoff_base ~cap:h.cfg.backoff_max (Sim.rng ctx) n)
+(* An environmental abort (interrupt, TLB miss, register-window spill —
+   Rock's whole catalogue) can strike any attempt. Under TLE every
+   hardware transaction monitors the lock word: observing it held aborts
+   now, and a later acquisition changes the word's version, dooming us at
+   validation. A lock-held abort has no validation failure to witness:
+   it gets one against the lock word, whose last writer (the holder's
+   acquiring CAS) is the aggressor. *)
+let hw_start tx =
+  if Sim.spurious_fires tx.ctx then abort_with Spurious;
+  let h = tx.owner in
+  if tle_enabled h && read tx h.lock_addr <> 0 then begin
+    set_witness tx ~addr:h.lock_addr ~victim_wrote:false ~in_read_set:true
+      ~in_write_set:false "htm.begin";
+    abort_with Lock_held
+  end
+
+(* Escalation policy. Capacity aborts go straight to the software path —
+   no hardware retry can ever fit an overflowing write set — while
+   conflicts buy [m] backed-off hardware retries first. *)
+let esc_stm h n last =
+  match h.cfg.stm, last with
+  | Stm_never, _ -> false
+  | Stm_after _, Overflow -> true
+  | Stm_after m, _ -> n >= m
+
+(* With an STM policy the lock is reachable only through STM budget
+   exhaustion (see [run_stm]); without one, [Tle_after k] escalates
+   directly from hardware aborts. *)
+let use_lock h n =
+  match h.cfg.stm, h.cfg.tle with
+  | Stm_never, Tle_after k -> n >= k
+  | Stm_after _, _ | Stm_never, Tle_never -> false
+
+(* The hardware path stops when a slow path takes over, or when its retry
+   budget runs dry with none to rescue it. *)
+let hw_stop tx n last =
+  let h = tx.owner in
+  esc_stm h n last || use_lock h n || (h.cfg.max_attempts > 0 && n >= h.cfg.max_attempts)
+
+let create ?(config = default_config) ?metrics mem =
+  (* The TLE lock gets its own cache line so lock traffic does not
+     false-share with application data. *)
+  let boot = Sim.boot () in
+  let lock_addr = Simmem.malloc mem boot 8 in
+  Simmem.label mem ~name:"Htm.tle_lock" ~base:lock_addr ~words:8;
+  (* The STM side table is only allocated when a policy can reach it, so
+     default-configured machines keep their exact heap layout (and hence
+     their committed benchmark baselines) bit-for-bit. *)
+  let stm =
+    match config.stm with
+    | Stm_never -> None
+    | Stm_after _ ->
+      Some (Stm.create ~config:config.stm_config ?metrics ~fence:lock_addr mem)
+  in
+  let mreg = Obs.Metrics.create ?parent:metrics () in
+  (* Registered in this order, which snapshots show (test_htm pins it). *)
+  let counter = Obs.Metrics.counter mreg
+  and per_thread = Obs.Metrics.counter ~per_thread:true mreg in
+  let h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx" in
+  let h_commit = Obs.Metrics.hist mreg "htm.commit_cycles" in
+  let g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts" in
+  let c_esc_stm = counter "htm.escalations.stm" in
+  let c_att_tle = per_thread "htm.attempts.tle" in
+  let c_att_stm = per_thread "htm.attempts.stm" in
+  let c_att_hw = per_thread "htm.attempts.hw" in
+  let c_cycles = counter "htm.commit_cycles_total" in
+  let c_fallbacks = counter "htm.fallbacks" in
+  let aborts =
+    abort_counters mreg
+      [
+        (Spurious, "htm.aborts.spurious");
+        (Lock_held, "htm.aborts.lock_held");
+        (Explicit, "htm.aborts.explicit");
+        (Illegal, "htm.aborts.illegal");
+        (Overflow, "htm.aborts.overflow");
+        (Conflict, "htm.aborts.conflict");
+      ]
+  in
+  let hw =
+    {
+      tag = P_hw;
+      begin_cost = tx_begin_cost;
+      abort_cost = tx_abort_cost;
+      start = hw_start;
+      commit;
+      stop = hw_stop;
+      attempts = c_att_hw;
+      commits = per_thread "htm.commits";
+      aborts;
+      sizes = h_stores;
+      cycles = None;
+      overflow_escalates = Option.is_some stm;
+    }
+  in
+  {
+    hmem = mem;
+    cfg = config;
+    pool = Simmem.Tx_desc.pool mem;
+    mreg;
+    hw;
+    stm_path = Option.map (fun s -> Stm.path s ~budget:config.stm_attempts ~attempts:c_att_stm) stm;
+    c_fallbacks;
+    c_cycles;
+    c_att_stm;
+    c_att_tle;
+    c_esc_stm;
+    g_consec;
+    h_commit;
+    lock_addr;
+    stm;
+  }
 
 let acquire_lock h ctx =
   let rec spin n =
     if not (Simmem.cas h.hmem ctx h.lock_addr ~expected:0 ~desired:1) then begin
-      backoff h ctx n;
+      backoff ctx n;
       spin (Int.min (n + 1) 6)
     end
   in
@@ -306,8 +353,6 @@ let acquire_lock h ctx =
    stores still sit in the releaser's buffer. [fenced_write] is exactly
    [Simmem.write] under the [sc] model. *)
 let release_lock h ctx = Simmem.fenced_write h.hmem ctx h.lock_addr 0
-
-let tle_enabled h = match h.cfg.tle with Tle_never -> false | Tle_after _ -> true
 
 (* Lifecycle points report to the heap's sinks; events are built only
    when one is attached. *)
@@ -329,139 +374,61 @@ let run_locked h ctx tx attempt f =
      release itself must not be interruptible, or one dead thread wedges
      every future transaction. [Sim.shield] models a robust-futex-style
      release whose completion the OS guarantees. *)
-  let released = ref false in
   let release () =
-    if not !released then begin
-      released := true;
-      Sim.shield ctx (fun () -> release_lock h ctx);
-      if observed h then
-        emit h ctx (Tx_release { rl_attempt = attempt; rl_start = tx.start })
-    end
+    Sim.shield ctx (fun () -> release_lock h ctx);
+    if observed h then emit h ctx (Tx_release { rl_attempt = attempt; rl_start = tx.start })
   in
-  Fun.protect ~finally:release (fun () ->
-      let v = f tx in
-      release ();
-      run_frees tx;
-      emit_commit tx;
-      v)
+  match f tx with
+  | v ->
+    release ();
+    run_frees tx;
+    emit_commit tx;
+    v
+  | exception e ->
+    release ();
+    raise e
 
-(* The software slow path: run the block as an STM transaction on the
-   same descriptor, with the configured attempt budget. If the budget
-   runs dry and TLE is enabled, the lock is the last resort. *)
-let run_stm h s ctx tx n ~last f on_abort =
-  Obs.Metrics.incr1 h.c_esc_stm;
-  hop h ctx P_hw P_stm last tx.last_witness;
-  if observed h then emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
-  match Stm.atomic s tx ~budget:h.cfg.stm_attempts ~attempts:h.c_att_stm ~on_abort f with
-  | v -> v
-  | exception Retry_exhausted r when tle_enabled h ->
-    if observed h then emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
-    hop h ctx P_stm P_tle r tx.last_witness;
+(* The hardware path stopped before attempt [n], after aborting with
+   [last]: escalate as [hw_stop] decided, in its order, or give up with
+   [stop]. The software path runs the block on the same descriptor; if
+   its budget runs dry and TLE is enabled, the lock is the last resort. *)
+let escalate h ctx tx f on_abort n last stop =
+  if esc_stm h n last then begin
+    Obs.Metrics.incr1 h.c_esc_stm;
+    hop h ctx P_hw P_stm last tx.last_witness;
+    if observed h then emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
+    match run (Option.get h.stm_path) tx f on_abort with
+    | v -> v
+    | exception Retry_exhausted r when tle_enabled h ->
+      if observed h then emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
+      hop h ctx P_stm P_tle r tx.last_witness;
+      run_locked h ctx tx n f
+  end
+  else if use_lock h n then begin
+    hop h ctx P_hw P_tle last tx.last_witness;
     run_locked h ctx tx n f
+  end
+  else raise stop
 
-(* Success bookkeeping, shared by all three paths: escalation stats,
-   cycles-to-commit, and a liveness-watchdog note. *)
-let finish h ctx t0 n =
+(* Success bookkeeping for the whole operation, whichever path committed
+   it: the hardware retry chain, cycles-to-commit, and a liveness note. *)
+let finish h tx t0 n v =
+  let ctx = tx.ctx in
   if n > Obs.Metrics.gauge_max h.g_consec then Obs.Metrics.set h.g_consec n;
   Obs.Metrics.observe h.h_commit (Sim.clock ctx - t0);
   Obs.Metrics.incr_by h.c_cycles (Sim.clock ctx - t0);
-  Sim.note_progress ctx
+  Sim.note_progress ctx;
+  v
 
-(* The attempt loop lives at top level (not as a closure inside [atomic])
-   so a pooled transaction's whole fast path — begin, body, commit —
-   allocates nothing: one [atomic] call is a handful of array stores and
-   unboxed arithmetic unless it aborts or escalates. *)
-let rec attempt_loop h ctx tx f on_abort tid t0 n last =
-  (* Escalation policy. Capacity aborts go straight to the software
-     path — no hardware retry can ever fit an overflowing write set —
-     while conflicts buy [m] backed-off hardware retries first. *)
-  let esc_stm =
-    match h.cfg.stm, h.stm with
-    | Stm_after m, Some _ -> n >= m || (match last with Overflow -> true | _ -> false)
-    | _ -> false
-  in
-  (* With an STM policy the lock is reachable only through STM budget
-     exhaustion (see [run_stm]); without one, [Tle_after k] escalates
-     directly from hardware aborts as before. *)
-  let use_lock =
-    match h.cfg.stm, h.cfg.tle with
-    | Stm_after _, _ -> false
-    | Stm_never, Tle_never -> false
-    | Stm_never, Tle_after k -> n >= k
-  in
-  if esc_stm then begin
-    let v = run_stm h (sw tx) ctx tx n ~last f on_abort in
-    finish h ctx t0 n;
-    v
-  end
-  else if use_lock then begin
-    hop h ctx P_hw P_tle last tx.last_witness;
-    let v = run_locked h ctx tx n f in
-    finish h ctx t0 n;
-    v
-  end
-  else if h.cfg.max_attempts > 0 && n >= h.cfg.max_attempts then
-    (* Retry budget exhausted with no escalation left to rescue us:
-       fail fast with the last abort reason instead of spinning. *)
-    raise (Retry_exhausted last)
-  else begin
-    (* Small cost jitter models real-hardware timing noise; without it,
-       deterministic costs let the backoff phase-lock contending threads
-       into conflict-free lockstep that a real machine's pipeline and
-       interrupt noise would constantly break. *)
-    Sim.tick ctx (h.cfg.tx_begin_cost + Sim.Rng.int (Sim.rng ctx) 16);
-    (* Strong atomicity (paper §6): transaction begin drains the
-       thread's store buffer so tx reads never miss its own pre-tx
-       stores, and commit writes through [Tx_plane] — tx stores never
-       linger in a buffer. No-op under the [sc] model. *)
-    Simmem.drain h.hmem ctx;
-    reset tx P_hw n;
-    Obs.Metrics.incr_t h.c_att_hw tid;
-    match
-      (* An environmental abort (interrupt, TLB miss, register-window
-         spill — Rock's whole catalogue) can strike any attempt. *)
-      (if Sim.spurious_fires ctx then abort_with Spurious);
-      (* Under TLE every hardware transaction monitors the lock word:
-         observing it held aborts now, and a later acquisition changes the
-         word's version, dooming us at validation. *)
-      (if tle_enabled h && read tx h.lock_addr <> 0 then abort_with Lock_held);
-      let v = f tx in
-      commit tx;
-      v
-    with
-    | v ->
-      Obs.Metrics.incr_t h.c_commits tid;
-      Obs.Metrics.observe h.h_stores tx.nstores;
-      emit_commit tx;
-      run_frees tx;
-      finish h ctx t0 n;
-      v
-    | exception Aborted r ->
-      count_abort h ~tid r;
-      (* A lock-held abort has no validation failure to witness: it gets
-         one against the lock word, whose last writer (the holder's
-         acquiring CAS) is the aggressor. *)
-      (match r, tx.witness with
-       | Lock_held, None ->
-         set_witness tx ~addr:h.lock_addr ~victim_wrote:false ~in_read_set:true
-           ~in_write_set:false "htm.begin"
-       | _ -> ());
-      settle_abort tx r;
-      Sim.tick ctx h.cfg.tx_abort_cost;
-      on_abort r;
-      (* A capacity overflow cannot succeed on hardware retry; when the
-         STM slow path will take the next attempt anyway, escalate
-         without paying a pointless backoff. *)
-      (match r, h.cfg.stm, h.stm with
-       | Overflow, Stm_after _, Some _ -> ()
-       | _ -> backoff h ctx n);
-      attempt_loop h ctx tx f on_abort tid t0 (n + 1) r
-  end
-
-let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
+let atomic h ctx ?(on_abort = ignore) f =
   let tx = acquire h.pool h h.hmem h.cfg.granularity ctx in
+  let t0 = Sim.clock ctx in
   match
-    attempt_loop h ctx tx f on_abort (Sim.tid ctx) (Sim.clock ctx) 0 Conflict
+    match run h.hw tx f on_abort with
+    | v -> finish h tx t0 tx.attempt v
+    | exception (Retry_exhausted last as stop) ->
+      let n = tx.attempt in
+      finish h tx t0 n (escalate h ctx tx f on_abort n last stop)
   with
   | v ->
     tx.busy <- false;

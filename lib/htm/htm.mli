@@ -32,6 +32,14 @@
       snapshot (on Rock, eager hardware conflict detection gives the same
       effect).
 
+    One attempt loop, {!Simmem.Tx_desc.run}, runs both transactional
+    paths. The hardware path's hooks: [start] draws the spurious-abort
+    fault and, under TLE, aborts [Lock_held] on a held lock word;
+    [commit] validates and writes back; [stop] holds when the policy
+    above escalates or [max_attempts] runs out, and {!atomic} then
+    escalates or re-raises. An [Overflow] skips the backoff when STM
+    takes the next attempt. The software hooks are {!Stm.path}'s.
+
     Transactions execute atomically in virtual time: the commit phase
     charges cycle costs without yielding. Aborts are modelled by re-running
     the block, so blocks must be written to be re-executable from scratch
@@ -80,14 +88,12 @@ type stm_mode =
     {!Simmem.placement} policies. *)
 type granularity = Simmem.granularity = Word | Line
 
+(** Hardware costs are fixed, in cycles: 25 per begin (plus 0–15 of
+    jitter), 35 per commit, 0 per store (still a scheduling point) and
+    100 per abort. Retries and TLE lock spins use the loop's backoff
+    ({!Simmem.Tx_desc.backoff}). *)
 type config = {
   store_buffer : int;  (** stores per transaction; Rock: 32 *)
-  tx_begin_cost : int;
-  tx_commit_cost : int;
-  tx_store_cost : int;  (** store-buffer insertion *)
-  tx_abort_cost : int;
-  backoff_base : int;  (** first retry backoff, in cycles; randomized *)
-  backoff_max : int;
   sandboxed : bool;
   granularity : granularity;
   tle : tle_mode;

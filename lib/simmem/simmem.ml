@@ -1661,4 +1661,103 @@ module Tx_desc = struct
                 ab_witness = w;
                 ab_start = d.start;
               }))
+
+  (* ---- The attempt loop, shared by the hardware and software paths. *)
+
+  type 'o path = {
+    tag : tx_path;
+    begin_cost : int;
+    abort_cost : int;
+    start : 'o t -> unit;
+    commit : 'o t -> unit;
+    stop : 'o t -> int -> abort_reason -> bool;
+    attempts : Obs.Metrics.counter;
+    commits : Obs.Metrics.counter;
+    aborts : Obs.Metrics.counter array;
+    sizes : Obs.Metrics.hist;
+    cycles : Obs.Metrics.hist option;
+    overflow_escalates : bool;
+  }
+
+  let reason_index = function
+    | Conflict -> 0
+    | Overflow -> 1
+    | Illegal -> 2
+    | Explicit -> 3
+    | Lock_held -> 4
+    | Spurious -> 5
+
+  (* The slot of every reason a path never raises: registered nowhere. *)
+  let unattributed = Obs.Metrics.counter (Obs.Metrics.create ()) "never raised"
+
+  let abort_counters reg named =
+    let table = Array.make 6 unattributed in
+    List.iter
+      (fun (r, name) ->
+        table.(reason_index r) <- Obs.Metrics.counter ~per_thread:true reg name)
+      named;
+    table
+
+  let aborts table r = Obs.Metrics.value table.(reason_index r)
+
+  let backoff_base = 60
+  let backoff_max = 16384
+
+  let backoff ctx n =
+    Sim.tick ctx (Sim.Backoff.delay ~base:backoff_base ~cap:backoff_max (Sim.rng ctx) n)
+
+  let ex_exhausted =
+    Array.map (fun r -> Retry_exhausted r)
+      [| Conflict; Overflow; Illegal; Explicit; Lock_held; Spurious |]
+
+  (* Top-level recursion, so a pooled transaction's whole fast path —
+     begin, body, commit — allocates nothing: one attempt is a handful of
+     array stores and unboxed arithmetic unless it aborts. *)
+  let rec loop p d f on_abort t0 n last =
+    if p.stop d n last then begin
+      d.attempt <- n;
+      raise ex_exhausted.(reason_index last)
+    end;
+    let ctx = d.ctx and tid = Sim.tid d.ctx in
+    (* Small cost jitter models real-hardware timing noise; without it,
+       deterministic costs let the backoff phase-lock contending threads
+       into conflict-free lockstep that a real machine's pipeline and
+       interrupt noise would constantly break. *)
+    Sim.tick ctx (p.begin_cost + Sim.Rng.int (Sim.rng ctx) 16);
+    (* Strong atomicity (paper §6): transaction begin is a full fence, so
+       the thread's pre-transaction stores are visible before any
+       transactional read (which would otherwise miss them, or validate
+       against state the thread is about to overwrite). Commits write
+       through [Tx_plane]; transactional stores never linger in a buffer.
+       No-op under the [sc] model. *)
+    drain d.mem ctx;
+    reset d p.tag n;
+    Obs.Metrics.incr_t p.attempts tid;
+    match
+      p.start d;
+      let v = f d in
+      p.commit d;
+      v
+    with
+    | v ->
+      Obs.Metrics.incr_t p.commits tid;
+      (* store-buffer slots on hardware, buffered writes in software *)
+      Obs.Metrics.observe p.sizes
+        (match p.tag with P_hw -> d.nstores | P_stm | P_tle -> d.nwrites);
+      (match p.cycles with
+       | Some h -> Obs.Metrics.observe h (Sim.clock ctx - t0)
+       | None -> ());
+      emit_commit d;
+      run_frees d;
+      Sim.note_progress ctx;
+      v
+    | exception Aborted r ->
+      Obs.Metrics.incr_t p.aborts.(reason_index r) tid;
+      settle_abort d r;
+      Sim.tick ctx p.abort_cost;
+      on_abort r;
+      (match r with Overflow when p.overflow_escalates -> () | _ -> backoff ctx n);
+      loop p d f on_abort t0 (n + 1) r
+
+  let run p d f on_abort = loop p d f on_abort (Sim.clock d.ctx) 0 Conflict
 end

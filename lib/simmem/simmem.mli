@@ -47,8 +47,6 @@ type cost_model = {
   free_cost : int;
 }
 
-val default_costs : cost_model
-
 (** {1 Allocation policy}
 
     [Shared_lifo] (the default) is the historical allocator: a single
@@ -605,7 +603,46 @@ module Tx_desc : sig
   (** Report the attempt's commit ([Tx_commit] with its path, number,
       start clock and read/write-set sizes) to the heap's sinks. *)
 
-  val settle_abort : 'o t -> Txn.abort_reason -> unit
-  (** At an abort: take the attempt's witness, report it ([Witness]),
-      keep it as [last_witness] and report [Tx_abort]. *)
+  (** {2 The attempt loop}
+
+      The one retry protocol of both transaction paths. A path is a
+      record of hooks and counters, built once per domain. *)
+
+  type 'o path = {
+    tag : Txn.tx_path;
+    begin_cost : int;  (** per attempt, plus 0–15 cycles of jitter *)
+    abort_cost : int;  (** per abort, before the backoff *)
+    start : 'o t -> unit;  (** before the block, inside the attempt *)
+    commit : 'o t -> unit;  (** validate and write back, or abort *)
+    stop : 'o t -> int -> Txn.abort_reason -> bool;
+        (** [stop d n last]: give up before attempt [n]; [last] is the
+            previous abort's reason ([Conflict] before attempt 0) *)
+    attempts : Obs.Metrics.counter;
+    commits : Obs.Metrics.counter;
+    aborts : Obs.Metrics.counter array;  (** by reason: {!abort_counters} *)
+    sizes : Obs.Metrics.hist;  (** store-buffer slots on [P_hw], else writes *)
+    cycles : Obs.Metrics.hist option;  (** since {!run} began, before the frees *)
+    overflow_escalates : bool;  (** no backoff after an [Overflow] *)
+  }
+
+  val abort_counters :
+    Obs.Metrics.t -> (Txn.abort_reason * string) list -> Obs.Metrics.counter array
+  (** Per-thread abort counters indexed by reason, registered in the
+      list's order; reasons it omits share a counter no registry holds. *)
+
+  val aborts : Obs.Metrics.counter array -> Txn.abort_reason -> int
+
+  val backoff : Sim.tctx -> int -> unit
+  (** A randomized delay before retry [n + 1]: {!Sim.Backoff.delay} with
+      base 60 and cap 16384 cycles. *)
+
+  val run : 'o path -> 'o t -> ('o t -> 'a) -> (Txn.abort_reason -> unit) -> 'a
+  (** [run p d f on_abort] runs attempts [0, 1, ...] of [f d] on [p] until
+      one commits. Each ticks the begin cost, drains the store buffer,
+      {!reset}s [d] and runs [start], [f] and [commit]. A commit counts,
+      reports [Tx_commit], runs the frees and notes progress; an abort
+      counts, reports [Tx_abort], ticks the abort cost, calls [on_abort]
+      and backs off. When [stop] holds before attempt [n], it sets
+      [d.attempt] to [n] and raises {!Txn.Retry_exhausted} with the last
+      reason, allocating nothing. *)
 end

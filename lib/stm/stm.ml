@@ -32,34 +32,18 @@ open Simmem.Tx_desc
 
 type clock_scheme = Gv1 | Gv5
 
-type config = {
-  clock_scheme : clock_scheme;
-  lock_slots : int;
-  start_cost : int;
-  read_cost : int;
-  write_cost : int;
-  validate_cost : int;
-  commit_cost : int;
-  abort_cost : int;
-  backoff_base : int;
-  backoff_max : int;
-  steal_timeout : int;
-}
+type config = { clock_scheme : clock_scheme; steal_timeout : int }
 
-let default_config =
-  {
-    clock_scheme = Gv5;
-    lock_slots = 256;
-    start_cost = 15;
-    read_cost = 12;
-    write_cost = 10;
-    validate_cost = 3;
-    commit_cost = 40;
-    abort_cost = 80;
-    backoff_base = 60;
-    backoff_max = 16384;
-    steal_timeout = 25_000;
-  }
+let default_config = { clock_scheme = Gv5; steal_timeout = 25_000 }
+
+(* The instrumentation's cycle costs and the lock-table size. *)
+let lock_slots = 256
+let start_cost = 15
+let read_cost = 12
+let write_cost = 10
+let validate_cost = 3
+let commit_cost = 40
+let abort_cost = 80
 
 type stats = {
   commits : int;
@@ -107,10 +91,7 @@ type t = {
   fence : int;
   mreg : Obs.Metrics.t;
   c_commits : Obs.Metrics.counter;
-  c_conflict : Obs.Metrics.counter;
-  c_locked : Obs.Metrics.counter;
-  c_illegal : Obs.Metrics.counter;
-  c_explicit : Obs.Metrics.counter;
+  aborts : Obs.Metrics.counter array;  (* by reason *)
   c_attempts : Obs.Metrics.counter;
   c_steals : Obs.Metrics.counter;
   c_bumps : Obs.Metrics.counter;
@@ -124,18 +105,31 @@ type t = {
 }
 
 let create ?(config = default_config) ?metrics ~fence mem =
-  if config.lock_slots land (config.lock_slots - 1) <> 0 || config.lock_slots <= 0
-  then invalid_arg "Stm.create: lock_slots must be a power of two";
   let boot = Sim.boot () in
   (* The clock gets its own line; the lock table and heartbeats are
      line-aligned regions of their own. *)
   let clock_addr = Simmem.malloc mem boot 8 in
   Simmem.label mem ~name:"Stm.clock" ~base:clock_addr ~words:8;
-  let locks = Simmem.malloc mem boot config.lock_slots in
-  Simmem.label mem ~name:"Stm.locks" ~base:locks ~words:config.lock_slots;
+  let locks = Simmem.malloc mem boot lock_slots in
+  Simmem.label mem ~name:"Stm.locks" ~base:locks ~words:lock_slots;
   let hb = Simmem.malloc mem boot (n_tids * hb_stride) in
   Simmem.label mem ~name:"Stm.heartbeats" ~base:hb ~words:(n_tids * hb_stride);
   let mreg = Obs.Metrics.create ?parent:metrics () in
+  (* Registered in this order, which snapshots show (test_htm pins it). *)
+  let h_writes = Obs.Metrics.hist mreg "stm.writes_per_tx" in
+  let h_commit = Obs.Metrics.hist mreg "stm.commit_cycles" in
+  let c_bumps = Obs.Metrics.counter mreg "stm.clock_bumps" in
+  let c_steals = Obs.Metrics.counter mreg "stm.steals" in
+  let c_attempts = Obs.Metrics.counter ~per_thread:true mreg "stm.attempts" in
+  let aborts =
+    abort_counters mreg
+      [
+        (Explicit, "stm.aborts.explicit");
+        (Illegal, "stm.aborts.illegal");
+        (Lock_held, "stm.aborts.locked");
+        (Conflict, "stm.aborts.conflict");
+      ]
+  in
   {
     smem = mem;
     cfg = config;
@@ -145,15 +139,12 @@ let create ?(config = default_config) ?metrics ~fence mem =
     fence;
     mreg;
     c_commits = Obs.Metrics.counter ~per_thread:true mreg "stm.commits";
-    c_conflict = Obs.Metrics.counter ~per_thread:true mreg "stm.aborts.conflict";
-    c_locked = Obs.Metrics.counter ~per_thread:true mreg "stm.aborts.locked";
-    c_illegal = Obs.Metrics.counter ~per_thread:true mreg "stm.aborts.illegal";
-    c_explicit = Obs.Metrics.counter ~per_thread:true mreg "stm.aborts.explicit";
-    c_attempts = Obs.Metrics.counter ~per_thread:true mreg "stm.attempts";
-    c_steals = Obs.Metrics.counter mreg "stm.steals";
-    c_bumps = Obs.Metrics.counter mreg "stm.clock_bumps";
-    h_commit = Obs.Metrics.hist mreg "stm.commit_cycles";
-    h_writes = Obs.Metrics.hist mreg "stm.writes_per_tx";
+    aborts;
+    c_attempts;
+    c_steals;
+    c_bumps;
+    h_commit;
+    h_writes;
     watch = Array.make n_tids None;
     scratch = Array.init n_tids (fun _ -> { stripes = [||]; old = [||]; nlocks = 0 });
   }
@@ -161,10 +152,10 @@ let create ?(config = default_config) ?metrics ~fence mem =
 let stats t =
   {
     commits = Obs.Metrics.value t.c_commits;
-    aborts_conflict = Obs.Metrics.value t.c_conflict;
-    aborts_locked = Obs.Metrics.value t.c_locked;
-    aborts_illegal = Obs.Metrics.value t.c_illegal;
-    aborts_explicit = Obs.Metrics.value t.c_explicit;
+    aborts_conflict = aborts t.aborts Conflict;
+    aborts_locked = aborts t.aborts Lock_held;
+    aborts_illegal = aborts t.aborts Illegal;
+    aborts_explicit = aborts t.aborts Explicit;
     attempts = Obs.Metrics.value t.c_attempts;
     steals = Obs.Metrics.value t.c_steals;
     clock_bumps = Obs.Metrics.value t.c_bumps;
@@ -179,7 +170,7 @@ let owner_of lw = lw land 0x7f
 let ver_of lw = lw asr 7
 let locked_word ver tid = (ver lsl 7) lor (tid + 1)
 let unlocked_word ver = ver lsl 7
-let lock_of t addr = t.locks + (addr land (t.cfg.lock_slots - 1))
+let lock_of t addr = t.locks + (addr land (lock_slots - 1))
 let hb_addr t tid = t.hb + (tid * hb_stride)
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +222,7 @@ let capture_conflict s d site =
    aborts when any was stolen. *)
 let steal_from s ctx victim =
   let freed = ref 0 in
-  for i = 0 to s.cfg.lock_slots - 1 do
+  for i = 0 to lock_slots - 1 do
     let la = s.locks + i in
     let lw = Simmem.read s.smem ctx la in
     if
@@ -279,7 +270,15 @@ let bump_clock_to s ctx v =
     ignore (Simmem.cas s.smem ctx s.clock_addr ~expected:c ~desired:v)
   end
 
-let stale s d ~addr ~la ~in_read_set ver =
+(* The read of [addr] under stripe word [lw] dies if another owner holds
+   the stripe, or if the stripe's version outran our read version. *)
+let check_stripe s d ~addr ~la ~in_read_set lw =
+  if owner_of lw <> 0 then begin
+    set_witness d ~lookup:la ~aggressor:(owner_of lw - 1) ~addr ~victim_wrote:false
+      ~in_read_set ~in_write_set:false "stm.read.locked";
+    abort_with Lock_held
+  end;
+  let ver = ver_of lw in
   if ver > d.rv then begin
     (match s.cfg.clock_scheme with
      | Gv5 -> bump_clock_to s d.ctx ver
@@ -295,7 +294,7 @@ let read s d addr =
   let bi = find_write d addr in
   if bi >= 0 then d.wval.(bi)
   else begin
-    Sim.tick d.ctx s.cfg.read_cost;
+    Sim.tick d.ctx read_cost;
     let la = lock_of s addr in
     (* The instrumentation that makes an STM read an STM read: probe the
        stripe lock (a real, coherence-paying load) before the data. *)
@@ -303,12 +302,7 @@ let read s d addr =
       let lw = Simmem.read s.smem d.ctx la in
       if owner_of lw = 0 then lw else watch_or_steal s d.ctx la lw
     in
-    if owner_of lw <> 0 then begin
-      set_witness d ~lookup:la ~aggressor:(owner_of lw - 1) ~addr ~victim_wrote:false
-        ~in_read_set:false ~in_write_set:false "stm.read.locked";
-      abort_with Lock_held
-    end;
-    stale s d ~addr ~la ~in_read_set:false (ver_of lw);
+    check_stripe s d ~addr ~la ~in_read_set:false lw;
     if Simmem.Tx_plane.read_ver s.smem d.ctx addr < 0 then abort_with Illegal;
     let v = Simmem.Tx_plane.read_value s.smem in
     (* Opacity: like Htm, the whole read set is revalidated against
@@ -321,22 +315,16 @@ let read s d addr =
       abort_with Conflict
     end;
     (* the stripe may have been locked while we fetched the value *)
-    let lw' = Simmem.peek s.smem la in
-    if owner_of lw' <> 0 then begin
-      set_witness d ~lookup:la ~aggressor:(owner_of lw' - 1) ~addr ~victim_wrote:false
-        ~in_read_set:true ~in_write_set:false "stm.read.locked";
-      abort_with Lock_held
-    end;
-    stale s d ~addr ~la ~in_read_set:true (ver_of lw');
+    check_stripe s d ~addr ~la ~in_read_set:true (Simmem.peek s.smem la);
     v
   end
 
 let write s d addr v =
   if not (Simmem.is_allocated s.smem addr) then abort_with Illegal;
-  Sim.tick d.ctx s.cfg.write_cost;
+  Sim.tick d.ctx write_cost;
   buffer_write d addr v
 
-let record s d = Sim.tick d.ctx s.cfg.write_cost
+let record d = Sim.tick d.ctx write_cost
 
 (* ------------------------------------------------------------------ *)
 (* Commit.                                                             *)
@@ -407,7 +395,7 @@ let commit s d lk =
        fence must hold here too — a reader linearizing while the lock is
        held could observe a half-applied critical section that per-word
        validation cannot detect. *)
-    Sim.charge ctx s.cfg.commit_cost;
+    Sim.charge ctx commit_cost;
     let fenced = s.fence <> 0 && Simmem.peek s.smem s.fence <> 0 in
     if fenced then begin
       set_witness d ~addr:s.fence ~victim_wrote:false ~in_read_set:false
@@ -439,7 +427,7 @@ let commit s d lk =
     (* Locks held, nothing written: the window a crash must not wedge —
        the registered kill point for fault plans. *)
     Sim.fault_point ctx "stm.commit";
-    Sim.tick ctx (s.cfg.validate_cost * (Simmem.Read_set.length d.reads + 1));
+    Sim.tick ctx (validate_cost * (Simmem.Read_set.length d.reads + 1));
     if
       not
         (Simmem.Read_set.validate d.reads && read_locks_clear s d && first_freed_write d < 0)
@@ -463,7 +451,7 @@ let commit s d lk =
         !maxv + 1
     in
     (* The atomic commit point: charge + peek + commit_write only. *)
-    Sim.charge ctx s.cfg.commit_cost;
+    Sim.charge ctx commit_cost;
     let mine = ref true in
     for i = 0 to lk.nlocks - 1 do
       if Simmem.peek s.smem lk.stripes.(i) <> locked_word (ver_of lk.old.(i)) me then
@@ -495,57 +483,23 @@ let commit s d lk =
   Sim.tick ctx 0
 
 (* ------------------------------------------------------------------ *)
-(* The retry loop.                                                     *)
+(* The software path of the shared attempt loop.                       *)
 
-let backoff s ctx n =
-  Sim.tick ctx
-    (Sim.Backoff.delay ~base:s.cfg.backoff_base ~cap:s.cfg.backoff_max (Sim.rng ctx) n)
-
-let count_abort s tid = function
-  | Conflict -> Obs.Metrics.incr_t s.c_conflict tid
-  | Lock_held -> Obs.Metrics.incr_t s.c_locked tid
-  | Illegal -> Obs.Metrics.incr_t s.c_illegal tid
-  | Explicit -> Obs.Metrics.incr_t s.c_explicit tid
-  | Overflow | Spurious -> () (* hardware-only: never raised on this path *)
-
-(* Top-level (not a closure inside [atomic]) so a pooled transaction's
-   fast path allocates nothing. *)
-let rec attempt_loop s d lk budget attempts f on_abort tid t0 n last =
-  if budget > 0 && n >= budget then raise (Retry_exhausted last);
-  let ctx = d.ctx in
-  Sim.tick ctx (s.cfg.start_cost + Sim.Rng.int (Sim.rng ctx) 16);
-  (* Transaction begin is a full fence: the thread's pre-tx buffered
-     stores must be visible before any tx read, or commit-time
-     validation would validate against state the thread itself is about
-     to overwrite. No-op under the [sc] model. *)
-  Simmem.drain s.smem ctx;
-  reset d P_stm n;
-  Obs.Metrics.incr_t s.c_attempts tid;
-  Obs.Metrics.incr_t attempts tid;
-  d.rv <- Simmem.read s.smem ctx s.clock_addr;
-  match
-    let v = f d in
-    commit s d lk;
-    v
-  with
-  | v ->
-    Obs.Metrics.incr_t s.c_commits tid;
-    Obs.Metrics.observe s.h_writes d.nwrites;
-    Obs.Metrics.observe s.h_commit (Sim.clock ctx - t0);
-    emit_commit d;
-    run_frees d;
-    Sim.note_progress ctx;
-    v
-  | exception Aborted r ->
-    count_abort s tid r;
-    settle_abort d r;
-    Sim.tick ctx s.cfg.abort_cost;
-    on_abort r;
-    backoff s ctx n;
-    attempt_loop s d lk budget attempts f on_abort tid t0 (n + 1) r
-
-let atomic s d ~budget ~attempts ~on_abort f =
-  let ctx = d.ctx in
-  let tid = Sim.tid ctx in
-  let lk = s.scratch.(slot_of tid) in
-  attempt_loop s d lk budget attempts f on_abort tid (Sim.clock ctx) 0 Conflict
+let path s ~budget ~attempts =
+  {
+    tag = P_stm;
+    begin_cost = start_cost;
+    abort_cost;
+    start =
+      (fun d ->
+        Obs.Metrics.incr_t attempts (Sim.tid d.ctx);
+        d.rv <- Simmem.read s.smem d.ctx s.clock_addr);
+    commit = (fun d -> commit s d s.scratch.(slot_of (Sim.tid d.ctx)));
+    stop = (fun _ n _ -> budget > 0 && n >= budget);
+    attempts = s.c_attempts;
+    commits = s.c_commits;
+    aborts = s.aborts;
+    sizes = s.h_writes;
+    cycles = Some s.h_commit;
+    overflow_escalates = false;
+  }

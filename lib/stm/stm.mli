@@ -18,8 +18,8 @@
       plainly at commit ([wv = clock + 1]) and lets {e aborting readers}
       advance it — no commit-time atomic, at the cost of one extra abort
       per thread per clock value when reads hit fresh data;
-    - a {b striped write-lock table}: [lock_slots] words in simulated
-      memory, one per address stripe. A lock word encodes
+    - a {b striped write-lock table}: 256 words in simulated memory, one
+      per address stripe. A lock word encodes
       [version lsl 7 lor (owner_tid + 1)] — the low 7 bits carry the
       owner's thread id so a crashed holder is identifiable and the lock
       {b stealable}: contenders watch the owner's heartbeat word and
@@ -50,18 +50,13 @@ type clock_scheme =
       (** plain read at commit, aborting readers advance the clock:
           contention-free commits, occasional false aborts *)
 
+(** Software costs are fixed, in cycles: 15 per begin (plus 0–15 of
+    jitter and the clock-word read), 12 per load (plus the lock-word
+    probe's memory access), 10 per store or {!record}, 3 per read-set
+    entry plus one at a writing commit's validation, 40 per commit and
+    80 per abort; retries use {!Simmem.Tx_desc.backoff}. *)
 type config = {
   clock_scheme : clock_scheme;
-  lock_slots : int;  (** stripes in the write-lock table; power of two *)
-  start_cost : int;  (** per-attempt setup on top of the clock-word read *)
-  read_cost : int;  (** per-load instrumentation (the lock-word probe is
-                        additionally paid as a real memory access) *)
-  write_cost : int;  (** per-buffered-store instrumentation *)
-  validate_cost : int;  (** commit-time validation, per read-set entry *)
-  commit_cost : int;
-  abort_cost : int;
-  backoff_base : int;
-  backoff_max : int;
   steal_timeout : int;
       (** cycles a held lock's owner heartbeat must stay silent before a
           contender steals the lock. A liveness/throughput knob only:
@@ -106,24 +101,15 @@ val reset_stats : t -> unit
     A software attempt runs on the caller's {!Simmem.Tx_desc.t} descriptor:
     its read set, write buffer, free list and witness slot are the ones
     the hardware path uses. {!Htm} escalates a block here by handing over
-    the descriptor it was running on. *)
+    the descriptor it was running on, to the one attempt loop
+    {!Simmem.Tx_desc.run} with this domain's {!path}. *)
 
-val atomic :
-  t ->
-  'o Simmem.Tx_desc.t ->
-  budget:int ->
-  attempts:Obs.Metrics.counter ->
-  on_abort:(Simmem.Txn.abort_reason -> unit) ->
-  ('o Simmem.Tx_desc.t -> 'a) ->
-  'a
-(** [atomic s d ~budget ~attempts ~on_abort f] runs [f d] as a software
-    transaction, retrying with randomized exponential backoff until it
-    commits. Attempts are numbered from 0 in [d.attempt]. Each attempt
-    also bumps the caller's per-thread [attempts] counter; [on_abort]
-    runs after each abort, before the backoff. After [budget] aborted
-    attempts ([0] = no limit) it raises {!Simmem.Txn.Retry_exhausted}
-    with the last reason, leaving that abort's witness in
-    [d.last_witness]. *)
+val path : t -> budget:int -> attempts:Obs.Metrics.counter -> 'o Simmem.Tx_desc.path
+(** The software path's hooks, built once per domain: [start] bumps the
+    caller's per-thread [attempts] counter and snapshots the TL2 read
+    version; [commit] is the protocol above; [stop] holds after [budget]
+    aborted attempts ([0] = no limit). No software abort skips the
+    backoff. *)
 
 val read : t -> 'o Simmem.Tx_desc.t -> int -> int
 (** Transactional load: lock-word probe, value fetch, read-set note, full
@@ -135,6 +121,6 @@ val read : t -> 'o Simmem.Tx_desc.t -> int -> int
 val write : t -> 'o Simmem.Tx_desc.t -> int -> int -> unit
 (** Transactional store, buffered until commit. No capacity bound. *)
 
-val record : t -> 'o Simmem.Tx_desc.t -> unit
+val record : 'o Simmem.Tx_desc.t -> unit
 (** Account one process-local result-set store ({!Htm.record}'s contract);
     pays the instrumentation cost, consumes no capacity. *)
