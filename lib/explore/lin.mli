@@ -34,11 +34,6 @@ val stamp : history -> int
 val add : history -> tid:int -> inv:int -> res:int -> op_kind -> unit
 (** Record one completed operation. *)
 
-val ops : history -> op list
-(** Recorded operations, in recording order. *)
-
-val pp_op : Format.formatter -> op -> unit
-
 val max_ops : int
 (** Upper bound on checkable history size ([62]: linearized-sets are
     bitmasks in one int). *)

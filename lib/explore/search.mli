@@ -25,10 +25,6 @@ type summary = {
   res_violations : violation list;
 }
 
-val strategy_for : round:int -> seed:int -> Sim.strategy
-(** The strategy schedule: round 0 is [Min_clock], later rounds cycle
-    random walks and PCT. Exposed for the CLI and tests. *)
-
 val light_faults : int -> Sim.Fault.spec
 (** The kill-free adversity plan used by fault-enabled rounds: 2 %
     preemption stalls (up to 400 cycles) and 2 % spurious aborts. *)

@@ -44,5 +44,3 @@ let lines t =
   else
     l
     @ [ Printf.sprintf "(... %d further events beyond the %d-line limit)" t.dropped t.limit ]
-
-let to_string t = String.concat "\n" (lines t)

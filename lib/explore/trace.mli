@@ -12,9 +12,6 @@ val create : ?limit:int -> unit -> t
 (** Line buffer capped at [limit] (default 4000); further events are
     counted, not stored. *)
 
-val note : t -> string -> unit
-(** Append one line (scenario-level annotations, e.g. operation brackets). *)
-
 val sink : t -> Simmem.sink
 (** This trace as a machine observer: attach it with {!Simmem.attach}
     and every access and transaction event becomes a line. *)
@@ -27,5 +24,3 @@ val on_fault : t -> Sim.Fault.event -> unit
 val lines : t -> string list
 (** Captured lines in event order, with a final summary line when events
     were dropped. *)
-
-val to_string : t -> string

@@ -76,8 +76,6 @@ let create ?(line_shift = 3) ?(max_hops = 256) () =
     hop_total = 0;
   }
 
-let line_shift t = t.line_shift
-
 let label t ~name ~base ~words =
   if words > 0 then begin
     let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in

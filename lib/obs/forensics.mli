@@ -34,9 +34,6 @@ type witness = {
   w_site : string;  (** capture site, e.g. "htm.read", "stm.commit" *)
 }
 
-val access_label : witness -> string
-(** ["W/W"] or ["R/W"]. *)
-
 val pp_witness : Format.formatter -> witness -> unit
 (** One-line rendering: [t3<-t1 W/W 0x128 (commit ws)]. *)
 
@@ -55,8 +52,6 @@ val create : ?line_shift:int -> ?max_hops:int -> unit -> t
 (** [line_shift] must match the memory it observes (default 3 =
     8-word lines); [max_hops] bounds the stored escalation timeline
     (default 256) — the total is still counted past the bound. *)
-
-val line_shift : t -> int
 
 (** {1 Recording} *)
 

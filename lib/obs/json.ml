@@ -293,11 +293,4 @@ let member k = function
   | Obj fields -> List.assoc_opt k fields
   | _ -> None
 
-let to_int = function
-  | Int n -> Some n
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
 let to_float = function Float f -> Some f | Int n -> Some (float_of_int n) | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_list = function List l -> Some l | _ -> None

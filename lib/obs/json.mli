@@ -17,14 +17,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-(** Compact (single-line) rendering with full string escaping. *)
-
 val to_string : t -> string
-
-val pretty_to_buffer : Buffer.t -> t -> unit
-(** Two-space-indented rendering, for files meant to be read by humans
-    too. Equally deterministic. *)
 
 val pretty_to_string : t -> string
 
@@ -39,11 +32,4 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)
 
-val to_int : t -> int option
-(** [Int n] (or integral [Float]) as [n]. *)
-
 val to_float : t -> float option
-
-val to_str : t -> string option
-
-val to_list : t -> t list option

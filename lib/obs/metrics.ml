@@ -246,32 +246,6 @@ let absorb t (snap : snapshot) =
         List.iter (fun (lo, n) -> h_add h (bucket_of lo) n) bs)
     snap
 
-let print ppf snap =
-  let rows =
-    List.map
-      (fun (name, v) ->
-        match v with
-        | Counter { total; per_tid } ->
-          let per =
-            match per_tid with
-            | [] -> ""
-            | l ->
-              String.concat " "
-                (List.map (fun (tid, n) -> Printf.sprintf "t%d:%d" tid n) l)
-          in
-          [ name; "counter"; string_of_int total; per ]
-        | Gauge { current; high } ->
-          [ name; "gauge"; string_of_int current; Printf.sprintf "high %d" high ]
-        | Hist bs ->
-          let total = List.fold_left (fun a (_, n) -> a + n) 0 bs in
-          let body =
-            String.concat " " (List.map (fun (lo, n) -> Printf.sprintf "%d:%d" lo n) bs)
-          in
-          [ name; "hist"; string_of_int total; body ])
-      snap
-  in
-  Table.print_cols ppf [ "metric"; "kind"; "value"; "detail" ] rows
-
 let to_json t =
   let entry = function
     | Counter { total; per_tid } ->

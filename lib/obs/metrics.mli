@@ -26,7 +26,8 @@ type counter
 
 val counter : ?per_thread:bool -> t -> string -> counter
 (** Get or register. With [per_thread] the counter additionally keeps a
-    per-thread breakdown (thread ids up to {!max_tids} - 1), allocated at
+    per-thread breakdown (thread ids below 257: {!Sim.max_threads}
+    runnable threads plus the boot context), allocated at
     its first attributed increment: registering one costs no more than a
     plain counter. *)
 
@@ -49,10 +50,6 @@ val value : counter -> int
 val per_thread : counter -> (int * int) list
 (** [(tid, count)] for every thread with a nonzero count, ascending tid;
     empty for counters registered without [per_thread]. *)
-
-val max_tids : int
-(** Per-thread slots per counter (257: covers {!Sim.max_threads} runnable
-    threads plus the boot context). *)
 
 (** {1 Gauges}
 
@@ -105,8 +102,6 @@ val p999 : hist -> int
     stat). *)
 
 val reset_counter : counter -> unit
-val reset_gauge : gauge -> unit
-val reset_hist : hist -> unit
 
 val reset : t -> unit
 (** Reset every metric registered in this registry. *)
@@ -131,9 +126,6 @@ val absorb : t -> snapshot -> unit
     sweep runner uses this to fold per-cell registries into the
     experiment-wide one in canonical cell order, which makes the merged
     registry independent of how the cells were scheduled. *)
-
-val print : Format.formatter -> snapshot -> unit
-(** Aligned name/kind/value listing (via {!Table.print_cols}). *)
 
 val to_json : t -> Json.t
 (** [{schema: "metrics/1", metrics: {name: {...}}}] — the [--metrics]

@@ -131,35 +131,3 @@ let print ?(top = 16) ppf t =
       (regions t)
   in
   Table.print_cols ppf [ "region"; "transfers"; "cycles" ] rrows
-
-let to_json ?(top = 64) t =
-  Json.Obj
-    [
-      ("schema", Json.Str "contention/1");
-      ( "lines",
-        Json.List
-          (List.map
-             (fun ls ->
-               Json.Obj
-                 [
-                   ("line", Json.Int ls.ls_line);
-                   ("addr", Json.Int (ls.ls_line lsl t.line_shift));
-                   ("region", Json.Str ls.ls_region);
-                   ("transfers", Json.Int ls.ls_transfers);
-                   ("cycles", Json.Int ls.ls_cycles);
-                   ("wait", Json.Int ls.ls_wait);
-                   ("max_sharers", Json.Int ls.ls_max_sharers);
-                 ])
-             (lines ~top t)) );
-      ( "regions",
-        Json.List
-          (List.map
-             (fun (name, tr, cy) ->
-               Json.Obj
-                 [
-                   ("region", Json.Str name);
-                   ("transfers", Json.Int tr);
-                   ("cycles", Json.Int cy);
-                 ])
-             (regions t)) );
-    ]

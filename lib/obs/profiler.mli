@@ -57,6 +57,3 @@ val total_transfers : t -> int
 val print : ?top:int -> Format.formatter -> t -> unit
 (** Ranked heatmap table: line, region, transfers, cycles, wait, peak
     sharers; then the per-region rollup. *)
-
-val to_json : ?top:int -> t -> Json.t
-(** [{schema: "contention/1", lines: [...], regions: [...]}]. *)

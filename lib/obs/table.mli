@@ -29,10 +29,6 @@ val pivot :
     [value] of the first result whose [key] is structurally equal to
     [(r, c)], or [None] if there is none. *)
 
-val cell : float option -> string
-(** Numeric cell formatting: ["-"] for [None], magnitude-dependent
-    precision otherwise. *)
-
 val print_cols : Format.formatter -> string list -> string list list -> unit
 (** [print_cols ppf header rows] renders pre-stringified rows as
     left-aligned columns sized to their widest entry — the raw layout

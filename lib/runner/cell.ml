@@ -7,4 +7,3 @@
 type 'a t = { label : string; thunk : unit -> 'a }
 
 let v ~label thunk = { label; thunk }
-let label c = c.label

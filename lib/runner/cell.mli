@@ -7,4 +7,3 @@
 type 'a t = { label : string; thunk : unit -> 'a }
 
 val v : label:string -> (unit -> 'a) -> 'a t
-val label : 'a t -> string

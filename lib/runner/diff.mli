@@ -37,12 +37,6 @@ val diff :
     pairwise ordering reversals, crossover positions, and
     disappeared/appeared tables. *)
 
-val kinds : string list
-(** Every issue kind, in report order. *)
-
-val report_table : report -> Obs.Table.table
-(** The summary table: one row per issue kind, plus the compared-shape
-    totals — the golden-tested face of [bench diff]. *)
-
 val print : Format.formatter -> report -> unit
-(** {!report_table}, then one line per issue, then the verdict. *)
+(** The summary table (one row per issue kind, plus the compared-shape
+    totals), then one line per issue, then the verdict. *)

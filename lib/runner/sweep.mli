@@ -33,8 +33,6 @@ type hooks = {
           and restore the domain to its unobserved state. *)
 }
 
-val no_hooks : hooks
-
 val set_hooks : hooks -> unit
 (** Written once, at [Workload.Driver]'s module initialisation, before
     any domain is spawned. *)

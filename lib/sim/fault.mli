@@ -44,8 +44,6 @@ type event_kind = Stalled of int | Killed | Killed_at of string | Spurious_abort
 
 type event = { ev_tid : int; ev_clock : int; ev_kind : event_kind }
 
-val pp_event : Format.formatter -> event -> unit
-
 type t
 (** An instantiated plan: per-thread streams plus the injection log. *)
 

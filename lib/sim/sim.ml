@@ -314,7 +314,6 @@ let pct_change_points ~seed ~depth ~length =
   List.sort Int.compare (gen [] n)
 
 let recorder () = { rev_picks = []; rev_devs = []; rev_choices = [] }
-let picks r = List.rev r.rev_picks
 let deviations r = List.rev r.rev_devs
 let choices r = List.rev r.rev_choices
 let decision_string r = String.concat ";" (List.rev_map string_of_int r.rev_picks)

@@ -86,11 +86,7 @@ val max_threads : int
 (** Maximum number of simulated threads ([256]; sharer sets in [Simmem]
     are multi-word bitmasks sized to each heap's configured capacity).
     Exploring strategies and recording still encode runnable sets in a
-    single word and accept at most {!mask_threads} threads. *)
-
-val mask_threads : int
-(** Threads a single 63-bit bitmask can describe ([61], one bit reserved
-    for boot contexts) — the ceiling for explore/recorder features. *)
+    single word and accept at most 61 threads. *)
 
 (** Scheduling strategies for systematic schedule exploration (see
     {!Explore} in [lib/explore]). The default, {!Min_clock}, always resumes
@@ -149,9 +145,6 @@ type recorder
     ties differently from an unrecorded one. *)
 
 val recorder : unit -> recorder
-
-val picks : recorder -> int list
-(** The chosen thread id of every scheduling decision, in order. *)
 
 val deviations : recorder -> (int * int) list
 (** [(choice_index, tid)] for every decision where >= 2 threads were

@@ -405,9 +405,6 @@ let summary_of_pieces pieces =
     stm_crashes = List.filter_map (function Stm_crash s -> Some s | _ -> None) pieces;
   }
 
-let run_all ?jobs ?seed () =
-  summary_of_pieces (Runner.Sweep.values (Runner.Sweep.run ?jobs (cells ?seed ())))
-
 let fi = float_of_int
 
 let crash_table (crashes : crash_result list) : Obs.Table.table =
@@ -512,10 +509,3 @@ let tables (s : summary) =
     (spurious_table s.spurious, spurious_note);
     (stm_crash_table s.stm_crashes, stm_crash_note);
   ]
-
-let report ppf (s : summary) =
-  List.iter
-    (fun (t, note) ->
-      Obs.Table.print ppf t;
-      Format.fprintf ppf "@.%s@." note)
-    (tables s)

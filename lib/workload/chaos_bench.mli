@@ -85,11 +85,6 @@ type stm_crash_result = {
   st_stm_commits : int;
 }
 
-val stm_crash_one : ?seed:int -> unit -> stm_crash_result
-(** Scenario D on ListFastCollect.
-    @raise Collect_spec.Violation if any collect broke the specification.
-    @raise Sim.Watchdog if stealing failed to keep the machine live. *)
-
 type summary = {
   crashes : crash_result list;
   queues : queue_result list;
@@ -109,11 +104,5 @@ val cells : ?seed:int -> unit -> piece Runner.Cell.t list
 
 val summary_of_pieces : piece list -> summary
 
-val run_all : ?jobs:int -> ?seed:int -> unit -> summary
-(** All three scenarios: {!Collect.all} under crashes and spurious aborts,
-    {!Hqueue.all_with_extensions} under crashes. *)
-
 val tables : summary -> (Obs.Table.table * string) list
 (** The rendered tables with their explanatory notes, in report order. *)
-
-val report : Format.formatter -> summary -> unit

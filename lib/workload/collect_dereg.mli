@@ -4,19 +4,6 @@
 
 type result = { algo : string; label : string; dereg_period : int; throughput : float }
 
-val total_handles : int
-val register_period : int
-val default_periods : int list
-
-val run_one :
-  Collect.Intf.maker ->
-  churners:int ->
-  dereg_period:int ->
-  duration:int ->
-  step:Collect.Intf.step_policy ->
-  seed:int ->
-  result
-
 val cells :
   ?makers:Collect.Intf.maker list ->
   ?churners:int ->

@@ -4,10 +4,6 @@
 
 type result = { algo : string; threads : int; throughput : float }
 
-val total_budget : int
-val initial_registered : int
-val default_threads : int list
-
 val mix :
   Driver.machine ->
   Collect.Intf.maker ->

@@ -11,9 +11,6 @@ type result = {
   aborts : int;  (** HTM aborts, all causes *)
 }
 
-val total_handles : int
-val default_periods : int list
-
 val step_label : Collect.Intf.step_policy -> string
 val period_label : int -> string
 
@@ -66,9 +63,6 @@ val run_fig4 :
   ?seed:int ->
   unit ->
   result list
-
-val fig5_steps : int list
-val fig5_best_candidates : int list
 
 val cells_fig5 :
   ?updaters:int ->

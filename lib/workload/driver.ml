@@ -5,8 +5,8 @@
     x-axes and "ops/µs" y-axes are produced. Every benchmark thread
     executes setup, waits until the common measurement start time
     {!warmup}, and counts the operations it completes before the deadline.
-    {!op_dispatch} models the per-operation harness cost (loop, dispatch,
-    rng) that dominates the paper's absolute latencies. *)
+    [op_dispatch], 200 cycles, models the per-operation harness cost
+    (loop, dispatch, rng) that dominates the paper's absolute latencies. *)
 
 let cycles_per_us = 2000
 let op_dispatch = 200

@@ -6,10 +6,6 @@ val cycles_per_us : int
 (** 2000: the virtual clock rate used to convert cycles to the paper's
     ops/µs and ns axes. *)
 
-val op_dispatch : int
-(** Per-operation harness cost in cycles (loop, dispatch, rng), which
-    dominates the paper's absolute latencies. *)
-
 val warmup : int
 (** Virtual time at which measurement windows begin; setup work must
     complete before it. *)
@@ -46,10 +42,6 @@ val obs : unit -> obs
 
 val profilers : unit -> (string * Obs.Profiler.t) list
 (** Per-machine contention profilers created since the last {!set_obs},
-    labelled, in machine-creation order. *)
-
-val forensics : unit -> (string * Obs.Forensics.t) list
-(** Per-machine forensics aggregators created since the last {!set_obs},
     labelled, in machine-creation order. *)
 
 val machine :

@@ -6,12 +6,6 @@
 
 type policy = { pol_name : string; pol_config : Htm.config }
 
-val policies : policy list
-(** [htm-tle] (hardware with TLE after 6 aborts), [hybrid]
-    ({!Htm.hybrid_config}: 2 hardware attempts, then STM, TLE last
-    resort), [stm-only] (everything on the TL2 path), [tle-only]
-    (straight to the lock) — canonical row order of the tables. *)
-
 type grid_result = {
   gr_policy : string;
   gr_threads : int;
@@ -64,11 +58,5 @@ val cells :
 
 val summary_of_pieces : piece list -> summary
 
-val run_all :
-  ?jobs:int -> ?threads:int list -> ?big:int list -> ?duration:int -> ?seed:int ->
-  unit -> summary
-
 val tables : summary -> (Obs.Table.table * string) list
 (** Rendered tables with their explanatory notes, in report order. *)
-
-val report : Format.formatter -> summary -> unit

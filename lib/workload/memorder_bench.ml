@@ -133,9 +133,6 @@ let summary_of_pieces pieces =
     litmus = List.filter_map (function Litmus l -> Some l | _ -> None) pieces;
   }
 
-let run_all ?jobs ?seed () =
-  summary_of_pieces (Runner.Sweep.values (Runner.Sweep.run ?jobs (cells ?seed ())))
-
 let fi = float_of_int
 
 let search_table (searches : search_result list) : Obs.Table.table =
@@ -188,10 +185,3 @@ let litmus_note =
 
 let tables (s : summary) =
   [ (search_table s.searches, search_note); (litmus_table s.litmus, litmus_note) ]
-
-let report ppf (s : summary) =
-  List.iter
-    (fun (t, note) ->
-      Obs.Table.print ppf t;
-      Format.fprintf ppf "@.%s@." note)
-    (tables s)

@@ -14,8 +14,6 @@
     [bench/main.exe memorder] runs {!run_all} and renders {!report};
     docs/MEMORY_ORDERING.md explains the variant matrix. *)
 
-val variants : (string * Sim.Memmodel.t) list
-
 type search_result = {
   ms_scenario : string;
   ms_model : string;
@@ -26,21 +24,12 @@ type search_result = {
   ms_deviations : int;  (** shrunk deviation count of that violation; 0 = clean *)
 }
 
-val search_one :
-  seed:int -> key:string -> model_name:string -> model:Sim.Memmodel.t -> search_result
-
 type litmus_result = {
   lt_program : string;
   lt_model : string;
   lt_outcomes : int;  (** distinct final register vectors, all schedules *)
   lt_relaxed : bool;  (** the program's distinguished weak outcome reached? *)
 }
-
-val litmus_one :
-  prog:Explore.Litmus.program ->
-  model_name:string ->
-  model:Sim.Memmodel.t ->
-  litmus_result
 
 type piece = Search of search_result | Litmus of litmus_result
 
@@ -51,6 +40,4 @@ val cells : ?seed:int -> unit -> piece Runner.Cell.t list
     variant), in canonical sweep order. *)
 
 val summary_of_pieces : piece list -> summary
-val run_all : ?jobs:int -> ?seed:int -> unit -> summary
 val tables : summary -> (Obs.Table.table * string) list
-val report : Format.formatter -> summary -> unit

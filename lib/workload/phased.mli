@@ -1,5 +1,5 @@
 (** Figure 8: Collect throughput over time as the registered-slot total
-    alternates between {!low_slots} and {!high_slots} every phase
+    alternates between 16 and 64 every phase
     (paper §5.5). Shows which algorithms adapt to the registered count —
     and that ArrayStatSearchNo never recovers. *)
 
@@ -7,12 +7,6 @@ type result = {
   algo : string;
   buckets : (float * float) list;  (** (time in ms, collects per µs) *)
 }
-
-val low_slots : int
-val high_slots : int
-val update_period : int
-
-val fig8_algos : unit -> Collect.Intf.maker list
 
 val cells :
   ?updaters:int ->

@@ -208,10 +208,6 @@ let cells ?(duration = 300_000) ?(seed = 7) () =
           competitor_names)
       competitor_threads
 
-(* Profiled even standalone: the transfers column is the point. *)
-let run ?jobs ?duration ?seed () =
-  Runner.Sweep.values (Runner.Sweep.run ?jobs ~profile:true (cells ?duration ?seed ()))
-
 let ablations pieces =
   List.filter_map (function P_ablation r -> Some r | P_fig1 _ -> None) pieces
 

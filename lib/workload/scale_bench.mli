@@ -4,23 +4,10 @@
 
 type result = { subject : string; threads : int; throughput : float }
 
-val heap_words : int
-(** Initial heap extent of every scale machine (2^20 words), so growth
-    never perturbs the measured window. *)
-
-val default_threads : int list
-(** [16; 64; 128; 256]. *)
-
-val queue_names : string list
-val collect_names : string list
-
 val queue_one :
   Hqueue.Intf.maker -> threads:int -> duration:int -> seed:int -> result
 (** One fig1-shaped queue cell at [threads]; also the fixed reference
     cell of the CI perf floor. *)
-
-val collect_one :
-  Collect.Intf.maker -> threads:int -> duration:int -> seed:int -> result
 
 val cells :
   ?threads:int list -> ?duration:int -> ?seed:int -> unit -> result Runner.Cell.t list
