@@ -210,7 +210,6 @@ let defer_free = defer_free
 (* Commit: validate, then apply the write buffer without yielding so the
    transaction is atomic in virtual time. *)
 let commit tx =
-  let mem = tx.mem in
   if not (Simmem.Read_set.validate tx.reads) then begin
     ignore (witness_invalid_read tx "htm.commit");
     abort_with Conflict
@@ -218,10 +217,7 @@ let commit tx =
   let freed = first_freed_write tx in
   if freed >= 0 then illegal tx freed;
   Sim.charge tx.ctx tx_commit_cost;
-  for i = 0 to tx.nwrites - 1 do
-    let ok = Simmem.Tx_plane.commit_write mem tx.ctx tx.waddr.(i) tx.wval.(i) in
-    assert ok
-  done;
+  write_back tx;
   Sim.tick tx.ctx 0
 
 let tle_enabled h = match h.cfg.tle with Tle_never -> false | Tle_after _ -> true

@@ -1604,6 +1604,14 @@ module Tx_desc = struct
 
   let first_freed_write d = freed_from d 0
 
+  (* Commit points only: apply the write buffer, oldest first, through the
+     transactional plane, which never yields. *)
+  let write_back d =
+    for i = 0 to d.nwrites - 1 do
+      let ok = Tx_plane.commit_write d.mem d.ctx d.waddr.(i) d.wval.(i) in
+      assert ok
+    done
+
   let defer_free d base =
     if d.nfrees = Array.length d.frees then d.frees <- grow d.frees;
     d.frees.(d.nfrees) <- base;

@@ -574,6 +574,10 @@ module Tx_desc : sig
   (** The oldest buffered write whose target is no longer allocated, or
       [-1]. *)
 
+  val write_back : 'o t -> unit
+  (** Apply the write buffer, oldest first, through {!Tx_plane}: a
+      commit point's write-back, which never yields. *)
+
   val defer_free : 'o t -> int -> unit
 
   val run_frees : 'o t -> unit

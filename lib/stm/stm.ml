@@ -471,10 +471,7 @@ let commit s d lk =
       else capture_conflict s d "stm.commit.final";
       abort_with (if fenced then Lock_held else Conflict)
     end;
-    for i = 0 to d.nwrites - 1 do
-      let ok = Simmem.Tx_plane.commit_write s.smem ctx d.waddr.(i) d.wval.(i) in
-      assert ok
-    done;
+    write_back d;
     for i = 0 to lk.nlocks - 1 do
       ignore (Simmem.Tx_plane.commit_write s.smem ctx lk.stripes.(i) (unlocked_word wv))
     done;
