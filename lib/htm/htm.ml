@@ -248,7 +248,7 @@ let esc_stm h n last =
   | Stm_after m, _ -> n >= m
 
 (* With an STM policy the lock is reachable only through STM budget
-   exhaustion (see [run_stm]); without one, [Tle_after k] escalates
+   exhaustion (see [escalate]); without one, [Tle_after k] escalates
    directly from hardware aborts. *)
 let use_lock h n =
   match h.cfg.stm, h.cfg.tle with
@@ -322,7 +322,8 @@ let create ?(config = default_config) ?metrics mem =
     pool = Simmem.Tx_desc.pool mem;
     mreg;
     hw;
-    stm_path = Option.map (fun s -> Stm.path s ~budget:config.stm_attempts ~attempts:c_att_stm) stm;
+    stm_path =
+      Option.map (fun s -> Stm.path s ~budget:config.stm_attempts ~attempts:c_att_stm) stm;
     c_fallbacks;
     c_cycles;
     c_att_stm;
