@@ -185,6 +185,113 @@ let test_figure2_invariant () =
           inst.deregister ctx (Queue.pop handles)
         done)
 
+(* Machine-behaviour pins. Each algorithm runs one four-thread script
+   under [Fixed 2] and [Adaptive], for seeds 1-4: three workers register 8
+   handles each (growing the dynamic arrays from [min_size] 2 past
+   4·[min_size]; the slow third worker's registrations land in the others'
+   copy windows and help them), update them, then deregister all but one
+   (shrinking the arrays back) while a fourth thread collects (FastCollect
+   restarts; its deferred mode reclaims). The last handles are deregistered after the run, so the
+   deferred mode's [destroy] drains a non-empty to-be-freed list. One
+   digest covers every machine event with its tid and clock, the heap and
+   HTM statistics, each collected sequence and the step histogram: any
+   change to a single access, its address, its order or its virtual time
+   changes it. *)
+let pin_digest (mk : Collect.Intf.maker) step =
+  let acc = ref (Digest.string "") in
+  let buf = Buffer.create 65536 in
+  let flush () =
+    acc := Digest.string (Digest.to_hex !acc ^ Buffer.contents buf);
+    Buffer.clear buf
+  in
+  let add v =
+    Buffer.add_string buf (Marshal.to_string v []);
+    if Buffer.length buf > 60_000 then flush ()
+  in
+  for seed = 1 to 4 do
+    let mem = Simmem.create () in
+    let htm = Htm.create mem in
+    Simmem.attach mem
+      [ { Simmem.fold = (fun ~tid ~clock ev -> add (tid, clock, ev)); accesses = true;
+          journal = false } ];
+    let boot = Sim.boot () in
+    let cfg = { Collect.Intf.max_slots = 64; num_threads = 4; step; min_size = 2 } in
+    let inst = mk.make htm boot cfg in
+    let kept = Array.make 3 0 in
+    let worker w ctx =
+      let base = 1000 * (w + 1) in
+      let hs =
+        Array.init 8 (fun i ->
+            let h = inst.register ctx (base + i) in
+            (* the third worker registers slowly, into the others' copy windows *)
+            Sim.tick ctx (if w = 2 then 700 else 5 + (7 * w));
+            h)
+      in
+      Array.iteri (fun i h -> inst.update ctx h (base + 100 + i)) hs;
+      Array.iteri
+        (fun i h ->
+          if i > 0 then begin
+            inst.deregister ctx h;
+            Sim.tick ctx 50
+          end)
+        hs;
+      kept.(w) <- hs.(0)
+    in
+    let collector ctx =
+      for _ = 1 to 16 do
+        let b = Sim.Ibuf.create () in
+        inst.collect ctx b;
+        add (Sim.Ibuf.to_list b);
+        Sim.tick ctx 100
+      done
+    in
+    Sim.run ~seed [| worker 0; worker 1; worker 2; collector |];
+    Array.iter (fun h -> inst.deregister boot h) kept;
+    let b = Sim.Ibuf.create () in
+    inst.collect boot b;
+    add (Sim.Ibuf.to_list b);
+    inst.destroy boot;
+    add (Simmem.stats mem, Htm.stats htm, inst.step_histogram ())
+  done;
+  flush ();
+  Digest.to_hex !acc
+
+let pinned =
+  [
+    ("ListHoHRC", "4251986911a7de9345560fbc1a6c0a2a",
+      "598bedf380832b7e88e392b1051bfcea");
+    ("ListFastCollect", "3bacdbab8ec8040ecd0346d769aacfd2",
+      "38b5a1cb1593331a0c29fc81ad6d451d");
+    ("ArrayStatSearchNo", "b16c608f96cd7ee12e01a5b7323e8422",
+      "b16c608f96cd7ee12e01a5b7323e8422");
+    ("ArrayStatAppendDereg", "3f1b420ce3d033ec587be144dd789d69",
+      "5779e46e2c2a157e99f92728a3607850");
+    ("ArrayDynSearchResize", "7a48ee3dd18e3df8d82d241897cc83b1",
+      "6e6e8e46de06a4a1a9be2a73421f178a");
+    ("ArrayDynAppendDereg", "32f97ff5ce86b2f59b14e06b33d3b062",
+      "f456a9a1d35a00453428f57ead0e5af0");
+    ("StaticBaseline", "1d7856f2148f9ff64eff36c9b9b7f1f1",
+      "1d7856f2148f9ff64eff36c9b9b7f1f1");
+    ("DynamicBaseline", "233f58e90a28dd662aa925fa96d133ef",
+      "233f58e90a28dd662aa925fa96d133ef");
+    ("ListFastCollectDeferred", "4918cd9415037929d1b002e06ad9a51d",
+      "2ba7b4a1ff00572b8843eb2c5e624c6e");
+    ("ArrayDynAppendFastUpd", "3b809a0273675859690046b0e270da64",
+      "fdf4e178eae6df7b7a9bbc33b693f1d6");
+  ]
+
+let test_pinned_behaviour () =
+  Alcotest.(check (list string)) "every maker is pinned"
+    (List.map name_of Collect.all_with_extensions)
+    (List.map (fun (n, _, _) -> n) pinned);
+  List.iter
+    (fun (name, fixed2, adaptive) ->
+      let mk = Option.get (Collect.find_maker name) in
+      Alcotest.(check string) (name ^ " Fixed 2") fixed2 (pin_digest mk (Collect.Intf.Fixed 2));
+      Alcotest.(check string) (name ^ " Adaptive") adaptive
+        (pin_digest mk Collect.Intf.Adaptive))
+    pinned
+
 let suite_for name f = Alcotest.test_case name `Quick (forall_makers f)
 
 let () =
@@ -207,4 +314,5 @@ let () =
           Alcotest.test_case "dynamic arrays shrink" `Quick test_dynamic_array_shrinks;
           Alcotest.test_case "figure 2 resize staircase" `Quick test_figure2_invariant;
         ] );
+      ("pin", [ Alcotest.test_case "machine behaviour per algorithm" `Quick test_pinned_behaviour ]);
     ]
