@@ -1,7 +1,8 @@
 (** ArrayStatAppendDereg (paper §3.2.4): fixed-capacity array, append-based
     registration, compaction on every deregister. The stepping stone to
-    {!Array_dyn_append_dereg} — identical operation structure without the
-    resize machinery, so it bounds capacity and never reclaims the array. *)
+    {!Array_dyn_append_dereg} — the same two-word slots and operations
+    from {!Array_common}, without the resize machinery, so it bounds
+    capacity and never reclaims the array. *)
 
 open Array_common
 
@@ -34,20 +35,13 @@ let register t ctx v =
 let deregister t ctx slot_ref =
   let mem = Htm.mem t.htm in
   Htm.atomic t.htm ctx (fun tx ->
-      let count = Htm.read tx (t.hdr + hdr_count) in
-      Htm.write tx (t.hdr + hdr_count) (count - 1);
-      let arr = Htm.read tx (t.hdr + hdr_array) in
-      let last = arr + (slot_words * (count - 1)) in
-      let mine = Htm.read tx slot_ref in
-      let moved_ref = Htm.read tx (last + 1) in
-      Htm.write tx mine (Htm.read tx last);
-      Htm.write tx (mine + 1) moved_ref;
-      Htm.write tx moved_ref mine);
+      compact tx ~hdr:t.hdr ~count:(Htm.read tx (t.hdr + hdr_count)) slot_ref);
   Simmem.free mem ctx slot_ref
 
 let update t ctx slot_ref v = update_indirect t.htm ctx slot_ref v
 
-let collect t ctx buf = reverse_collect t.htm ctx ~hdr:t.hdr ~stepper:t.stepper buf
+let collect t ctx buf =
+  reverse_collect t.htm ctx ~hdr:t.hdr ~scan:hdr_count ~read:read_value ~stepper:t.stepper buf
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in

@@ -17,9 +17,10 @@
     Update is a naked store: the handle's storage never moves (§3.1's
     stated advantage of the list-based algorithms). *)
 
-let off_val = 0
-let off_next = 1
-let off_prev = 2
+(* A FastCollect node (value, next, prev) plus the reference count and the
+   delete marker, so {!Fast_collect}'s list operations apply. *)
+let off_val = Fast_collect.off_val
+let off_next = Fast_collect.off_next
 let off_refc = 3
 let off_del = 4
 
@@ -46,12 +47,7 @@ let register t ctx v =
   let node = Simmem.malloc mem ctx node_words in
   Simmem.label mem ~name:"ListHoHRC.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
-  Htm.atomic t.htm ctx (fun tx ->
-      let first = Htm.read tx (t.sentinel + off_next) in
-      Htm.write tx (node + off_next) first;
-      Htm.write tx (node + off_prev) t.sentinel;
-      Htm.write tx (t.sentinel + off_next) node;
-      if first <> 0 then Htm.write tx (first + off_prev) node);
+  Htm.atomic t.htm ctx (fun tx -> Fast_collect.link tx ~sentinel:t.sentinel node);
   node
 
 let update t ctx node v = Simmem.write (Htm.mem t.htm) ctx (node + off_val) v
@@ -59,10 +55,7 @@ let update t ctx node v = Simmem.write (Htm.mem t.htm) ctx (node + off_val) v
 (* Unlink [n] within [tx]; only legal when its reference count is zero and
    its delete marker is set, i.e. nobody can reach or pin it afterwards. *)
 let unlink_in_tx tx n =
-  let prev = Htm.read tx (n + off_prev) in
-  let next = Htm.read tx (n + off_next) in
-  Htm.write tx (prev + off_next) next;
-  if next <> 0 then Htm.write tx (next + off_prev) prev;
+  Fast_collect.unlink tx n;
   Htm.defer_free tx n
 
 let deregister t ctx node =
@@ -71,17 +64,10 @@ let deregister t ctx node =
       if Htm.read tx (node + off_refc) = 0 then unlink_in_tx tx node)
 
 let collect t ctx buf =
-  let cur = ref t.sentinel in
-  let finished = ref false in
-  while not !finished do
-    let len0 = Sim.Ibuf.length buf in
+  let rec chunk cur =
     let continue_from =
-      Htm.atomic t.htm ctx
-        ~on_abort:(fun _ -> Stepper.on_abort t.stepper ctx)
-        (fun tx ->
-          Sim.Ibuf.reset_to buf len0;
-          let step = Stepper.get t.stepper ctx in
-          let node = ref (Htm.read tx (!cur + off_next)) in
+      Stepper.chunk t.stepper t.htm ctx buf (fun tx step ->
+          let node = ref (Htm.read tx (cur + off_next)) in
           let last = ref 0 in
           let k = ref 0 in
           while !node <> 0 && !k < step do
@@ -100,17 +86,16 @@ let collect t ctx buf =
               (Htm.read tx (continue_from + off_refc) + 1);
           (* Unpin the previous cursor; the last unpinner of a
              delete-marked node reclaims it. *)
-          if !cur <> t.sentinel then begin
-            let rc = Htm.read tx (!cur + off_refc) - 1 in
-            Htm.write tx (!cur + off_refc) rc;
-            if rc = 0 && Htm.read tx (!cur + off_del) = 1 then unlink_in_tx tx !cur
+          if cur <> t.sentinel then begin
+            let rc = Htm.read tx (cur + off_refc) - 1 in
+            Htm.write tx (cur + off_refc) rc;
+            if rc = 0 && Htm.read tx (cur + off_del) = 1 then unlink_in_tx tx cur
           end;
           continue_from)
     in
-    Stepper.on_commit t.stepper ctx;
-    Stepper.record_collected t.stepper ctx (Sim.Ibuf.length buf - len0);
-    if continue_from = 0 then finished := true else cur := continue_from
-  done
+    if continue_from <> 0 then chunk continue_from
+  in
+  chunk t.sentinel
 
 (* Destroy frees only nodes with refcount zero: a node still pinned by a
    traverser (e.g. one that crashed mid-collect and will never unpin) has a

@@ -64,6 +64,25 @@ let record_collected t ctx n =
   | Fixed_step _ -> ()
   | Adaptive_step arr -> Htm.Adapt.record_collected (adapt_for t arr ctx) n
 
+(* One transaction of a telescoped collect (§3.4), the driver every HTM
+   collect shares: [body tx step] appends up to [step] values to [buf]
+   (an aborted attempt's values are dropped by rewinding [buf]), then the
+   commit and the values collected are recorded at the step size used. A
+   chunk that adds nothing (a restarting FastCollect) records zero, which
+   leaves the histogram unchanged. *)
+let chunk t htm ctx buf body =
+  let len0 = Sim.Ibuf.length buf in
+  let r =
+    Htm.atomic htm ctx
+      ~on_abort:(fun _ -> on_abort t ctx)
+      (fun tx ->
+        Sim.Ibuf.reset_to buf len0;
+        body tx (get t ctx))
+  in
+  on_commit t ctx;
+  record_collected t ctx (Sim.Ibuf.length buf - len0);
+  r
+
 let histogram t =
   match t.policy with
   | Fixed_step _ -> []

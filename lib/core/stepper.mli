@@ -28,5 +28,11 @@ val on_abort : t -> Sim.tctx -> unit
 val record_collected : t -> Sim.tctx -> int -> unit
 (** Account elements collected at the current step size (Figure 6). *)
 
+val chunk : t -> Htm.t -> Sim.tctx -> Sim.Ibuf.t -> (Htm.tx -> int -> 'a) -> 'a
+(** [chunk t htm ctx buf body] runs one telescoped collect transaction:
+    [body tx step] appends at most [step] values to [buf], retried from
+    the same buffer length after each abort; then the commit and the
+    values it appended are recorded. Returns [body]'s result. *)
+
 val histogram : t -> (int * int) list
 (** [(step, elements)] pairs merged across threads, ascending by step. *)

@@ -256,10 +256,14 @@ let use_lock h n =
   | Stm_after _, _ | Stm_never, Tle_never -> false
 
 (* The hardware path stops when a slow path takes over, or when its retry
-   budget runs dry with none to rescue it. *)
+   budget runs dry with none to rescue it. The escalation is decided here,
+   once: the descriptor moves to the path that takes over ([P_hw] when
+   none does; the next attempt's [reset] overwrites it), and [escalate]
+   follows it. *)
 let hw_stop tx n last =
   let h = tx.owner in
-  esc_stm h n last || use_lock h n || (h.cfg.max_attempts > 0 && n >= h.cfg.max_attempts)
+  tx.path <- (if esc_stm h n last then P_stm else if use_lock h n then P_tle else P_hw);
+  tx.path <> P_hw || (h.cfg.max_attempts > 0 && n >= h.cfg.max_attempts)
 
 let create ?(config = default_config) ?metrics mem =
   (* The TLE lock gets its own cache line so lock traffic does not
@@ -386,11 +390,13 @@ let run_locked h ctx tx attempt f =
     raise e
 
 (* The hardware path stopped before attempt [n], after aborting with
-   [last]: escalate as [hw_stop] decided, in its order, or give up with
-   [stop]. The software path runs the block on the same descriptor; if
-   its budget runs dry and TLE is enabled, the lock is the last resort. *)
+   [last]: escalate to the path [hw_stop] moved the descriptor to, or give
+   up with [stop]. The software path runs the block on the same
+   descriptor; if its budget runs dry and TLE is enabled, the lock is the
+   last resort. *)
 let escalate h ctx tx f on_abort n last stop =
-  if esc_stm h n last then begin
+  match tx.path with
+  | P_stm -> begin
     Obs.Metrics.incr1 h.c_esc_stm;
     hop h ctx P_hw P_stm last tx.last_witness;
     if observed h then emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
@@ -401,11 +407,10 @@ let escalate h ctx tx f on_abort n last stop =
       hop h ctx P_stm P_tle r tx.last_witness;
       run_locked h ctx tx n f
   end
-  else if use_lock h n then begin
+  | P_tle ->
     hop h ctx P_hw P_tle last tx.last_witness;
     run_locked h ctx tx n f
-  end
-  else raise stop
+  | P_hw -> raise stop
 
 (* Success bookkeeping for the whole operation, whichever path committed
    it: the hardware retry chain, cycles-to-commit, and a liveness note. *)

@@ -45,8 +45,10 @@ type lstat = {
   mutable l_prov : (int * int * int) option; (* tid, clock, alloc count *)
 }
 
+(* Simmem's lines are 8 words. *)
+let line_shift = 3
+
 type t = {
-  line_shift : int;
   max_hops : int;
   mutable total : int;
   edges : (int * int, edge) Hashtbl.t; (* (victim, aggressor) *)
@@ -60,9 +62,8 @@ type t = {
   mutable hop_total : int; (* including those beyond max_hops *)
 }
 
-let create ?(line_shift = 3) ?(max_hops = 256) () =
+let create ?(max_hops = 256) () =
   {
-    line_shift;
     max_hops;
     total = 0;
     edges = Hashtbl.create 64;
@@ -78,7 +79,7 @@ let create ?(line_shift = 3) ?(max_hops = 256) () =
 
 let label t ~name ~base ~words =
   if words > 0 then begin
-    let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in
+    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
     for line = lo to hi do
       match Hashtbl.find_opt t.line_names line with
       | Some names -> if not (List.mem name !names) then names := name :: !names
@@ -88,7 +89,7 @@ let label t ~name ~base ~words =
 
 let note_alloc t ~base ~words ~tid ~clock =
   if words > 0 then begin
-    let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in
+    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
     for line = lo to hi do
       match Hashtbl.find_opt t.allocs line with
       | Some a ->
@@ -191,7 +192,7 @@ let lines ?top t =
       (fun line ls acc ->
         {
           fl_line = line;
-          fl_addr = line lsl t.line_shift;
+          fl_addr = line lsl line_shift;
           fl_region = region_of t line;
           fl_prov = ls.l_prov;
           fl_conflicts = ls.l_conflicts;
@@ -271,7 +272,7 @@ let absorb dst src =
     src.lines;
   Hashtbl.iter
     (fun line names ->
-      List.iter (fun name -> label dst ~name ~base:(line lsl dst.line_shift) ~words:1)
+      List.iter (fun name -> label dst ~name ~base:(line lsl line_shift) ~words:1)
         (List.rev !names))
     src.line_names;
   Hashtbl.iter

@@ -24,7 +24,7 @@ type witness = {
   w_victim : int;  (** aborting thread *)
   w_aggressor : int;  (** thread whose write invalidated it; -1 unknown *)
   w_addr : int;  (** conflicting word address *)
-  w_line : int;  (** [w_addr lsr line_shift] *)
+  w_line : int;  (** the line of [w_addr] (8-word lines) *)
   w_victim_wrote : bool;  (** true: W/W conflict; false: R/W *)
   w_read_set : bool;  (** address was in the victim's read-set *)
   w_write_set : bool;  (** address was in the victim's write-set *)
@@ -48,10 +48,10 @@ type hop = {
 
 type t
 
-val create : ?line_shift:int -> ?max_hops:int -> unit -> t
-(** [line_shift] must match the memory it observes (default 3 =
-    8-word lines); [max_hops] bounds the stored escalation timeline
-    (default 256) — the total is still counted past the bound. *)
+val create : ?max_hops:int -> unit -> t
+(** A forensics aggregator for a memory of 8-word lines; [max_hops]
+    bounds the stored escalation timeline (default 256) — the total is
+    still counted past the bound. *)
 
 (** {1 Recording} *)
 

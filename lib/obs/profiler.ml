@@ -5,8 +5,10 @@ type stat = {
   mutable s_max_sharers : int;
 }
 
+(* Simmem's lines are 8 words. *)
+let line_shift = 3
+
 type t = {
-  line_shift : int;
   stats : (int, stat) Hashtbl.t;
   (* Per-line region names, deduplicated at label time: re-labelling a
      recycled block is O(lines covered) and idempotent, so allocation
@@ -14,12 +16,12 @@ type t = {
   line_names : (int, string list ref) Hashtbl.t;
 }
 
-let create ?(line_shift = 3) () =
-  { line_shift; stats = Hashtbl.create 256; line_names = Hashtbl.create 256 }
+let create () =
+  { stats = Hashtbl.create 256; line_names = Hashtbl.create 256 }
 
 let label t ~name ~base ~words =
   if words > 0 then begin
-    let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in
+    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
     for line = lo to hi do
       match Hashtbl.find_opt t.line_names line with
       | Some names -> if not (List.mem name !names) then names := name :: !names
@@ -114,7 +116,7 @@ let print ?(top = 16) ppf t =
     List.map
       (fun ls ->
         [
-          Printf.sprintf "0x%x" (ls.ls_line lsl t.line_shift);
+          Printf.sprintf "0x%x" (ls.ls_line lsl line_shift);
           ls.ls_region;
           string_of_int ls.ls_transfers;
           string_of_int ls.ls_cycles;

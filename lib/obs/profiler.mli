@@ -17,9 +17,8 @@
 
 type t
 
-val create : ?line_shift:int -> unit -> t
-(** [line_shift] must match the memory's line size (default 3:
-    8-word lines). *)
+val create : unit -> t
+(** A profiler for a memory of 8-word lines. *)
 
 val label : t -> name:string -> base:int -> words:int -> unit
 (** Declare that words [\[base, base+words)] belong to region [name].

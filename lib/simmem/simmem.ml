@@ -12,28 +12,15 @@ let pp_fault ppf = function
   | Double_free a -> Format.fprintf ppf "double free of %#x" a
   | Invalid_free a -> Format.fprintf ppf "free of non-block address %#x" a
 
-type cost_model = {
-  read_hit : int;
-  read_miss : int;
-  write_hit : int;
-  write_miss : int;
-  cas_extra : int;
-  malloc_base : int;
-  malloc_per_word : int;
-  free_cost : int;
-}
-
-let default_costs =
-  {
-    read_hit = 8;
-    read_miss = 50;
-    write_hit = 8;
-    write_miss = 60;
-    cas_extra = 15;
-    malloc_base = 80;
-    malloc_per_word = 2;
-    free_cost = 60;
-  }
+(* Virtual-cycle costs of the MESI-like cache-line model. *)
+let read_hit = 8 (* load from a line this thread already shares *)
+let read_miss = 50 (* load requiring a coherence transfer *)
+let write_hit = 8 (* store to a line held exclusively *)
+let write_miss = 60 (* store requiring invalidation of other copies *)
+let cas_extra = 15 (* atomic-op penalty on top of the store cost *)
+let malloc_base = 80
+let malloc_per_word = 2
+let free_cost = 60
 
 (* Word allocation state. [Freed] words remember that they were once live so
    that a dangling access is reported as use-after-free, not unallocated. *)
@@ -362,7 +349,6 @@ type sbuf = {
 let sh_bits = 62
 
 type t = {
-  cost : cost_model;
   model : Sim.Memmodel.t;
   alloc : alloc_policy;
   cap : int; (* thread capacity: distinct non-boot tids the sharer sets track *)
@@ -464,7 +450,7 @@ let default_words alloc threads =
     let arenas = match threads with Some n -> n + 1 | None -> 2 in
     line_words + (arenas * (chunk_min + pad))
 
-let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics ?threads
+let create ?(model = Sim.Memmodel.sc) ?metrics ?threads
     ?initial_words ?(alloc = Shared_lifo) () =
   let cap =
     match threads with
@@ -478,9 +464,20 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics ?threads
     max 64 (match initial_words with Some n -> n | None -> default_words alloc threads)
   in
   let mreg = Obs.Metrics.create ?parent:metrics () in
+  (* Registered one [let] at a time, so a parent registry lists them in
+     this order (pinned by test_simmem). *)
+  let h_queue_wait = Obs.Metrics.hist mreg "mem.queue_wait" in
+  let g_live_blocks = Obs.Metrics.gauge mreg "mem.live_blocks" in
+  let g_live_words = Obs.Metrics.gauge mreg "mem.live_words" in
+  let c_frees = Obs.Metrics.counter mreg "mem.frees" in
+  let c_allocs = Obs.Metrics.counter mreg "mem.allocs" in
+  let c_atomics = Obs.Metrics.counter mreg "mem.atomics" in
+  let c_write_misses = Obs.Metrics.counter ~per_thread:true mreg "mem.write_misses" in
+  let c_writes = Obs.Metrics.counter ~per_thread:true mreg "mem.writes" in
+  let c_read_misses = Obs.Metrics.counter ~per_thread:true mreg "mem.read_misses" in
+  let c_reads = Obs.Metrics.counter ~per_thread:true mreg "mem.reads" in
   let arena_mode = alloc <> Shared_lifo in
   {
-    cost = costs;
     model;
     alloc;
     cap;
@@ -510,16 +507,16 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics ?threads
     bumps = 0;
     txr_val = 0;
     mreg;
-    c_reads = Obs.Metrics.counter ~per_thread:true mreg "mem.reads";
-    c_read_misses = Obs.Metrics.counter ~per_thread:true mreg "mem.read_misses";
-    c_writes = Obs.Metrics.counter ~per_thread:true mreg "mem.writes";
-    c_write_misses = Obs.Metrics.counter ~per_thread:true mreg "mem.write_misses";
-    c_atomics = Obs.Metrics.counter mreg "mem.atomics";
-    c_allocs = Obs.Metrics.counter mreg "mem.allocs";
-    c_frees = Obs.Metrics.counter mreg "mem.frees";
-    g_live_words = Obs.Metrics.gauge mreg "mem.live_words";
-    g_live_blocks = Obs.Metrics.gauge mreg "mem.live_blocks";
-    h_queue_wait = Obs.Metrics.hist mreg "mem.queue_wait";
+    c_reads;
+    c_read_misses;
+    c_writes;
+    c_write_misses;
+    c_atomics;
+    c_allocs;
+    c_frees;
+    g_live_words;
+    g_live_blocks;
+    h_queue_wait;
     wr_tid = [||];
     wr_kind = Bytes.empty;
     wr_clock = [||];
@@ -555,7 +552,6 @@ let stats (t : t) =
   }
 
 let metrics t = t.mreg
-let costs t = t.cost
 let model t = t.model
 let alloc t = t.alloc
 let null = 0
@@ -804,20 +800,20 @@ let read_cost t ctx addr =
        historical layout. *)
     let bit = 1 lsl b in
     let s = t.sharers.(line) in
-    if s land bit <> 0 then t.cost.read_hit
+    if s land bit <> 0 then read_hit
     else begin
       t.sharers.(line) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
       miss_cost t ctx ~write:false ~addr ~line
         ~sharers:(if observed t then popcount s else 0)
-        ~base:t.cost.read_miss
+        ~base:read_miss
     end
   end
   else begin
     let w0 = line * t.sw in
     let wi = w0 + (b / sh_bits) and bit = 1 lsl (b mod sh_bits) in
     let s = t.sharers.(wi) in
-    if s land bit <> 0 then t.cost.read_hit
+    if s land bit <> 0 then read_hit
     else begin
       t.sharers.(wi) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
@@ -827,7 +823,7 @@ let read_cost t ctx addr =
           if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
         done;
       miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
-        ~base:t.cost.read_miss
+        ~base:read_miss
     end
   end
 
@@ -839,13 +835,13 @@ let write_cost t ctx addr =
   if t.sw = 1 then begin
     let bit = 1 lsl b in
     let s = t.sharers.(line) in
-    if s = bit then t.cost.write_hit
+    if s = bit then write_hit
     else begin
       t.sharers.(line) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
       miss_cost t ctx ~write:true ~addr ~line
         ~sharers:(if observed t then popcount s else 0)
-        ~base:t.cost.write_miss
+        ~base:write_miss
     end
   end
   else begin
@@ -857,7 +853,7 @@ let write_cost t ctx addr =
       for k = w0 to w0 + t.sw - 1 do
         if k <> wi && t.sharers.(k) <> 0 then exclusive := false
       done;
-    if !exclusive then t.cost.write_hit
+    if !exclusive then write_hit
     else begin
       let n = ref 0 and obs = observed t in
       for k = w0 to w0 + t.sw - 1 do
@@ -867,7 +863,7 @@ let write_cost t ctx addr =
       t.sharers.(wi) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
       miss_cost t ctx ~write:true ~addr ~line ~sharers:!n
-        ~base:t.cost.write_miss
+        ~base:write_miss
     end
   end
 
@@ -981,7 +977,7 @@ let read t ctx addr =
     let v = (sbuf_of t ctx).sb_val.(fwd) in
     check_live t addr;
     Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
-    Sim.tick ctx t.cost.read_hit;
+    Sim.tick ctx read_hit;
     check_live t addr;
     if t.acc_on then emit t ctx (Access (Read { addr; value = v }));
     v
@@ -1016,7 +1012,7 @@ let write t ctx addr v =
     sb_push sb addr v;
     (* The issue itself is a cheap local step; the write's real coherence
        cost is paid when it drains. *)
-    Sim.tick ctx t.cost.write_hit
+    Sim.tick ctx write_hit
   end
   else write_through t ctx addr v
 
@@ -1028,7 +1024,7 @@ let cas t ctx addr ~expected ~desired =
   drain t ctx;
   check_live t addr;
   Obs.Metrics.incr1 t.c_atomics;
-  Sim.tick ctx (write_cost t ctx addr + t.cost.cas_extra);
+  Sim.tick ctx (write_cost t ctx addr + cas_extra);
   check_live t addr;
   let success = t.values.(addr) = expected in
   if success then begin
@@ -1053,7 +1049,7 @@ let fetch_add t ctx addr d =
   drain t ctx;
   check_live t addr;
   Obs.Metrics.incr1 t.c_atomics;
-  Sim.tick ctx (write_cost t ctx addr + t.cost.cas_extra);
+  Sim.tick ctx (write_cost t ctx addr + cas_extra);
   check_live t addr;
   let old = t.values.(addr) in
   t.values.(addr) <- old + d;
@@ -1252,7 +1248,7 @@ let malloc t ctx n =
   (* Allocator entry points are full fences: a pending store must never
      land on a block the allocator is about to recycle. *)
   drain t ctx;
-  Sim.tick ctx (t.cost.malloc_base + (n * t.cost.malloc_per_word));
+  Sim.tick ctx (malloc_base + (n * malloc_per_word));
   let base =
     if t.alloc <> Shared_lifo then arena_alloc t ctx n
     else begin
@@ -1284,7 +1280,7 @@ let malloc t ctx n =
 
 let free t ctx base =
   drain t ctx;
-  Sim.tick ctx t.cost.free_cost;
+  Sim.tick ctx free_cost;
   let n = if base <= 0 || base >= Array.length t.block_words then 0 else t.block_words.(base) in
   if n = 0 then begin
     if base > 0 && base < t.extent && word_state t base = st_freed then

@@ -36,17 +36,6 @@ exception Fault of fault
 
 val pp_fault : Format.formatter -> fault -> unit
 
-type cost_model = {
-  read_hit : int;  (** load from a line this thread already shares *)
-  read_miss : int;  (** load requiring a coherence transfer *)
-  write_hit : int;  (** store to a line held exclusively *)
-  write_miss : int;  (** store requiring invalidation of other copies *)
-  cas_extra : int;  (** atomic-op penalty on top of the store cost *)
-  malloc_base : int;
-  malloc_per_word : int;
-  free_cost : int;
-}
-
 (** {1 Allocation policy}
 
     [Shared_lifo] (the default) is the historical allocator: a single
@@ -111,7 +100,6 @@ type stats = {
 }
 
 val create :
-  ?costs:cost_model ->
   ?model:Sim.Memmodel.t ->
   ?metrics:Obs.Metrics.t ->
   ?threads:int ->
@@ -165,8 +153,6 @@ val metrics : t -> Obs.Metrics.t
     [mem.live_blocks] gauges (high-water mark = peak), and the
     [mem.queue_wait] histogram of cycles spent queued behind another
     in-flight transfer of the same line. *)
-
-val costs : t -> cost_model
 
 val model : t -> Sim.Memmodel.t
 (** The memory-consistency variant this heap was created with. *)

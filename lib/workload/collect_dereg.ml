@@ -87,10 +87,6 @@ let cells ?makers ?(churners = 15) ?(periods = default_periods) ?(duration = 400
         makers)
     periods
 
-let run ?jobs ?makers ?churners ?periods ?duration ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells ?makers ?churners ?periods ?duration ?seed ()))
-
 let to_table results =
   let periods =
     List.sort_uniq (fun a b -> Int.compare b a) (List.map (fun r -> r.dereg_period) results)

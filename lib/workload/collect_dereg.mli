@@ -14,14 +14,4 @@ val cells :
   result Runner.Cell.t list
 (** One cell per (dereg period x algorithm), in canonical sweep order. *)
 
-val run :
-  ?jobs:int ->
-  ?makers:Collect.Intf.maker list ->
-  ?churners:int ->
-  ?periods:int list ->
-  ?duration:int ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val to_table : result list -> Obs.Table.table

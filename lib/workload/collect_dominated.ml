@@ -93,10 +93,6 @@ let cells ?(makers = Collect.all) ?(threads = default_threads) ?(duration = 400_
         makers)
     threads
 
-let run ?jobs ?makers ?threads ?duration ?step ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells ?makers ?threads ?duration ?step ?seed ()))
-
 let to_table ?(makers = Collect.all) results =
   let threads = List.sort_uniq Int.compare (List.map (fun r -> r.threads) results) in
   Obs.Table.pivot ~title:"Figure 3: Collect-dominated workload (step 32)" ~xlabel:"threads"

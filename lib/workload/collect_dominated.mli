@@ -34,14 +34,4 @@ val cells :
   result Runner.Cell.t list
 (** One cell per (thread count x algorithm), in canonical sweep order. *)
 
-val run :
-  ?jobs:int ->
-  ?makers:Collect.Intf.maker list ->
-  ?threads:int list ->
-  ?duration:int ->
-  ?step:Collect.Intf.step_policy ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val to_table : ?makers:Collect.Intf.maker list -> result list -> Obs.Table.table

@@ -179,10 +179,6 @@ let cells_fig4 ?(updaters = 15) ?(periods = default_periods) ?(duration = 400_00
         (fig4_algos ()))
     periods
 
-let run_fig4 ?jobs ?updaters ?periods ?duration ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells_fig4 ?updaters ?periods ?duration ?seed ()))
-
 (* Figure 5: fixed steps 8/16/32, the adaptive controller, and "Best
    (adapt cost)" — the best instrumented fixed step per period. *)
 let fig5_steps = [ 8; 16; 32 ]
@@ -232,11 +228,6 @@ let fig5_collate results =
          in
          fixed @ [ { best with label = "Best (adapt cost)" }; at (stride - 1) ]))
 
-let run_fig5 ?jobs ?updaters ?periods ?duration ?seed () =
-  fig5_collate
-    (Runner.Sweep.values
-       (Runner.Sweep.run ?jobs (cells_fig5 ?updaters ?periods ?duration ?seed ())))
-
 (* Figure 6: step-size usage distribution of the adaptive controller. *)
 let cells_fig6 ?(updaters = 15)
     ?(periods = [ 8_000; 6_000; 4_000; 2_000; 1_000; 800; 600; 400 ]) ?(duration = 400_000)
@@ -247,10 +238,6 @@ let cells_fig6 ?(updaters = 15)
       Runner.Cell.v ~label:(Printf.sprintf "fig6/adapt/p%d" period) (fun () ->
           run_one maker ~updaters ~period ~duration ~step:Collect.Intf.Adaptive ~seed))
     periods
-
-let run_fig6 ?jobs ?updaters ?periods ?duration ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells_fig6 ?updaters ?periods ?duration ?seed ()))
 
 let period_label p = if p >= 1000 then Printf.sprintf "%dk" (p / 1000) else string_of_int p
 

@@ -55,15 +55,6 @@ val cells_fig4 :
   result Runner.Cell.t list
 (** One cell per (period x algorithm), in canonical sweep order. *)
 
-val run_fig4 :
-  ?jobs:int ->
-  ?updaters:int ->
-  ?periods:int list ->
-  ?duration:int ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val cells_fig5 :
   ?updaters:int ->
   ?periods:int list ->
@@ -78,17 +69,6 @@ val fig5_collate : result list -> result list
 (** Reduce raw {!cells_fig5} results (in cell order) to the plotted
     series: fixed steps, "Best (adapt cost)", adaptive — per period. *)
 
-val run_fig5 :
-  ?jobs:int ->
-  ?updaters:int ->
-  ?periods:int list ->
-  ?duration:int ->
-  ?seed:int ->
-  unit ->
-  result list
-(** Fixed steps, the adaptive controller, and "Best (adapt cost)" — the
-    best instrumented fixed step per period. *)
-
 val cells_fig6 :
   ?updaters:int ->
   ?periods:int list ->
@@ -96,16 +76,6 @@ val cells_fig6 :
   ?seed:int ->
   unit ->
   result Runner.Cell.t list
-
-val run_fig6 :
-  ?jobs:int ->
-  ?updaters:int ->
-  ?periods:int list ->
-  ?duration:int ->
-  ?seed:int ->
-  unit ->
-  result list
-(** Adaptive runs whose histograms regenerate Figure 6. *)
 
 val distinct_in_order : string list -> string list
 (** The list without repeats, each kept at its first occurrence: the

@@ -40,9 +40,6 @@ let cells ?(makers = Collect.all) ?(handles = 16) ?(updates = 2000) ?(seed = 21)
           run_one mk ~handles ~updates ~seed))
     makers
 
-let run ?jobs ?makers ?handles ?updates ?seed () =
-  Runner.Sweep.values (Runner.Sweep.run ?jobs (cells ?makers ?handles ?updates ?seed ()))
-
 let to_table results =
   {
     Obs.Table.title = "Section 5.1: Update latency";

@@ -20,15 +20,6 @@ val cells :
   result Runner.Cell.t list
 (** One cell per algorithm, in canonical sweep order. *)
 
-val run :
-  ?jobs:int ->
-  ?makers:Collect.Intf.maker list ->
-  ?handles:int ->
-  ?updates:int ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val to_table : result list -> Obs.Table.table
 (** The second column shows the paper's reference value for the class
     (135 or 215 ns). *)

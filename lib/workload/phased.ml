@@ -106,10 +106,6 @@ let cells ?(updaters = 15) ?(phase_len = 1_000_000) ?(phases = 6) ?(bucket_len =
           run_one mk ~updaters ~phase_len ~phases ~bucket_len ~step ~seed))
     (fig8_algos ())
 
-let run ?jobs ?updaters ?phase_len ?phases ?bucket_len ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells ?updaters ?phase_len ?phases ?bucket_len ?seed ()))
-
 let to_table results =
   let columns = List.map (fun r -> r.algo) results in
   let xs =

@@ -18,14 +18,4 @@ val cells :
   result Runner.Cell.t list
 (** One cell per algorithm, in canonical sweep order. *)
 
-val run :
-  ?jobs:int ->
-  ?updaters:int ->
-  ?phase_len:int ->
-  ?phases:int ->
-  ?bucket_len:int ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val to_table : result list -> Obs.Table.table

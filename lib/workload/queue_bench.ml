@@ -44,10 +44,6 @@ let cells ?(threads = default_threads) ?(duration = 400_000) ?(prefill = 64) ?(s
         Hqueue.all)
     threads
 
-let run ?jobs ?threads ?duration ?prefill ?seed () =
-  Runner.Sweep.values
-    (Runner.Sweep.run ?jobs (cells ?threads ?duration ?prefill ?seed ()))
-
 let to_table results =
   let threads = List.sort_uniq Int.compare (List.map (fun r -> r.threads) results) in
   Obs.Table.pivot ~title:"Figure 1: Queue throughput vs threads" ~xlabel:"threads"

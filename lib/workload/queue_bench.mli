@@ -32,13 +32,4 @@ val cells :
   result Runner.Cell.t list
 (** One cell per (thread count x queue), in canonical sweep order. *)
 
-val run :
-  ?jobs:int ->
-  ?threads:int list ->
-  ?duration:int ->
-  ?prefill:int ->
-  ?seed:int ->
-  unit ->
-  result list
-
 val to_table : result list -> Obs.Table.table

@@ -54,9 +54,6 @@ let queue_cells ?peak_len ?seed () =
           queue_space_one ?peak_len ?seed mk))
     Hqueue.all
 
-let queue_space ?jobs ?peak_len ?seed () =
-  Runner.Sweep.values (Runner.Sweep.run ?jobs (queue_cells ?peak_len ?seed ()))
-
 let collect_space_one ?(peak = 256) ?(seed = 92) (mk : Collect.Intf.maker) =
   let m = Driver.machine ~seed ~label:("space/" ^ mk.algo_name) () in
       let base = (Simmem.stats m.mem).live_words in
@@ -90,9 +87,6 @@ let collect_cells ?peak ?seed () =
       Runner.Cell.v ~label:("space/collect/" ^ mk.algo_name) (fun () ->
           collect_space_one ?peak ?seed mk))
     Collect.all
-
-let collect_space ?jobs ?peak ?seed () =
-  Runner.Sweep.values (Runner.Sweep.run ?jobs (collect_cells ?peak ?seed ()))
 
 let to_table ~title results =
   {

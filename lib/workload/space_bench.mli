@@ -10,6 +10,4 @@ type result = {
 
 val queue_cells : ?peak_len:int -> ?seed:int -> unit -> result Runner.Cell.t list
 val collect_cells : ?peak:int -> ?seed:int -> unit -> result Runner.Cell.t list
-val queue_space : ?jobs:int -> ?peak_len:int -> ?seed:int -> unit -> result list
-val collect_space : ?jobs:int -> ?peak:int -> ?seed:int -> unit -> result list
 val to_table : title:string -> result list -> Obs.Table.table

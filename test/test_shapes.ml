@@ -7,13 +7,16 @@
    The simulator is deterministic, so every comparison below is exact:
    the reduced-duration values were calibrated once and do not wobble. *)
 
+(* Run a sweep's cells in this process and return their values in order. *)
+let run cells = Runner.Sweep.values (Runner.Sweep.run cells)
+
 let check = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1 — queue throughput vs. threads.                            *)
 
 let test_fig1 () =
-  let rs = Workload.Queue_bench.run ~threads:[ 2; 4; 8 ] ~duration:100_000 () in
+  let rs = run (Workload.Queue_bench.cells ~threads:[ 2; 4; 8 ] ~duration:100_000 ()) in
   let thr queue threads =
     match
       List.find_opt
@@ -41,7 +44,7 @@ let test_fig1 () =
 (* Figure 3 — collect-dominated workload.                              *)
 
 let test_fig3 () =
-  let rs = Workload.Collect_dominated.run ~threads:[ 2; 8 ] ~duration:150_000 () in
+  let rs = run (Workload.Collect_dominated.cells ~threads:[ 2; 8 ] ~duration:150_000 ()) in
   List.iter
     (fun n ->
       let at_n =
@@ -72,7 +75,7 @@ let test_fig3 () =
 
 let test_fig4 () =
   let rs =
-    Workload.Collect_update.run_fig4 ~periods:[ 100_000; 400 ] ~duration:150_000 ()
+    run (Workload.Collect_update.cells_fig4 ~periods:[ 100_000; 400 ] ~duration:150_000 ())
   in
   let thr algo period =
     match
@@ -100,7 +103,7 @@ let test_fig4 () =
 
 let test_fig8 () =
   let phase_len = 250_000 and phases = 4 and bucket_len = 50_000 in
-  let rs = Workload.Phased.run ~phase_len ~phases ~bucket_len () in
+  let rs = run (Workload.Phased.cells ~phase_len ~phases ~bucket_len ()) in
   let per_phase = phase_len / bucket_len in
   let phase_mean (r : Workload.Phased.result) p =
     let vs =
@@ -202,7 +205,7 @@ let space_find what rs subject =
   | None -> Alcotest.failf "%s: missing %s" what subject
 
 let test_space_queues () =
-  let rs = Workload.Space_bench.queue_space () in
+  let rs = run (Workload.Space_bench.queue_cells ()) in
   let f = space_find "space/queue" rs in
   let htm = f "queue/HTM" in
   check "HTM queue returns its memory (quiescent << peak)" true
@@ -215,7 +218,7 @@ let test_space_queues () =
     (rop.quiescent_words * 10 <= rop.peak_words)
 
 let test_space_collect () =
-  let rs = Workload.Space_bench.collect_space () in
+  let rs = run (Workload.Space_bench.collect_cells ()) in
   let f = space_find "space/collect" rs in
   (* Never shrink: the static arrays and the type-stable CAS baseline. *)
   List.iter

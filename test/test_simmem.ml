@@ -543,6 +543,20 @@ let prop_read_set_exact =
   QCheck.Test.make ~name:"read set agrees with a naive rescanning oracle" ~count:300 arb
     (fun script -> run Simmem.Word script && run Simmem.Line script)
 
+(* A parent registry lists metrics in first-registration order, so the
+   order a heap registers its [mem.*] metrics in is visible in every
+   snapshot and [--metrics] dump. *)
+let test_metric_registration_order () =
+  let parent = Obs.Metrics.create () in
+  let _mem = Simmem.create ~metrics:parent () in
+  Alcotest.(check (list string))
+    "registration order"
+    [
+      "mem.queue_wait"; "mem.live_blocks"; "mem.live_words"; "mem.frees"; "mem.allocs";
+      "mem.atomics"; "mem.write_misses"; "mem.writes"; "mem.read_misses"; "mem.reads";
+    ]
+    (List.map fst (Obs.Metrics.snapshot parent))
+
 let () =
   Alcotest.run "simmem"
     [
@@ -577,7 +591,12 @@ let () =
           Alcotest.test_case "hit vs miss" `Quick test_coherence_costs;
           Alcotest.test_case "line serialization" `Quick test_line_serialization;
         ] );
-      ("counters", [ Alcotest.test_case "access counters" `Quick test_access_counters ]);
+      ( "counters",
+        [
+          Alcotest.test_case "access counters" `Quick test_access_counters;
+          Alcotest.test_case "metric registration order" `Quick
+            test_metric_registration_order;
+        ] );
       ("tx plane", [ Alcotest.test_case "read/validate/commit" `Quick test_tx_plane ]);
       ( "property",
         [

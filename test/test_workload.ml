@@ -2,8 +2,11 @@
    workload, checking structural properties of the results (non-empty,
    positive throughputs, sane shapes) rather than performance. *)
 
+(* Run a sweep's cells in this process and return their values in order. *)
+let run cells = Runner.Sweep.values (Runner.Sweep.run cells)
+
 let test_queue_bench () =
-  let rs = Workload.Queue_bench.run ~threads:[ 2; 4 ] ~duration:60_000 ~seed:3 () in
+  let rs = run (Workload.Queue_bench.cells ~threads:[ 2; 4 ] ~duration:60_000 ~seed:3 ()) in
   Alcotest.(check int) "3 queues x 2 thread counts" 6 (List.length rs);
   List.iter
     (fun (r : Workload.Queue_bench.result) ->
@@ -14,7 +17,7 @@ let test_queue_bench () =
   Alcotest.(check int) "columns" 3 (List.length t.columns)
 
 let test_latency () =
-  let rs = Workload.Latency.run ~updates:200 ~seed:3 () in
+  let rs = run (Workload.Latency.cells ~updates:200 ~seed:3 ()) in
   Alcotest.(check int) "all algorithms" (List.length Collect.all) (List.length rs);
   let direct =
     List.filter_map
@@ -32,7 +35,7 @@ let test_latency () =
     (avg indirect > avg direct +. 5.0)
 
 let test_collect_dominated () =
-  let rs = Workload.Collect_dominated.run ~threads:[ 4 ] ~duration:60_000 ~seed:3 () in
+  let rs = run (Workload.Collect_dominated.cells ~threads:[ 4 ] ~duration:60_000 ~seed:3 ()) in
   Alcotest.(check int) "all algorithms" (List.length Collect.all) (List.length rs);
   List.iter
     (fun (r : Workload.Collect_dominated.result) ->
@@ -41,8 +44,9 @@ let test_collect_dominated () =
 
 let test_collect_update () =
   let rs =
-    Workload.Collect_update.run_fig4 ~updaters:7 ~periods:[ 50_000; 2_000 ]
-      ~duration:60_000 ~seed:3 ()
+    run
+      (Workload.Collect_update.cells_fig4 ~updaters:7 ~periods:[ 50_000; 2_000 ]
+         ~duration:60_000 ~seed:3 ())
   in
   Alcotest.(check int) "6 algos x 2 periods" 12 (List.length rs);
   (* contention hurts the transactional collects *)
@@ -58,8 +62,10 @@ let test_collect_update () =
 
 let test_fig5_best_dominates () =
   let rs =
-    Workload.Collect_update.run_fig5 ~updaters:7 ~periods:[ 20_000 ] ~duration:60_000
-      ~seed:3 ()
+    Workload.Collect_update.fig5_collate
+      (run
+         (Workload.Collect_update.cells_fig5 ~updaters:7 ~periods:[ 20_000 ] ~duration:60_000
+            ~seed:3 ()))
   in
   (* per period: 3 fixed + best + adaptive *)
   Alcotest.(check int) "5 series" 5 (List.length rs);
@@ -70,8 +76,9 @@ let test_fig5_best_dominates () =
 
 let test_fig6_histogram () =
   let rs =
-    Workload.Collect_update.run_fig6 ~updaters:7 ~periods:[ 10_000 ] ~duration:60_000
-      ~seed:3 ()
+    run
+      (Workload.Collect_update.cells_fig6 ~updaters:7 ~periods:[ 10_000 ] ~duration:60_000
+         ~seed:3 ())
   in
   match rs with
   | [ r ] ->
@@ -86,8 +93,9 @@ let test_fig6_histogram () =
 
 let test_collect_dereg () =
   let rs =
-    Workload.Collect_dereg.run ~churners:7 ~periods:[ 100_000; 2_000 ] ~duration:60_000
-      ~seed:3 ()
+    run
+      (Workload.Collect_dereg.cells ~churners:7 ~periods:[ 100_000; 2_000 ] ~duration:60_000
+         ~seed:3 ())
   in
   Alcotest.(check int) "6 algos x 2 periods" 12 (List.length rs);
   List.iter
@@ -96,7 +104,11 @@ let test_collect_dereg () =
     rs
 
 let test_phased () =
-  let rs = Workload.Phased.run ~updaters:7 ~phase_len:100_000 ~phases:4 ~bucket_len:50_000 ~seed:3 () in
+  let rs =
+    run
+      (Workload.Phased.cells ~updaters:7 ~phase_len:100_000 ~phases:4 ~bucket_len:50_000
+         ~seed:3 ())
+  in
   Alcotest.(check int) "5 algorithms" 5 (List.length rs);
   List.iter
     (fun (r : Workload.Phased.result) ->
@@ -106,7 +118,7 @@ let test_phased () =
     rs
 
 let test_space_queues () =
-  let rs = Workload.Space_bench.queue_space ~peak_len:200 ~seed:3 () in
+  let rs = run (Workload.Space_bench.queue_cells ~peak_len:200 ~seed:3 ()) in
   let get name =
     List.find (fun (r : Workload.Space_bench.result) -> r.subject = "queue/" ^ name) rs
   in
@@ -116,7 +128,7 @@ let test_space_queues () =
   Alcotest.(check bool) "ROP reclaims most" true (rop.quiescent_words * 2 < rop.peak_words)
 
 let test_space_collect () =
-  let rs = Workload.Space_bench.collect_space ~peak:128 ~seed:3 () in
+  let rs = run (Workload.Space_bench.collect_cells ~peak:128 ~seed:3 ()) in
   let get name =
     List.find (fun (r : Workload.Space_bench.result) -> r.subject = "collect/" ^ name) rs
   in
@@ -130,7 +142,7 @@ let test_replayability () =
   (* The whole point of the simulator: identical seeds give bit-identical
      experiment results, workload RNG and scheduler included. *)
   let once () =
-    Workload.Collect_dominated.run ~threads:[ 6 ] ~duration:50_000 ~seed:77 ()
+    run (Workload.Collect_dominated.cells ~threads:[ 6 ] ~duration:50_000 ~seed:77 ())
     |> List.map (fun (r : Workload.Collect_dominated.result) -> (r.algo, r.throughput))
   in
   let a = once () and b = once () in
