@@ -55,7 +55,8 @@ and layout = {
           [hdr_capacity] when deregistering leaves holes *)
   install_rereads : bool;
       (** whether installing the new array re-reads [array_new] rather
-          than reusing the value the transaction read first *)
+          than reusing the value the transaction read first (one more
+          transactional load, which ArrayDynSearchResize has always paid) *)
   copy : Htm.tx -> hdr:int -> src:int -> dst:int -> unit;
       (** move the slot at [src] of the old array to [dst] of the new one
           during a resize, redirecting its handle *)
@@ -63,8 +64,10 @@ and layout = {
       (** [read tx arr i buf]: append slot [i]'s value, if it has one,
           inside a collect transaction *)
   register : t -> Sim.tctx -> int -> int;
+      (** usually {!append_register} around the algorithm's slot [append] *)
   update : t -> Sim.tctx -> int -> int -> unit;
   deregister : t -> Sim.tctx -> int -> unit;
+      (** usually {!compact_deregister} around its slot [compact] *)
 }
 
 (* Figure 2's [append] for two-word slots: store the value and
