@@ -117,15 +117,13 @@ let collect t ctx buf =
   chunk ~v0:(-1) t.sentinel;
   t.m.reclaim t ctx
 
-let free_list mem ctx node =
-  let rec free_from node =
-    if node <> 0 then begin
-      let next = Simmem.read mem ctx (node + off_next) in
-      Simmem.free mem ctx node;
-      free_from next
-    end
-  in
-  free_from node
+(* Free a [next]-linked chain of nodes, from its head. *)
+let rec free_list mem ctx node =
+  if node <> 0 then begin
+    let next = Simmem.read mem ctx (node + off_next) in
+    Simmem.free mem ctx node;
+    free_list mem ctx next
+  end
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in
