@@ -15,6 +15,12 @@ Each row is one workload and end-to-end metric: the two medians, their
 ratio (new / old), the pairs the newer side won when the record has
 them, and whether the gap between the medians clears the older entry's
 interquartile range, and in which direction.
+
+Every set's title names the build each side was measured on: a record's
+"build" is its change side's, "parent_build" its parent side's (default:
+"build"), and a record without "build" was measured on the dev profile.
+When the two sides' builds differ, a warning line follows the title: the
+ratios then include the change of compiler profile.
 """
 
 import argparse
@@ -35,6 +41,21 @@ def find(records, prefix):
     if len(hits) != 1:
         sys.exit("diff.py: %d records match commit %r" % (len(hits), prefix))
     return hits[0]
+
+
+def build(rec, side="change"):
+    """The build profile one side of a record was measured on."""
+    change = rec.get("build", "dev")
+    return rec.get("parent_build", change) if side == "parent" else change
+
+
+def title(text, old_build, new_build):
+    """A set's title with both sides' builds, and a warning when they differ."""
+    line = "%s (build %s -> %s)" % (text, old_build, new_build)
+    if old_build != new_build:
+        line += ("\nWARNING: across builds (%s -> %s): the ratios include the change of profile"
+                 % (old_build, new_build))
+    return line
 
 
 def verdict(row, old, new):
@@ -87,9 +108,10 @@ def main():
         rec = records[-1]
         for s in rec["sets"]:
             print_set(sys.stdout,
-                      "%s: parent %s -> change %s, seed %d, %d s, %d pairs"
-                      % (rec["commit"], rec["parent"], rec["commit"], s["seed"], s["seconds"],
-                         s["pairs"]),
+                      title("%s: parent %s -> change %s, seed %d, %d s, %d pairs"
+                            % (rec["commit"], rec["parent"], rec["commit"], s["seed"],
+                               s["seconds"], s["pairs"]),
+                            build(rec, "parent"), build(rec)),
                       rows(s, s, "parent", "change"))
     elif len(args.commits) == 2:
         old, new = find(records, args.commits[0]), find(records, args.commits[1])
@@ -97,8 +119,9 @@ def main():
             for os_ in old["sets"]:
                 if (os_["seed"], os_["seconds"]) == (ns["seed"], ns["seconds"]):
                     print_set(sys.stdout,
-                              "%s -> %s, seed %d, %d s"
-                              % (old["commit"], new["commit"], ns["seed"], ns["seconds"]),
+                              title("%s -> %s, seed %d, %d s"
+                                    % (old["commit"], new["commit"], ns["seed"], ns["seconds"]),
+                                    build(old), build(new)),
                               rows(os_, ns, "change", "change"))
     else:
         ap.error("give no commit or two")

@@ -3,10 +3,11 @@
 
     python3 bench/perf/test_diff.py
 
-Runs diff.py on a small synthetic trajectory and checks its ratios and
-IQR verdicts, checks pairs.py's summary of synthetic raw runs, and checks
-that the committed trajectory names only workloads and metrics that
-BENCHMARK.json declares and that diff.py prints a row for each of them.
+Runs diff.py on a small synthetic trajectory and checks its ratios, IQR
+verdicts and build labels (a comparison across builds is flagged), checks
+pairs.py's summary of synthetic raw runs, and checks that the committed
+trajectory names only workloads and metrics that BENCHMARK.json declares,
+only known builds, and that diff.py prints a row for each of them.
 """
 
 import json
@@ -30,9 +31,13 @@ def side(median, iqr, n=10):
     return {"median": median, "q1": median - iqr / 2, "q3": median + iqr / 2, "iqr": iqr, "n": n}
 
 
-def record(commit, parent, setup, wall):
+BUILDS = ("dev", "release")
+
+
+def record(commit, parent, setup, wall, **builds):
     """One synthetic record: setup_s and wall_s on one workload."""
     return {
+        **builds,
         "commit": commit,
         "parent": parent,
         "host": "synthetic",
@@ -54,6 +59,11 @@ def diff(*args, path):
     if proc.returncode != 0:
         raise AssertionError("diff.py failed:\n" + proc.stderr + proc.stdout)
     return proc.stdout
+
+
+def write(path, *records):
+    with open(path, "w") as f:
+        f.writelines(json.dumps(r) + "\n" for r in records)
 
 
 def row(out, metric):
@@ -111,6 +121,56 @@ class Synthetic(unittest.TestCase):
         self.assertEqual(" ".join(row(out, "setup_s")[6:]), "better, clears IQR")
 
 
+class Builds(unittest.TestCase):
+    """Each side's build is printed; a comparison across builds is flagged."""
+
+    SETUP = [(1.0, 0.2), (0.1, 0.01)]
+    WALL = [(5.0, 0.5), (4.0, 0.4)]
+
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.path = os.path.join(self.dir.name, "t.jsonl")
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def rec(self, commit, parent, **builds):
+        return record(commit, parent, self.SETUP, self.WALL, **builds)
+
+    def test_missing_field_is_dev(self):
+        write(self.path, self.rec("aaa1111", "fff0000"))
+        out = diff(path=self.path)
+        self.assertIn("10 pairs (build dev -> dev)", out)
+        self.assertNotIn("WARNING", out)
+
+    def test_same_build(self):
+        write(self.path, self.rec("aaa1111", "fff0000", build="release"))
+        out = diff(path=self.path)
+        self.assertIn("(build release -> release)", out)
+        self.assertNotIn("WARNING", out)
+
+    def test_newest_record_across_builds(self):
+        write(self.path, self.rec("aaa1111", "fff0000", build="release", parent_build="dev"))
+        out = diff(path=self.path)
+        self.assertIn("(build dev -> release)", out)
+        self.assertIn("WARNING: across builds (dev -> release)", out)
+        # the rows are still printed under the warning
+        self.assertEqual(row(out, "wall_s")[4], "0.800")
+
+    def test_two_records_across_builds(self):
+        write(self.path, self.rec("aaa1111", "fff0000"),
+              self.rec("bbb2222", "aaa1111", build="release", parent_build="dev"),
+              self.rec("ccc3333", "bbb2222", build="release"))
+        # the older change side was measured on dev, the newer on release
+        out = diff("aaa", "bbb", path=self.path)
+        self.assertIn("aaa1111 -> bbb2222, seed 1, 40 s (build dev -> release)", out)
+        self.assertIn("WARNING: across builds (dev -> release)", out)
+        # both change sides on release: no warning, whatever the parents were
+        out = diff("bbb", "ccc", path=self.path)
+        self.assertIn("(build release -> release)", out)
+        self.assertNotIn("WARNING", out)
+
+
 class Summarise(unittest.TestCase):
     def test_medians_quartiles_wins(self):
         runs = []
@@ -148,6 +208,8 @@ class Committed(unittest.TestCase):
         for rec in records:
             for key in ("commit", "parent", "host", "sets"):
                 self.assertIn(key, rec)
+            for key in ("build", "parent_build"):
+                self.assertIn(rec.get(key, "dev"), BUILDS)
             for s in rec["sets"]:
                 self.assertLessEqual(set(s["workloads"]), workloads)
                 for w in s["workloads"].values():

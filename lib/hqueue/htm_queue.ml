@@ -20,11 +20,12 @@ let hdr_words = 16
 
 (* The transaction bodies are allocated once per queue and passed to every
    [Htm.atomic]; operation arguments and results travel through per-thread
-   slots indexed by {!Htm.tx_tid}, so an operation allocates nothing on
-   the OCaml heap. Per-thread (not plain mutable) because a thread can
+   slots ({!Simmem.slot} of the thread), so an operation allocates nothing
+   on the OCaml heap. Per-thread (not plain mutable) because a thread can
    yield inside its transaction while another starts its own. *)
 type t = {
   htm : Htm.t;
+  mem : Simmem.t;
   hdr : int;
   enq_arg : int array;  (* per-thread node being enqueued *)
   deq_val : int array;  (* per-thread value of the last successful dequeue *)
@@ -33,7 +34,7 @@ type t = {
 }
 
 let enq_tx t tx =
-  let node = t.enq_arg.(Htm.tx_tid tx) in
+  let node = t.enq_arg.(Simmem.slot t.mem (Htm.tx_tid tx)) in
   let tail = Htm.read tx (t.hdr + hdr_tail) in
   if tail = 0 then begin
     Htm.write tx (t.hdr + hdr_head) node;
@@ -51,7 +52,7 @@ let deq_tx t tx =
     let next = Htm.read tx (head + off_next) in
     Htm.write tx (t.hdr + hdr_head) next;
     if next = 0 then Htm.write tx (t.hdr + hdr_tail) 0;
-    t.deq_val.(Htm.tx_tid tx) <- Htm.read tx (head + off_val);
+    t.deq_val.(Simmem.slot t.mem (Htm.tx_tid tx)) <- Htm.read tx (head + off_val);
     Htm.defer_free tx head;
     true
   end
@@ -63,9 +64,10 @@ let create htm ctx =
   let t =
     {
       htm;
+      mem;
       hdr;
-      enq_arg = Array.make (Sim.max_threads + 1) 0;
-      deq_val = Array.make (Sim.max_threads + 1) 0;
+      enq_arg = Array.make (Simmem.slots mem) 0;
+      deq_val = Array.make (Simmem.slots mem) 0;
       enq_body = ignore;
       deq_body = (fun _ -> false);
     }
@@ -75,20 +77,20 @@ let create htm ctx =
   t
 
 let enqueue t ctx v =
-  let mem = Htm.mem t.htm in
+  let mem = t.mem in
   let node = Simmem.malloc mem ctx node_words in
   Simmem.label mem ~name:"HtmQueue.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
-  t.enq_arg.(Sim.tid ctx) <- node;
+  t.enq_arg.(Simmem.slot mem (Sim.tid ctx)) <- node;
   Htm.atomic t.htm ctx t.enq_body
 
 let dequeue_drop t ctx = Htm.atomic t.htm ctx t.deq_body
 
 let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
+  if dequeue_drop t ctx then Some t.deq_val.(Simmem.slot t.mem (Sim.tid ctx)) else None
 
 let destroy t ctx =
-  let mem = Htm.mem t.htm in
+  let mem = t.mem in
   let rec free_from node =
     if node <> 0 then begin
       let next = Simmem.read mem ctx (node + off_next) in

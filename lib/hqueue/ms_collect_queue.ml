@@ -14,18 +14,19 @@ let init htm ctx ~num_threads ~hdr:_ ~array:_ =
       { Collect.Intf.max_slots = 2 * (num_threads + 1); num_threads;
         step = Collect.Intf.Fixed 8; min_size = 4 }
   in
+  let mem = Htm.mem htm in
   {
-    mem = Htm.mem htm;
+    mem;
     announcements;
-    handles = Array.make (2 * (Sim.max_threads + 1)) 0;
-    retired = Ms_core.stacks (Sim.max_threads + 1);
+    handles = Array.make (2 * Simmem.slots mem) 0;
+    retired = Ms_core.stacks (Simmem.slots mem);
     scan_threshold = (4 * num_threads) + 4;
   }
 
 (* Lazy per-thread registration: the first operation by a thread claims
    its two announcement handles; the object grows with actual users. *)
 let announce r ctx i node =
-  let k = 2 * Sim.tid ctx in
+  let k = 2 * Simmem.slot r.mem (Sim.tid ctx) in
   if r.handles.(k) = 0 then begin
     r.handles.(k) <- r.announcements.register ctx no_announcement;
     r.handles.(k + 1) <- r.announcements.register ctx no_announcement
@@ -48,7 +49,7 @@ let scan r ctx retired =
   Ms_core.reclaim r.mem ctx ~keep:(Ms_core.announced buf) retired
 
 let retire r ctx node =
-  let retired = Ms_core.stack r.retired (Sim.tid ctx) in
+  let retired = Ms_core.stack r.retired (Simmem.slot r.mem (Sim.tid ctx)) in
   Sim.Ibuf.add retired node;
   if Sim.Ibuf.length retired >= r.scan_threshold then scan r ctx retired
 

@@ -87,7 +87,8 @@ let slot_index ~num_threads ctx =
   else invalid_arg "Ms_core: thread id outside the declared range"
 
 (* Per-thread (or per-slot) stacks of retired or pooled nodes, each
-   created on its first use. *)
+   created on its first use. Host-side per-thread tables have
+   [Simmem.slots] entries, indexed by [Simmem.slot]. *)
 type stacks = Sim.Ibuf.t option array
 
 let stacks n : stacks = Array.make n None
@@ -160,7 +161,7 @@ let create h htm ctx ~num_threads init =
   Simmem.write mem ctx (hdr + hdr_head) sentinel;
   Simmem.write mem ctx (hdr + hdr_tail) sentinel;
   let r = init htm ctx ~num_threads ~hdr ~array in
-  { mem; h; r; hdr; array; node_label; deq_val = Array.make (Sim.max_threads + 1) 0 }
+  { mem; h; r; hdr; array; node_label; deq_val = Array.make (Simmem.slots mem) 0 }
 
 let alloc q ctx =
   let node = q.h.recycle q.r ctx in
@@ -238,7 +239,7 @@ let rec deq_loop q ctx bound =
       let v = Simmem.read mem ctx (nptr + off_val) in
       if Simmem.cas mem ctx (q.hdr + hdr_head) ~expected:head ~desired:(h.swing head nptr)
       then begin
-        q.deq_val.(Sim.tid ctx) <- v;
+        q.deq_val.(Simmem.slot mem (Sim.tid ctx)) <- v;
         h.retire q.r ctx hptr;
         true
       end
@@ -252,7 +253,8 @@ let dequeue_drop q ctx =
   q.h.exit q.r ctx ~slots:2;
   removed
 
-let dequeue q ctx = if dequeue_drop q ctx then Some q.deq_val.(Sim.tid ctx) else None
+let dequeue q ctx =
+  if dequeue_drop q ctx then Some q.deq_val.(Simmem.slot q.mem (Sim.tid ctx)) else None
 
 let destroy q ctx =
   let mem = q.mem in

@@ -44,7 +44,7 @@ type t = {
 let init ~grace ~advance_every htm ctx ~num_threads ~hdr ~array =
   let mem = Htm.mem htm in
   Simmem.write mem ctx (hdr + hdr_epoch) 1;
-  let slots = Sim.max_threads + 1 in
+  let slots = num_threads + 1 in
   {
     mem;
     hdr;

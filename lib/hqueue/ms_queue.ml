@@ -1,7 +1,7 @@
 type t = { mem : Simmem.t; pools : Ms_core.stacks (* per-thread free nodes *) }
 
 let recycle r ctx =
-  match r.pools.(Sim.tid ctx) with
+  match r.pools.(Simmem.slot r.mem (Sim.tid ctx)) with
   | Some pool when Sim.Ibuf.length pool > 0 -> Sim.Ibuf.pop pool
   | _ -> 0
 
@@ -14,7 +14,8 @@ let reset_next mem ctx node =
   let old = Simmem.read mem ctx (node + Ms_core.off_next) in
   Simmem.write mem ctx (node + Ms_core.off_next) (swing old 0)
 
-let retire r ctx node = Sim.Ibuf.add (Ms_core.stack r.pools (Sim.tid ctx)) node
+let retire r ctx node =
+  Sim.Ibuf.add (Ms_core.stack r.pools (Simmem.slot r.mem (Sim.tid ctx))) node
 let drain r ctx = Ms_core.free_stacks r.mem ctx r.pools
 
 let maker =
@@ -22,4 +23,5 @@ let maker =
     { Ms_core.defaults with
       reclaims = false; label = Some "MSQueue"; recycle; ptr; swing; reset_next; retire; drain }
     (fun htm _ ~num_threads:_ ~hdr:_ ~array:_ ->
-      { mem = Htm.mem htm; pools = Ms_core.stacks (Sim.max_threads + 1) })
+      let mem = Htm.mem htm in
+      { mem; pools = Ms_core.stacks (Simmem.slots mem) })

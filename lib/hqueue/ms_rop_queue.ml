@@ -14,13 +14,14 @@ let hazards_per_thread = 2
 
 let init ?scan_threshold htm _ ~num_threads ~hdr:_ ~array =
   let nslots = hazards_per_thread * (num_threads + 1) in
+  let mem = Htm.mem htm in
   {
-    mem = Htm.mem htm;
+    mem;
     hz = array;
     num_threads;
     scan_threshold = Option.value scan_threshold ~default:((2 * nslots) + 2);
-    retired = Ms_core.stacks (Sim.max_threads + 1);
-    snapshots = Ms_core.stacks (Sim.max_threads + 1);
+    retired = Ms_core.stacks (Simmem.slots mem);
+    snapshots = Ms_core.stacks (Simmem.slots mem);
   }
 
 let mem r = r.mem
@@ -53,7 +54,7 @@ let exit r ctx ~slots =
    of the hazard array (each slot read once, paying its coherence cost),
    then pure membership scans. *)
 let scan r ctx retired =
-  let snap = Ms_core.stack r.snapshots (Sim.tid ctx) in
+  let snap = Ms_core.stack r.snapshots (Simmem.slot r.mem (Sim.tid ctx)) in
   Sim.Ibuf.clear snap;
   for i = 0 to (hazards_per_thread * (r.num_threads + 1)) - 1 do
     Sim.Ibuf.add snap (Simmem.read r.mem ctx (r.hz + i))
@@ -61,7 +62,7 @@ let scan r ctx retired =
   Ms_core.reclaim r.mem ctx ~keep:(Ms_core.announced snap) retired
 
 let retire r ctx node =
-  let retired = Ms_core.stack r.retired (Sim.tid ctx) in
+  let retired = Ms_core.stack r.retired (Simmem.slot r.mem (Sim.tid ctx)) in
   Sim.Ibuf.add retired node;
   if Sim.Ibuf.length retired >= r.scan_threshold then scan r ctx retired
 

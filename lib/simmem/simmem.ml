@@ -583,6 +583,8 @@ let beyond_capacity t tid =
 let[@inline] slot t tid =
   if tid < t.cap then tid else if tid = Sim.boot_tid then t.cap else beyond_capacity t tid
 
+let slots t = t.cap + 1
+
 let observed t = match t.sink with Some _ -> true | None -> false
 
 (* Sinks fire after the access completes, so the stamped clock includes

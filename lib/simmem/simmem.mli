@@ -160,6 +160,17 @@ val model : t -> Sim.Memmodel.t
 val alloc : t -> alloc_policy
 (** The allocation policy this heap was created with. *)
 
+val slots : t -> int
+(** The length of a per-thread table over this heap: its thread capacity
+    plus one slot for the boot contexts (see {!create}). Host-side tables
+    of the structures built on the heap are sized by it, not by
+    {!Sim.max_threads}. *)
+
+val slot : t -> int -> int
+(** [slot t tid] is [tid]'s index in such a table: a runnable tid maps to
+    itself and every boot context to the last slot. A runnable tid at or
+    beyond the capacity raises [Invalid_argument], as its accesses do. *)
+
 (** {1 Line-granularity conflict plane}
 
     Besides per-word versions, every committed store bumps a per-line

@@ -259,6 +259,34 @@ let test_machine_construction () =
        the run uses again"
       direct budget
 
+(* A queue's host-side per-thread tables have one slot per thread the
+   heap tracks ({!Simmem.slots}). Built for {!Sim.max_threads} + 1, each
+   was a 257-word block on the major heap in every cell's setup: 2 to 4
+   per queue. *)
+let test_queue_construction () =
+  Workload.Driver.set_obs Workload.Driver.no_obs;
+  let m = Workload.Driver.machine ~threads:16 () in
+  List.iter
+    (fun (mk : Hqueue.Intf.maker) ->
+      let build () =
+        let q = mk.make m.htm m.boot ~num_threads:16 in
+        q.destroy m.boot
+      in
+      build ();
+      let builds = 100 in
+      let _, p0, m0 = Gc.counters () in
+      for _ = 1 to builds do
+        build ()
+      done;
+      let _, p1, m1 = Gc.counters () in
+      let direct = (m1 -. m0 -. (p1 -. p0)) /. float_of_int builds in
+      if direct > 0. then
+        Alcotest.failf
+          "building a %s queue for 16 threads allocated %.0f words directly on the \
+           major heap: a per-thread table is sized past the heap's thread capacity"
+          mk.queue_name direct)
+    (Hqueue.all_with_extensions @ [ Hqueue.ebr ])
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -314,6 +342,7 @@ let () =
         [
           Alcotest.test_case "Driver.machine x16, direct major words" `Quick
             test_machine_construction;
+          Alcotest.test_case "queues x16, direct major words" `Quick test_queue_construction;
         ] );
       ( "determinism",
         [
