@@ -262,6 +262,83 @@ let test_long_read_set_unrelated (config, _) () =
   Alcotest.(check int) "read values" 0 sum;
   Alcotest.(check int) "no aborts" 0 (List.length aborts)
 
+(* Re-reads. A transaction that loads a word twice holds it once in the
+   read set's count: the commit event reports distinct reads, and the
+   software commit charges its validation pass per distinct read. The
+   pinned clocks were recorded before the read set stopped
+   de-duplicating on insert. *)
+let test_reread_commit ((config, _), clock_after) () =
+  let mem, htm, boot = make ~config () in
+  let a = Simmem.malloc mem boot 3 in
+  let reads = ref [] in
+  Simmem.attach mem
+    [
+      {
+        accesses = false;
+        journal = false;
+        fold =
+          (fun ~tid:_ ~clock:_ -> function
+            | Simmem.Tx (Htm.Tx_commit { tx_reads; _ }) -> reads := tx_reads :: !reads
+            | _ -> ());
+      };
+    ];
+  let sum = ref 0 and clock = ref 0 in
+  Sim.run ~seed:13
+    [|
+      (fun ctx ->
+        sum :=
+          Htm.atomic htm ctx (fun tx ->
+              let s = Htm.read tx a + Htm.read tx (a + 1) + Htm.read tx a in
+              Htm.write tx (a + 2) s;
+              s);
+        clock := Sim.clock ctx);
+    |];
+  Alcotest.(check int) "sum" 0 !sum;
+  Alcotest.(check (list int)) "one commit, two distinct reads" [ 2 ] !reads;
+  Alcotest.(check int) "clock after commit" clock_after !clock
+
+(* A re-read of a word another thread stored to since the first read
+   aborts at that read, and the witness names the word. *)
+let test_reread_conflict (config, site) () =
+  let mem, htm, boot = make ~config () in
+  let a = Simmem.malloc mem boot 2 in
+  let aborts = ref [] in
+  Simmem.attach mem
+    [
+      {
+        accesses = false;
+        journal = true;
+        fold =
+          (fun ~tid:_ ~clock:_ -> function
+            | Simmem.Tx (Htm.Tx_abort { ab_reason; ab_witness; _ }) ->
+              aborts := (ab_reason, ab_witness) :: !aborts
+            | _ -> ());
+      };
+    ];
+  let attempts = ref 0 and sum = ref 0 and writer = ref (-1) in
+  Sim.run ~seed:21
+    [|
+      (fun ctx ->
+        sum :=
+          Htm.atomic htm ctx (fun tx ->
+              incr attempts;
+              let first = Htm.read tx a + Htm.read tx (a + 1) in
+              if Htm.attempt_number tx = 0 then Sim.advance_to ctx 50_000;
+              first + Htm.read tx a));
+      (fun ctx ->
+        writer := Sim.tid ctx;
+        Sim.advance_to ctx 20_000;
+        Simmem.write mem ctx a 7);
+    |];
+  Alcotest.(check int) "aborted once, then committed" 2 !attempts;
+  Alcotest.(check int) "the retry saw the store twice" 14 !sum;
+  match !aborts with
+  | [ (Htm.Conflict, Some w) ] ->
+    Alcotest.(check string) "caught at the re-read" site w.Obs.Forensics.w_site;
+    Alcotest.(check int) "witness on the re-read word" a w.w_addr;
+    Alcotest.(check int) "aggressor is the storing thread" !writer w.w_aggressor
+  | _ -> Alcotest.fail "expected exactly one conflict abort with a witness"
+
 let test_defer_free () =
   let mem, htm, boot = make () in
   let a = Simmem.malloc mem boot 2 in
@@ -466,6 +543,17 @@ let () =
             (test_long_read_set_conflict stm_path);
           Alcotest.test_case "40 reads, unrelated store, stm" `Quick
             (test_long_read_set_unrelated stm_path);
+        ] );
+      ( "re-reads",
+        [
+          Alcotest.test_case "commit counts distinct reads" `Quick
+            (test_reread_commit (hw_path, 144));
+          Alcotest.test_case "commit counts distinct reads, stm" `Quick
+            (test_reread_commit (stm_path, 417));
+          Alcotest.test_case "re-read after a store aborts" `Quick
+            (test_reread_conflict hw_path);
+          Alcotest.test_case "re-read after a store aborts, stm" `Quick
+            (test_reread_conflict stm_path);
         ] );
       ( "store buffer",
         [
