@@ -140,7 +140,7 @@ let create l htm ctx (cfg : Collect_intf.cfg) =
   let arr = Simmem.malloc mem ctx (l.slot_words * min_size) in
   Simmem.write mem ctx (hdr + hdr_array) arr;
   Simmem.write mem ctx (hdr + hdr_capacity) min_size;
-  { htm; hdr; min_size; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer; l }
+  { htm; hdr; min_size; stepper = Stepper.make htm cfg.step ~max_step:(Htm.config htm).store_buffer; l }
 
 (* One step of a resize, in one transaction: copy the next slot, or — in
    the same transaction that finds everything copied — make the new array

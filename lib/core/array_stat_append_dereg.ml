@@ -20,7 +20,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let arr = Simmem.malloc mem ctx (slot_words * capacity) in
   Simmem.write mem ctx (hdr + hdr_array) arr;
   Simmem.write mem ctx (hdr + hdr_capacity) capacity;
-  { htm; hdr; capacity; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
+  { htm; hdr; capacity; stepper = Stepper.make htm cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in

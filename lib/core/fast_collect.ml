@@ -55,7 +55,7 @@ let create m htm ctx (cfg : Collect_intf.cfg) =
   let sentinel = Simmem.malloc mem ctx node_words in
   Simmem.label mem ~name:m.header_label ~base:hdr ~words:m.hdr_words;
   Simmem.label mem ~name:m.header_label ~base:sentinel ~words:node_words;
-  { htm; hdr; sentinel; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer; m }
+  { htm; hdr; sentinel; stepper = Stepper.make htm cfg.step ~max_step:(Htm.config htm).store_buffer; m }
 
 (* Link [node] first in the list, inside the caller's transaction. *)
 let link tx ~sentinel node =

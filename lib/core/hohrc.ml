@@ -40,7 +40,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let mem = Htm.mem htm in
   let sentinel = Simmem.malloc mem ctx node_words in
   Simmem.label mem ~name:"ListHoHRC.header" ~base:sentinel ~words:node_words;
-  { htm; sentinel; stepper = Stepper.make cfg.step ~max_step:((Htm.config htm).store_buffer - collect_overhead) }
+  { htm; sentinel; stepper = Stepper.make htm cfg.step ~max_step:((Htm.config htm).store_buffer - collect_overhead) }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in

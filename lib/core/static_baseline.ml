@@ -20,10 +20,15 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let capacity = max 1 cfg.max_slots in
   let num_threads = max 1 cfg.num_threads in
   let slots_per_thread = max 1 (capacity / num_threads) in
-  let arr = Simmem.malloc (Htm.mem htm) ctx capacity in
-  Simmem.label (Htm.mem htm) ~name:"StaticArray.slots" ~base:arr ~words:capacity;
+  let mem = Htm.mem htm in
+  let arr = Simmem.malloc mem ctx capacity in
+  Simmem.label mem ~name:"StaticArray.slots" ~base:arr ~words:capacity;
+  (* One stack per thread the heap tracks ({!Simmem.slots}); the last
+     is the boot contexts', mapped like {!Sim.boot_tid}. *)
+  let boot_slot = Simmem.slots mem - 1 in
   let free_slots =
-    Array.init (Sim.max_threads + 1) (fun tid ->
+    Array.init (Simmem.slots mem) (fun i ->
+        let tid = if i = boot_slot then Sim.boot_tid else i in
         let base = tid * slots_per_thread in
         if base + slots_per_thread > capacity then []
         else List.init slots_per_thread (fun i -> base + i))
@@ -32,20 +37,23 @@ let create htm ctx (cfg : Collect_intf.cfg) =
 
 let register t ctx v =
   if v = 0 then invalid_arg "Static_baseline.register: 0 is the null value";
-  let tid = Sim.tid ctx in
-  match t.free_slots.(tid) with
+  let mem = Htm.mem t.htm in
+  let own = Simmem.slot mem (Sim.tid ctx) in
+  match t.free_slots.(own) with
   | [] -> raise (Collect_intf.Capacity_exceeded "StaticBaseline")
   | i :: rest ->
-    t.free_slots.(tid) <- rest;
+    t.free_slots.(own) <- rest;
     let slot = t.arr + i in
-    Simmem.write (Htm.mem t.htm) ctx slot v;
+    Simmem.write mem ctx slot v;
     slot
 
 let update t ctx slot v = Simmem.write (Htm.mem t.htm) ctx slot v
 
 let deregister t ctx slot =
-  Simmem.write (Htm.mem t.htm) ctx slot 0;
-  t.free_slots.(Sim.tid ctx) <- (slot - t.arr) :: t.free_slots.(Sim.tid ctx)
+  let mem = Htm.mem t.htm in
+  let own = Simmem.slot mem (Sim.tid ctx) in
+  Simmem.write mem ctx slot 0;
+  t.free_slots.(own) <- (slot - t.arr) :: t.free_slots.(own)
 
 let collect t ctx buf =
   let mem = Htm.mem t.htm in

@@ -9,7 +9,7 @@
 
 type policy = Fixed_step of int | Adaptive_step of Htm.Adapt.t option array
 
-type t = { max_step : int; policy : policy; overhead : int }
+type t = { mem : Simmem.t; max_step : int; policy : policy; overhead : int }
 
 (* The paper measured 20–30 % overhead for maintaining the outcome window
    (§5.3) and noted it "could be reduced or eliminated with simple hardware
@@ -19,27 +19,29 @@ let adapt_overhead_cycles = 40
 
 let rec highest_pow2_le n = if n land (n - 1) = 0 then n else highest_pow2_le (n land (n - 1))
 
-let make (p : Collect_intf.step_policy) ~max_step =
-  let max_step = max 1 max_step in
+let make htm (p : Collect_intf.step_policy) ~max_step =
+  let mem = Htm.mem htm and max_step = max 1 max_step in
   match p with
   | Collect_intf.Fixed n ->
-    { max_step; policy = Fixed_step (max 1 (min n max_step)); overhead = 0 }
+    { mem; max_step; policy = Fixed_step (max 1 (min n max_step)); overhead = 0 }
   | Collect_intf.Fixed_instrumented n ->
-    { max_step;
+    { mem;
+      max_step;
       policy = Fixed_step (max 1 (min n max_step));
       overhead = adapt_overhead_cycles }
   | Collect_intf.Adaptive ->
-    { max_step = highest_pow2_le max_step;
-      policy = Adaptive_step (Array.make (Sim.max_threads + 1) None);
+    { mem;
+      max_step = highest_pow2_le max_step;
+      policy = Adaptive_step (Array.make (Simmem.slots mem) None);
       overhead = adapt_overhead_cycles }
 
 let adapt_for t arr ctx =
-  let tid = Sim.tid ctx in
-  match arr.(tid) with
+  let i = Simmem.slot t.mem (Sim.tid ctx) in
+  match arr.(i) with
   | Some a -> a
   | None ->
     let a = Htm.Adapt.create ~max_step:t.max_step ~initial:1 () in
-    arr.(tid) <- Some a;
+    arr.(i) <- Some a;
     a
 
 let get t ctx =

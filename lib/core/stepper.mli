@@ -10,8 +10,10 @@
 
 type t
 
-val make : Collect_intf.step_policy -> max_step:int -> t
-(** [max_step] is per algorithm: e.g. HOHRC spends up to 5 store-buffer
+val make : Htm.t -> Collect_intf.step_policy -> max_step:int -> t
+(** [make htm policy ~max_step]: an [Adaptive] table has one slot per
+    thread [htm]'s heap tracks ({!Simmem.slots}). [max_step] is per
+    algorithm: e.g. HOHRC spends up to 5 store-buffer
     slots on reference-count bookkeeping, so its steps cannot reach 32.
     For [Adaptive] the bound is rounded down to a power of two. *)
 

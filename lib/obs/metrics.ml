@@ -131,9 +131,21 @@ let rec hist t name =
     register t name (M_hist h);
     h
 
+(* floor (log2 d) in six fixed halving steps; [d <= 1] is bucket 0. A
+   positive int has at most 62 bits, so the floor is at most 61; the cap
+   keeps the bucket in range whatever [hist_buckets] is. *)
 let bucket_of d =
-  let rec go i d = if d <= 1 || i = hist_buckets - 1 then i else go (i + 1) (d lsr 1) in
-  go 0 (Int.max d 0)
+  if d <= 1 then 0
+  else begin
+    let d = ref d and b = ref 0 in
+    if !d lsr 32 <> 0 then begin d := !d lsr 32; b := 32 end;
+    if !d lsr 16 <> 0 then begin d := !d lsr 16; b := !b + 16 end;
+    if !d lsr 8 <> 0 then begin d := !d lsr 8; b := !b + 8 end;
+    if !d lsr 4 <> 0 then begin d := !d lsr 4; b := !b + 4 end;
+    if !d lsr 2 <> 0 then begin d := !d lsr 2; b := !b + 2 end;
+    if !d lsr 1 <> 0 then b := !b + 1;
+    Int.min !b (hist_buckets - 1)
+  end
 
 let rec observe h v =
   let b = bucket_of v in

@@ -1365,8 +1365,14 @@ end
 type granularity = Word | Line
 
 module Read_set = struct
-  (* Entries are (address, version noted when it was read). Two filters
-     keep the per-access cost flat however long the set grows:
+  (* Entries are (address, version noted when it was read), one per
+     transactional read: {!note} appends without looking the address up,
+     as a hardware read set marks a line whatever it held before.
+     Duplicates never change a check. Versions only grow, so a re-read's
+     entry follows its address's first entry and notes a version at least
+     as new; whenever any entry for an address is stale, its first entry
+     is stale too, and the first stale entry in order is always a first
+     occurrence.
 
      - [checked] is the heap's bump count at the last successful full
        check. Versions change only in [bump_version], which advances the
@@ -1374,12 +1380,12 @@ module Read_set = struct
        added; so an unchanged count means every entry still holds and the
        scan would return [true]. Any bump at all forces the full scan.
 
-     - Past [index_min] entries, membership goes through an
-       open-addressing table ([keys]/[stamps], load at most 1/2) instead
-       of a linear scan. A slot is occupied iff its stamp equals [gen];
-       re-indexing bumps [gen], which empties the table without clearing
-       it. The table is allocated the first time a set grows that long,
-       so short transactions never pay for it. *)
+     - {!distinct} counts addresses through an open-addressing table
+       ([keys]/[stamps], load at most 1/2). A slot is occupied iff its
+       stamp equals [gen]; each count bumps [gen], which empties the
+       table without clearing it. The table is allocated the first time
+       a count needs it, so sets that are never counted never pay for
+       it. *)
   type nonrec t = {
     mem : t;
     mutable gran : granularity;
@@ -1391,8 +1397,6 @@ module Read_set = struct
     mutable keys : int array;
     mutable stamps : int array;
   }
-
-  let index_min = 16
 
   let create mem gran =
     {
@@ -1419,6 +1423,21 @@ module Read_set = struct
     | Word -> rs.mem.versions.(addr)
     | Line -> rs.mem.lversions.(addr lsr line_shift)
 
+  let grow rs =
+    let n = Array.length rs.addrs in
+    let addrs = Array.make (2 * n) 0 and vers = Array.make (2 * n) 0 in
+    Array.blit rs.addrs 0 addrs 0 n;
+    Array.blit rs.vers 0 vers 0 n;
+    rs.addrs <- addrs;
+    rs.vers <- vers
+
+  let note rs addr =
+    let n = rs.n in
+    if n = Array.length rs.addrs then grow rs;
+    rs.addrs.(n) <- addr;
+    rs.vers.(n) <- version rs addr;
+    rs.n <- n + 1
+
   let slot keys addr =
     let h = addr * 0x9E3779B1 in
     (h lxor (h lsr 17)) land (Array.length keys - 1)
@@ -1433,45 +1452,21 @@ module Read_set = struct
     else if rs.keys.(i) = addr then false
     else index_add rs addr ((i + 1) land (Array.length rs.keys - 1))
 
-  let reindex rs =
+  let rec count rs i acc =
+    if i >= rs.n then acc
+    else
+      let a = rs.addrs.(i) in
+      count rs (i + 1) (if index_add rs a (slot rs.keys a) then acc + 1 else acc)
+
+  let distinct rs =
+    (* [addrs] has a power-of-two length of at least [n] *)
     let cap = 2 * Array.length rs.addrs in
     if Array.length rs.keys < cap then begin
       rs.keys <- Array.make cap 0;
       rs.stamps <- Array.make cap 0
     end;
     rs.gen <- rs.gen + 1;
-    for i = 0 to rs.n - 1 do
-      ignore (index_add rs rs.addrs.(i) (slot rs.keys rs.addrs.(i)))
-    done
-
-  let grow rs =
-    let n = Array.length rs.addrs in
-    let addrs = Array.make (2 * n) 0 and vers = Array.make (2 * n) 0 in
-    Array.blit rs.addrs 0 addrs 0 n;
-    Array.blit rs.vers 0 vers 0 n;
-    rs.addrs <- addrs;
-    rs.vers <- vers;
-    reindex rs
-
-  let push rs addr =
-    let n = rs.n in
-    rs.addrs.(n) <- addr;
-    rs.vers.(n) <- version rs addr;
-    rs.n <- n + 1
-
-  let rec known rs addr i = i < rs.n && (rs.addrs.(i) = addr || known rs addr (i + 1))
-
-  let note rs addr =
-    if rs.n < index_min then begin
-      if not (known rs addr 0) then begin
-        push rs addr;
-        if rs.n = index_min then reindex rs
-      end
-    end
-    else begin
-      if rs.n = Array.length rs.addrs then grow rs;
-      if index_add rs addr (slot rs.keys addr) then push rs addr
-    end
+    count rs 0 0
 
   (* The first entry, in first-read order, whose version moved, or -1. *)
   let rec scan rs i =
@@ -1644,7 +1639,7 @@ module Tx_desc = struct
         (Tx
            (Tx_commit
               {
-                tx_reads = Read_set.length d.reads;
+                tx_reads = Read_set.distinct d.reads;
                 tx_writes = d.nwrites;
                 tx_path = d.path;
                 tx_attempt = d.attempt;

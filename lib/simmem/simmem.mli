@@ -281,7 +281,7 @@ module Txn : sig
       ({!tracer_sink}) needs. *)
   type tx_event =
     | Tx_commit of {
-        tx_reads : int;
+        tx_reads : int;  (** distinct addresses read *)
         tx_writes : int;
         tx_path : tx_path;
         tx_attempt : int;
@@ -473,16 +473,23 @@ type granularity = Word | Line
     or the covering cache line's (see {!line_version}). *)
 
 module Read_set : sig
-  (** The read set shared by the transaction layers ({!Htm}, {!Stm}): the
-      distinct addresses a transaction attempt has read, each with the
-      version it had when first read. Reusable across attempts via
+  (** The read set shared by the transaction layers ({!Htm}, {!Stm}): one
+      entry per transactional read of the current attempt, each with the
+      version its address had when read. Reusable across attempts via
       {!reset}; allocates nothing in steady state.
 
+      Entries are not de-duplicated: a re-read appends a second entry, as
+      re-marking a line costs a hardware read set nothing. Duplicates
+      cannot change {!validate} or {!first_invalid}. Versions only grow,
+      so a re-read's entry comes after its address's first entry and
+      notes a version at least as new; whenever any entry for an address
+      is stale, its first entry is stale too. {!distinct} gives the count
+      of addresses for the consumers that charge or report by it.
+
       Both hot operations are O(1) in the set's size when nothing
-      changed: {!validate} returns at once when no version on the heap
-      has been bumped since its last successful full check, and {!note}
-      de-duplicates through a hash index once the set passes a few
-      entries. Neither shortcut changes a result — only scans whose
+      changed: {!note} appends, and {!validate} returns at once when no
+      version on the heap has been bumped since its last successful full
+      check. The shortcut never changes a result — only scans whose
       outcome is already known are skipped. *)
 
   type heap := t
@@ -494,17 +501,22 @@ module Read_set : sig
   (** Empty the set for a new attempt. *)
 
   val note : t -> int -> unit
-  (** [note rs addr] adds [addr] with its current version (word or line,
-      per the granularity) unless the set already holds it. Call it
-      right after the transactional load of [addr], before anything can
-      yield, so the noted version is the one the value was read at. *)
+  (** [note rs addr] appends [addr] with its current version (word or
+      line, per the granularity). Call it right after the transactional
+      load of [addr], before anything can yield, so the noted version is
+      the one the value was read at. *)
 
   val length : t -> int
-  (** Distinct addresses noted since the last {!reset}. *)
+  (** Entries noted since the last {!reset}: one per read, re-reads
+      included. *)
 
   val addr : t -> int -> int
-  (** [addr rs i] is the [i]-th noted address, [0 <= i < length rs], in
-      first-read order. *)
+  (** [addr rs i] is the [i]-th entry's address, [0 <= i < length rs], in
+      read order. *)
+
+  val distinct : t -> int
+  (** Distinct addresses noted since the last {!reset}. O(entries) through
+      a hash index built on the first call that needs one. *)
 
   val validate : t -> bool
   (** True iff every entry's version is still the noted one. *)

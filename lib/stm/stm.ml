@@ -427,7 +427,7 @@ let commit s d lk =
     (* Locks held, nothing written: the window a crash must not wedge —
        the registered kill point for fault plans. *)
     Sim.fault_point ctx "stm.commit";
-    Sim.tick ctx (validate_cost * (Simmem.Read_set.length d.reads + 1));
+    Sim.tick ctx (validate_cost * (Simmem.Read_set.distinct d.reads + 1));
     if
       not
         (Simmem.Read_set.validate d.reads && read_locks_clear s d && first_freed_write d < 0)

@@ -195,11 +195,10 @@ let test_opacity () =
 
 (* A 40-read transaction parks after its 20th read while a second thread
    stores [n] to one word (chosen from the read block and an unrelated
-   word by [target]). The read set's shortcuts — skipping revalidation
-   when nothing was stored, hashing membership past 16 entries — must
-   neither hide a conflict on an early read nor invent one, on either
-   path: [config] is the default (hardware) or [Stm_after 0] (every
-   attempt in software). Returns the attempts, the committed sum, the
+   word by [target]). The read set's shortcut — skipping revalidation
+   when nothing was stored — must neither hide a conflict on an early
+   read nor invent one, on either path: [config] is the default
+   (hardware) or [Stm_after 0] (every attempt in software). Returns the attempts, the committed sum, the
    aborts seen by a sink, the storing thread and the stored address. *)
 let forty_reads_vs_store config target =
   let mem, htm, boot = make ~config () in
@@ -262,11 +261,9 @@ let test_long_read_set_unrelated (config, _) () =
   Alcotest.(check int) "read values" 0 sum;
   Alcotest.(check int) "no aborts" 0 (List.length aborts)
 
-(* Re-reads. A transaction that loads a word twice holds it once in the
-   read set's count: the commit event reports distinct reads, and the
-   software commit charges its validation pass per distinct read. The
-   pinned clocks were recorded before the read set stopped
-   de-duplicating on insert. *)
+(* Re-reads. A transaction that loads a word twice counts it once: the
+   commit event reports distinct reads, and the software commit charges
+   its validation pass per distinct read, which the pinned clock shows. *)
 let test_reread_commit ((config, _), clock_after) () =
   let mem, htm, boot = make ~config () in
   let a = Simmem.malloc mem boot 3 in

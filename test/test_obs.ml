@@ -165,6 +165,36 @@ let test_metrics_gauge_hist () =
     [ (1, 1); (2, 2); (512, 1) ]
     (Obs.Metrics.buckets h)
 
+(* The histogram's bucket is the floor of log2, found in fixed steps;
+   it must agree with the halving loop it replaced on every int: [<= 1]
+   (negatives included) in bucket 0, [max_int] in the last. *)
+let bucket_agrees v =
+  let hist_buckets = 62 in
+  let rec go i d = if d <= 1 || i = hist_buckets - 1 then i else go (i + 1) (d lsr 1) in
+  let h = Obs.Metrics.hist (Obs.Metrics.create ()) "h" in
+  Obs.Metrics.observe h v;
+  Obs.Metrics.buckets h = [ (1 lsl go 0 (Int.max v 0), 1) ]
+
+let test_bucket_edges () =
+  let edges =
+    [ min_int; -1; 0; 1; max_int ]
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) (List.init 62 Fun.id)
+  in
+  List.iter
+    (fun v -> Alcotest.(check bool) (Printf.sprintf "bucket of %d" v) true (bucket_agrees v))
+    edges
+
+let prop_bucket_matches_loop =
+  (* any int, and ints of every bit length *)
+  let gen =
+    QCheck.Gen.(
+      oneof [ int; map2 (fun k x -> x land ((1 lsl k) - 1)) (int_range 0 62) int ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"bucket is the halving loop's"
+       (QCheck.make ~print:string_of_int gen)
+       bucket_agrees)
+
 let test_metrics_parent_and_reset () =
   let parent = Obs.Metrics.create () in
   let child = Obs.Metrics.create ~parent () in
@@ -437,6 +467,8 @@ let () =
         [
           Alcotest.test_case "counter" `Quick test_metrics_counter;
           Alcotest.test_case "gauge and hist" `Quick test_metrics_gauge_hist;
+          Alcotest.test_case "bucket edges" `Quick test_bucket_edges;
+          prop_bucket_matches_loop;
           Alcotest.test_case "parent chain and reset" `Quick test_metrics_parent_and_reset;
           Alcotest.test_case "snapshot" `Quick test_metrics_snapshot;
           Alcotest.test_case "boot tid, lazy breakdown" `Quick test_metrics_boot_tid;

@@ -287,6 +287,35 @@ let test_queue_construction () =
           mk.queue_name direct)
     (Hqueue.all_with_extensions @ [ Hqueue.ebr ])
 
+(* The same for the collect objects: the adaptive step table and the
+   static baseline's free-slot stacks have one slot per thread the heap
+   tracks. Built for {!Sim.max_threads} + 1, each was a 258-word block
+   on the major heap per collect object. *)
+let test_collect_construction () =
+  Workload.Driver.set_obs Workload.Driver.no_obs;
+  let m = Workload.Driver.machine ~threads:16 () in
+  let cfg = { Collect.Intf.default_cfg with step = Collect.Intf.Adaptive } in
+  List.iter
+    (fun (mk : Collect.Intf.maker) ->
+      let build () =
+        let c = mk.make m.htm m.boot cfg in
+        c.destroy m.boot
+      in
+      build ();
+      let builds = 100 in
+      let _, p0, m0 = Gc.counters () in
+      for _ = 1 to builds do
+        build ()
+      done;
+      let _, p1, m1 = Gc.counters () in
+      let direct = (m1 -. m0 -. (p1 -. p0)) /. float_of_int builds in
+      if direct > 0. then
+        Alcotest.failf
+          "building a %s collect object for 16 threads allocated %.0f words directly on \
+           the major heap: a per-thread table is sized past the heap's thread capacity"
+          mk.algo_name direct)
+    Collect.all_with_extensions
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -343,6 +372,8 @@ let () =
           Alcotest.test_case "Driver.machine x16, direct major words" `Quick
             test_machine_construction;
           Alcotest.test_case "queues x16, direct major words" `Quick test_queue_construction;
+          Alcotest.test_case "collects x16, direct major words" `Quick
+            test_collect_construction;
         ] );
       ( "determinism",
         [

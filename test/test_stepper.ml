@@ -2,15 +2,19 @@
 
 let in_thread f = Sim.run ~seed:1 [| f |]
 
+(* A fresh machine: the adaptive table is sized by its heap. *)
+let make policy ~max_step =
+  Collect.Stepper.make (Htm.create (Simmem.create ())) policy ~max_step
+
 let test_fixed_clamped () =
-  let s = Collect.Stepper.make (Collect.Intf.Fixed 32) ~max_step:27 in
+  let s = make (Collect.Intf.Fixed 32) ~max_step:27 in
   in_thread (fun ctx -> Alcotest.(check int) "clamped to max" 27 (Collect.Stepper.get s ctx));
-  let s2 = Collect.Stepper.make (Collect.Intf.Fixed 0) ~max_step:27 in
+  let s2 = make (Collect.Intf.Fixed 0) ~max_step:27 in
   in_thread (fun ctx -> Alcotest.(check int) "clamped to 1" 1 (Collect.Stepper.get s2 ctx))
 
 let test_adaptive_pow2_bound () =
   (* max_step 27 must round the adaptive ceiling down to 16 *)
-  let s = Collect.Stepper.make Collect.Intf.Adaptive ~max_step:27 in
+  let s = make Collect.Intf.Adaptive ~max_step:27 in
   in_thread (fun ctx ->
       for _ = 1 to 100 do
         Collect.Stepper.on_commit s ctx
@@ -18,7 +22,7 @@ let test_adaptive_pow2_bound () =
       Alcotest.(check int) "adaptive capped at 16" 16 (Collect.Stepper.get s ctx))
 
 let test_per_thread_independence () =
-  let s = Collect.Stepper.make Collect.Intf.Adaptive ~max_step:32 in
+  let s = make Collect.Intf.Adaptive ~max_step:32 in
   let step0 = ref 0 and step1 = ref 0 in
   Sim.run ~seed:2
     [|
@@ -38,7 +42,7 @@ let test_per_thread_independence () =
 
 let test_overhead_charged () =
   let charged policy =
-    let s = Collect.Stepper.make policy ~max_step:32 in
+    let s = make policy ~max_step:32 in
     let d = ref 0 in
     in_thread (fun ctx ->
         let t0 = Sim.clock ctx in
@@ -51,7 +55,7 @@ let test_overhead_charged () =
   Alcotest.(check bool) "adaptive pays" true (charged Collect.Intf.Adaptive > 0)
 
 let test_histogram_merges_threads () =
-  let s = Collect.Stepper.make Collect.Intf.Adaptive ~max_step:32 in
+  let s = make Collect.Intf.Adaptive ~max_step:32 in
   Sim.run ~seed:3
     [|
       (fun ctx -> Collect.Stepper.record_collected s ctx 10);
@@ -61,7 +65,7 @@ let test_histogram_merges_threads () =
     (Collect.Stepper.histogram s)
 
 let test_fixed_histogram_empty () =
-  let s = Collect.Stepper.make (Collect.Intf.Fixed 8) ~max_step:32 in
+  let s = make (Collect.Intf.Fixed 8) ~max_step:32 in
   in_thread (fun ctx -> Collect.Stepper.record_collected s ctx 10);
   Alcotest.(check (list (pair int int))) "fixed has no histogram" [] (Collect.Stepper.histogram s)
 
