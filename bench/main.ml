@@ -331,163 +331,6 @@ let read_json_file file =
   close_in ic;
   Obs.Json.parse s
 
-(* ------------------------------------------------------------------ *)
-(* `bench perf`: the simulator's own speed as one quotable number per
-   machine — virtual memory operations per wall second and wall time per
-   virtual cycle, read out of the per-cell metrics registry. Wall-clock,
-   so never part of `all` or the artifact set; the optional floor file
-   gives CI a regression gate with a generous tolerance band. *)
-
-let perf_reference_duration = 50_000
-
-let perf_cells ~seed =
-  let duration = perf_reference_duration in
-  List.map
-    (fun (mk : Hqueue.Intf.maker) ->
-      Runner.Cell.v ~label:(Printf.sprintf "fig1/%s/x16" mk.queue_name) (fun () ->
-          ignore
-            (Workload.Queue_bench.run_one mk ~threads:16 ~duration ~prefill:64 ~seed)))
-    Hqueue.all
-  @ [
-      Runner.Cell.v ~label:"scale/queue/HTM/x256" (fun () ->
-          ignore
-            (Workload.Scale_bench.queue_one
-               (Option.get (Hqueue.find_maker "HTM"))
-               ~threads:256 ~duration ~seed));
-    ]
-
-(* Virtual operations: every simulated memory access the cell performed. *)
-let perf_vops snapshot =
-  List.fold_left
-    (fun acc name ->
-      match List.assoc_opt ("mem." ^ name) snapshot with
-      | Some (Obs.Metrics.Counter { total; _ }) -> acc + total
-      | _ -> acc)
-    0
-    [ "reads"; "writes"; "atomics"; "allocs"; "frees" ]
-
-let perf_rows outcomes =
-  let cycles = Workload.Driver.warmup + perf_reference_duration in
-  List.map
-    (fun (o : unit Runner.Sweep.outcome) ->
-      let vops = perf_vops o.oc_snapshot in
-      (o.oc_label, vops, o.oc_wall_us, cycles))
-    outcomes
-
-let perf_floor_json rows =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "perf/1");
-      ("duration", Obs.Json.Int perf_reference_duration);
-      ( "cells",
-        Obs.Json.List
-          (List.map
-             (fun (label, _, wall_us, _) ->
-               Obs.Json.Obj
-                 [
-                   ("cell", Obs.Json.Str label);
-                   ("wall_us", Obs.Json.Int (int_of_float wall_us));
-                 ])
-             rows) );
-    ]
-
-(* The floor gate: fresh/reference <= 2 passes, <= 4 warns, beyond fails.
-   Wall-clock varies across runners, hence the generous bands; the gate
-   only exists to catch order-of-magnitude regressions of the simulator
-   core. *)
-let perf_check rows file =
-  match read_json_file file with
-  | Error e ->
-      pf "%s: INVALID: %s@." file e;
-      exit 2
-  | Ok j ->
-      let ref_cells =
-        match Obs.Json.member "cells" j with
-        | Some (Obs.Json.List l) ->
-            List.filter_map
-              (fun c ->
-                match (Obs.Json.member "cell" c, Obs.Json.member "wall_us" c) with
-                | Some (Obs.Json.Str name), Some (Obs.Json.Int w) -> Some (name, w)
-                | _ -> None)
-              l
-        | _ -> []
-      in
-      let failed = ref false in
-      List.iter
-        (fun (label, _, wall_us, _) ->
-          match List.assoc_opt label ref_cells with
-          | None -> pf "perf floor: %-28s (no reference; skipped)@." label
-          | Some ref_us ->
-              let ratio = wall_us /. float_of_int (max 1 ref_us) in
-              if ratio <= 2.0 then
-                pf "perf floor: %-28s OK    (%.2fx the reference)@." label ratio
-              else if ratio <= 4.0 then
-                pf "perf floor: %-28s WARN  (%.2fx the reference; floor fails at 4x)@."
-                  label ratio
-              else begin
-                failed := true;
-                pf "perf floor: %-28s FAIL  (%.2fx the reference)@." label ratio
-              end)
-        rows;
-      if !failed then begin
-        pf "perf floor: FAILED — the simulator core got more than 4x slower than@.";
-        pf "the committed reference (%s). If intentional, regenerate it with@." file;
-        pf "`bench perf --update %s` on a quiet machine.@." file;
-        exit 1
-      end
-
-let perf_cmd =
-  let check_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check" ] ~docv:"FILE"
-          ~doc:
-            "Compare each cell's wall time against the committed reference $(docv): \
-             within 2x passes, within 4x warns, beyond fails (exit 1).")
-  in
-  let update_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "update" ] ~docv:"FILE"
-          ~doc:"Write this run's wall times to $(docv) as the new reference.")
-  in
-  let action seed check update =
-    let outcomes = Runner.Sweep.run ~jobs:1 ~metrics:true (perf_cells ~seed) in
-    (match Runner.Sweep.errors outcomes with
-    | [] -> ()
-    | (label, e) :: _ ->
-        pf "perf: cell %s raised %s@." label (Printexc.to_string e);
-        exit 2);
-    let rows = perf_rows outcomes in
-    pf "== Simulator speed (virtual ops = simulated memory accesses) ==@.";
-    Obs.Table.print_cols Format.std_formatter
-      [ "machine"; "virtual ops"; "wall ms"; "virtual Mops/s"; "wall ns/vcycle" ]
-      (List.map
-         (fun (label, vops, wall_us, cycles) ->
-           [
-             label;
-             string_of_int vops;
-             Printf.sprintf "%.2f" (wall_us /. 1000.0);
-             Printf.sprintf "%.1f" (float_of_int vops /. wall_us);
-             Printf.sprintf "%.1f" (wall_us *. 1000.0 /. float_of_int cycles);
-           ])
-         rows);
-    (match update with
-    | Some file ->
-        Obs.Json.write_file file (perf_floor_json rows);
-        pf "perf reference -> %s@." file
-    | None -> ());
-    match check with Some file -> perf_check rows file | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "measure the simulator's own wall-clock speed (virtual ops/sec and wall time \
-          per virtual cycle, per machine); --check gates against a committed reference")
-    Term.(const action $ seed_arg $ check_arg $ update_arg)
-
 (* CI gate: parse artifact files with the strict in-repo JSON parser and
    fail loudly on the first invalid one. *)
 let validate_cmd =
@@ -564,5 +407,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          (all_cmd :: doctor_cmd :: perf_cmd :: validate_cmd :: diff_cmd
+          (all_cmd :: doctor_cmd :: validate_cmd :: diff_cmd
           :: List.map cmd_of_experiment Experiments.all)))

@@ -9,9 +9,10 @@ line (see bench/perf/README.md). With no commits given, each set of the
 newest record is shown as its parent side against its change side. With
 two commit prefixes, the change side of OLD is the older entry and the
 change side of NEW the newer one, set by set where both hold the same
-seed and run length.
+seed, run length and trace setting (a set without "trace" is untraced:
+a traced set holds per-layer metrics, an untraced one end-to-end ones).
 
-Each row is one workload and end-to-end metric: the two medians, their
+Each row is one workload and metric: the two medians, their
 ratio (new / old), the pairs the newer side won when the record has
 them, and whether the gap between the medians clears the older entry's
 interquartile range, and in which direction.
@@ -41,6 +42,16 @@ def find(records, prefix):
     if len(hits) != 1:
         sys.exit("diff.py: %d records match commit %r" % (len(hits), prefix))
     return hits[0]
+
+
+def key(s):
+    """What makes two sets comparable: seed, run length and trace setting."""
+    return s["seed"], s["seconds"], s.get("trace", 0)
+
+
+def describe(s):
+    """A set's seed, run length and, when traced, that it is."""
+    return "seed %d, %d s%s" % (s["seed"], s["seconds"], ", traced" if s.get("trace") else "")
 
 
 def build(rec, side="change"):
@@ -85,14 +96,16 @@ def rows(old_set, new_set, old_side, new_side):
 
 
 def print_set(out, title, triples):
+    triples = list(triples)
+    width = max([18] + [len(t[1]) for t in triples])
     out.write(title + "\n")
-    out.write("  %-16s %-18s %12s %12s %7s %6s  %s\n"
-              % ("workload", "metric", "old", "new", "ratio", "wins", "gap vs old IQR"))
+    out.write("  %-16s %-*s %12s %12s %7s %6s  %s\n"
+              % ("workload", width, "metric", "old", "new", "ratio", "wins", "gap vs old IQR"))
     for w, name, old, new, wins, meta in triples:
         ratio = new["median"] / old["median"] if old["median"] else float("inf")
         won = "%d/%d" % (wins, new["n"]) if wins is not None else "-"
-        out.write("  %-16s %-18s %12.6g %12.6g %7.3f %6s  %s\n"
-                  % (w, name, old["median"], new["median"], ratio, won,
+        out.write("  %-16s %-*s %12.6g %12.6g %7.3f %6s  %s\n"
+                  % (w, width, name, old["median"], new["median"], ratio, won,
                      verdict(meta, old, new)))
 
 
@@ -108,19 +121,18 @@ def main():
         rec = records[-1]
         for s in rec["sets"]:
             print_set(sys.stdout,
-                      title("%s: parent %s -> change %s, seed %d, %d s, %d pairs"
-                            % (rec["commit"], rec["parent"], rec["commit"], s["seed"],
-                               s["seconds"], s["pairs"]),
+                      title("%s: parent %s -> change %s, %s, %d pairs"
+                            % (rec["commit"], rec["parent"], rec["commit"], describe(s),
+                               s["pairs"]),
                             build(rec, "parent"), build(rec)),
                       rows(s, s, "parent", "change"))
     elif len(args.commits) == 2:
         old, new = find(records, args.commits[0]), find(records, args.commits[1])
         for ns in new["sets"]:
             for os_ in old["sets"]:
-                if (os_["seed"], os_["seconds"]) == (ns["seed"], ns["seconds"]):
+                if key(os_) == key(ns):
                     print_set(sys.stdout,
-                              title("%s -> %s, seed %d, %d s"
-                                    % (old["commit"], new["commit"], ns["seed"], ns["seconds"]),
+                              title("%s -> %s, %s" % (old["commit"], new["commit"], describe(ns)),
                                     build(old), build(new)),
                               rows(os_, ns, "change", "change"))
     else:

@@ -2,22 +2,25 @@
 """Alternating parent/change runs of perfbench, summarised as one trajectory set.
 
     python3 bench/perf/pairs.py PARENT_DIR CHANGE_DIR --seed 1 --seconds 40 \\
-        --pairs 10 [--workload NAME ...] --runs runs.jsonl
+        --pairs 10 [--workload NAME ...] [--trace 1] --runs runs.jsonl
     python3 bench/perf/pairs.py --summarise runs.jsonl
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository (made with
 `git archive` or `git clone`, at paths of equal length: perfbench's
 host_heap_mb moves with the length of the executable's path). Each pair
 runs `python3 perfbench/run.py` once in each checkout, the order
-alternating from pair to pair, for every workload. Every raw run is
-appended to the --runs file as one JSON line as soon as it finishes, so
-an interrupted session keeps what it measured.
+alternating from pair to pair, for every workload. --trace 1 is passed
+to run.py, which then reports BENCHMARK.json's per-layer metrics instead
+of its end-to-end ones. Every raw run is appended to the --runs file as
+one JSON line as soon as it finishes, so an interrupted session keeps
+what it measured.
 
---summarise prints the set the runs file holds, one JSON object per
-(seed, seconds) group, in the form bench/perf/trajectory.jsonl records
-keep under "sets": per workload and end-to-end metric, the parent's and
-the change's median and quartiles, and the pairs the change won. The
-record around the sets (commit, parent, host note) is written by hand.
+--summarise prints the sets the runs file holds, one JSON object per
+(seed, seconds, trace) group, in the form bench/perf/trajectory.jsonl
+records keep under "sets": per workload and metric (end-to-end, or
+per-layer for traced runs), the parent's and the change's median and
+quartiles, and the pairs the change won. The record around the sets
+(commit, parent, host note) is written by hand.
 """
 
 import argparse
@@ -49,16 +52,17 @@ def stats(xs):
 
 
 def summarise(runs):
-    """Group raw runs by (seed, seconds) and reduce each to a trajectory set."""
-    better = {m["name"]: m["better"] for m in spec()["end_to_end"]}
-    units = {m["name"]: m["unit"] for m in spec()["end_to_end"]}
+    """Group raw runs by (seed, seconds, trace) and reduce each to a trajectory set."""
     groups = {}
     for r in runs:
         if r["result"] is None:
             continue
-        groups.setdefault((r["seed"], r["seconds"]), []).append(r)
+        groups.setdefault((r["seed"], r["seconds"], r.get("trace", 0)), []).append(r)
     sets = []
-    for (seed, seconds), rs in sorted(groups.items()):
+    for (seed, seconds, trace), rs in sorted(groups.items()):
+        declared = spec()["per_layer" if trace else "end_to_end"]
+        better = {m["name"]: m["better"] for m in declared}
+        units = {m["name"]: m["unit"] for m in declared}
         workloads = {}
         for w in sorted({r["workload"] for r in rs}):
             side = {"parent": {}, "change": {}}
@@ -86,7 +90,8 @@ def summarise(runs):
                 }
             workloads[w] = {"failed": failed, "metrics": rows}
         pairs = len({(r["workload"], r["pair"]) for r in rs}) // max(1, len(workloads))
-        sets.append({"seed": seed, "seconds": seconds, "pairs": pairs, "workloads": workloads})
+        sets.append({"seed": seed, "seconds": seconds, "trace": trace, "pairs": pairs,
+                     "workloads": workloads})
     return sets
 
 
@@ -100,7 +105,8 @@ def run_pairs(args):
                 for tree in order:
                     proc = subprocess.run(
                         [sys.executable, "perfbench/run.py", "--workload", w,
-                         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+                         "--seed", str(args.seed), "--seconds", str(args.seconds),
+                         "--trace", str(args.trace)],
                         cwd=trees[tree], capture_output=True, text=True)
                     last = proc.stdout.strip().split("\n")[-1] if proc.stdout.strip() else ""
                     try:
@@ -108,7 +114,8 @@ def run_pairs(args):
                     except ValueError:
                         result = None
                     rec = {"tree": tree, "workload": w, "pair": i, "seed": args.seed,
-                           "seconds": args.seconds, "rc": proc.returncode, "result": result}
+                           "seconds": args.seconds, "trace": args.trace,
+                           "rc": proc.returncode, "result": result}
                     f.write(json.dumps(rec) + "\n")
                     f.flush()
 
@@ -121,6 +128,8 @@ def main():
     ap.add_argument("--seconds", type=int, default=40)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: time the per-layer metrics (run.py --trace 1)")
     ap.add_argument("--runs", help="raw runs file (JSON lines), appended to")
     ap.add_argument("--summarise", metavar="RUNS", help="summarise a raw runs file")
     args = ap.parse_args()

@@ -4,18 +4,24 @@
     python3 bench/perf/test_diff.py
 
 Runs diff.py on a small synthetic trajectory and checks its ratios, IQR
-verdicts and build labels (a comparison across builds is flagged), checks
-pairs.py's summary of synthetic raw runs, and checks that the committed
-trajectory names only workloads and metrics that BENCHMARK.json declares,
-only known builds, and that diff.py prints a row for each of them.
+verdicts and build labels (a comparison across builds is flagged), that
+it never pairs a traced set with an untraced one, checks pairs.py's
+summary of synthetic raw runs, traced and untraced, checks floor.py's
+bands, references and failures on synthetic records, and checks that the
+committed trajectory names only workloads and metrics that BENCHMARK.json
+declares (per-layer ones in traced sets), only known builds, and that
+diff.py prints a row for each of them.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import unittest
+
+import floor
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -198,10 +204,167 @@ class Summarise(unittest.TestCase):
         self.assertEqual(s["workloads"]["queue-x16"]["metrics"]["vops_per_us"]["wins"], 1)
 
 
+def summarise(runs):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "runs.jsonl")
+        write(path, *runs)
+        out = subprocess.run([sys.executable, PAIRS, "--summarise", path],
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+    return [json.loads(l) for l in out.splitlines()]
+
+
+def raw(tree, pair, value, section, trace=None):
+    """One raw run of queue-x16, every metric of a BENCHMARK.json section at value."""
+    metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in SPEC[section]}
+    run = {"tree": tree, "workload": "queue-x16", "pair": pair, "seed": 1, "seconds": 10,
+           "rc": 0, "result": {"correct": True, "attempted": 9, "failed": 0,
+                               "metrics": metrics}}
+    if trace is not None:
+        run["trace"] = trace
+    return run
+
+
+class SummariseTraced(unittest.TestCase):
+    def test_per_layer_rows_keyed_by_trace(self):
+        runs = []
+        for pair in range(3):
+            # untraced runs written before the "trace" field existed
+            runs += [raw("parent", pair, 2.0, "end_to_end"), raw("change", pair, 1.0, "end_to_end")]
+            runs += [raw("parent", pair, 3.0, "per_layer", 1),
+                     raw("change", pair, 4.0, "per_layer", 1)]
+        plain, traced = summarise(runs)
+        self.assertEqual((plain["trace"], traced["trace"]), (0, 1))
+        self.assertEqual((traced["seed"], traced["seconds"], traced["pairs"]), (1, 10, 3))
+        self.assertEqual(set(plain["workloads"]["queue-x16"]["metrics"]),
+                         {m["name"] for m in SPEC["end_to_end"]})
+        rows = traced["workloads"]["queue-x16"]["metrics"]
+        self.assertEqual(set(rows), {m["name"] for m in SPEC["per_layer"]})
+        for m in SPEC["per_layer"]:
+            self.assertEqual((rows[m["name"]]["unit"], rows[m["name"]]["better"]),
+                             (m["unit"], m["better"]))
+        # 3 -> 4 is a loss where lower is better, a win where higher is
+        self.assertEqual(rows["sim.ns_per_switch.w16"]["wins"], 0)
+        self.assertEqual(rows["htm.useful_frac"]["wins"], 3)
+        self.assertEqual(rows["sim.ns_per_switch.w16"]["change"]["median"], 4.0)
+
+
+def metric_set(workload, metrics, trace=0, seed=1):
+    """A set holding {name: (unit, better, parent median, change median)} on one workload."""
+    rows = {name: {"unit": unit, "better": better, "wins": 0,
+                   "parent": side(par, 0.0, 6), "change": side(chg, 0.0, 6)}
+            for name, (unit, better, par, chg) in metrics.items()}
+    s = {"seed": seed, "seconds": 10, "pairs": 6,
+         "workloads": {workload: {"failed": {"parent": 0, "change": 0}, "metrics": rows}}}
+    if trace:
+        s["trace"] = 1
+    return s
+
+
+class DiffTrace(unittest.TestCase):
+    def test_traced_set_not_paired_with_untraced(self):
+        wall = {"wall_s": ("s", "lower", 1.0, 1.0)}
+        rung = {"sim.ns_per_switch.w16": ("ns", "lower", 100.0, 100.0)}
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.jsonl")
+            write(path,
+                  {"commit": "aaa1111", "parent": "fff0000", "host": "synthetic",
+                   "sets": [metric_set("queue-x16", wall)]},
+                  {"commit": "bbb2222", "parent": "aaa1111", "host": "synthetic",
+                   "sets": [metric_set("queue-x16", rung, trace=1)]},
+                  {"commit": "ccc3333", "parent": "bbb2222", "host": "synthetic",
+                   "sets": [metric_set("queue-x16", wall),
+                            metric_set("queue-x16", rung, trace=1)]})
+            self.assertEqual(diff("aaa", "bbb", path=path), "")
+            out = diff("bbb", "ccc", path=path)
+            self.assertIn("bbb2222 -> ccc3333, seed 1, 10 s, traced", out)
+            self.assertEqual(row(out, "sim.ns_per_switch.w16")[4], "1.000")
+            self.assertNotIn("wall_s", out)
+            out = diff("aaa", "ccc", path=path)
+            self.assertNotIn("traced", out)
+            self.assertEqual(row(out, "wall_s")[4], "1.000")
+            out = diff(path=path)
+            self.assertIn("seed 1, 10 s, traced, 6 pairs", out)
+
+
+def result(metrics, failed=0):
+    return {"correct": failed == 0, "attempted": 9, "failed": failed,
+            "metrics": {name: {"value": v, "unit": unit} for name, (unit, v) in metrics.items()}}
+
+
+def floor_record(commit, workload, metrics, trace=0, seed=1):
+    """A record whose change-side medians are metrics' values ({name: (unit, median)})."""
+    return {"commit": commit, "parent": "fff0000", "host": "synthetic",
+            "sets": [metric_set(workload, {n: (u, "lower", v, v) for n, (u, v) in metrics.items()},
+                                trace, seed)]}
+
+
+class Floor(unittest.TestCase):
+    RECORDS = [floor_record("aaa1111", "queue-x16", {"wall_s": ("s", 0.010)}),
+               floor_record("bbb2222", "queue-x16", {"sim.ns_per_switch.w16": ("ns", 100.0),
+                                                     "sim.ns_per_switch.w256": ("ns", 700.0)},
+                            trace=1)]
+
+    def gate(self, runs, records=None):
+        out = io.StringIO()
+        ok = floor.check(self.RECORDS if records is None else records, runs, out)
+        return ok, out.getvalue()
+
+    def line(self, out, label):
+        (hit,) = [l for l in out.splitlines() if l.startswith("perf floor: %s " % label)]
+        return hit
+
+    def test_bands(self):
+        for ratio, verdict, passes in ((1.9, "OK", True), (3.0, "WARN", True),
+                                       (5.0, "FAIL", False)):
+            ok, out = self.gate([("queue-x16", 0, result({"wall_s": ("s", 0.010 * ratio)}))])
+            self.assertEqual(ok, passes, out)
+            self.assertIn("%-5s (%.2fx the reference" % (verdict, ratio),
+                          self.line(out, "queue-x16 wall_s"))
+
+    def test_rungs_gated_traced_only(self):
+        ok, out = self.gate([("queue-x16", 1, result({
+            "sim.ns_per_switch.w16": ("ns", 150.0), "sim.ns_per_switch.w256": ("ns", 3500.0),
+            "htm.ns_per_tx.r1w1": ("ns", 1e9)}))])
+        self.assertFalse(ok)
+        self.assertIn("OK", self.line(out, "queue-x16 sim.ns_per_switch.w16"))
+        self.assertIn("FAIL", self.line(out, "queue-x16 sim.ns_per_switch.w256"))
+        self.assertNotIn("r1w1", out)
+
+    def test_no_reference_skipped(self):
+        ok, out = self.gate([("hybrid-sb", 0, result({"wall_s": ("s", 99.0)})),
+                             ("queue-x16", 0, result({"wall_s": ("s", 0.010)}))])
+        self.assertTrue(ok, out)
+        self.assertIn("(no reference; skipped)", self.line(out, "hybrid-sb wall_s"))
+        # an untraced wall_s never takes a traced set, nor seed 2's set, as its reference
+        records = [floor_record("ccc3333", "queue-x16", {"wall_s": ("s", 1.0)}, trace=1),
+                   floor_record("ddd4444", "queue-x16", {"wall_s": ("s", 1.0)}, seed=2)]
+        ok, out = self.gate([("queue-x16", 0, result({"wall_s": ("s", 99.0)}))], records)
+        self.assertTrue(ok, out)
+        self.assertIn("skipped", out)
+
+    def test_newest_record_holding_the_metric(self):
+        records = self.RECORDS + [
+            floor_record("ccc3333", "queue-x16", {"wall_s": ("s", 0.001)}),
+            floor_record("ddd4444", "collect-update", {"wall_s": ("s", 1.0)})]
+        ok, out = self.gate([("queue-x16", 0, result({"wall_s": ("s", 0.010)}))], records)
+        self.assertFalse(ok)
+        self.assertIn("FAIL  (10.00x the reference 0.001 s, record ccc3333)",
+                      self.line(out, "queue-x16 wall_s"))
+
+    def test_failed_cells_and_missing_results_fail(self):
+        ok, out = self.gate([("queue-x16", 0, result({"wall_s": ("s", 0.010)}, failed=1))])
+        self.assertFalse(ok)
+        self.assertIn("FAIL  (failed = 1)", out)
+        ok, out = self.gate([("queue-x16", 0, None)])
+        self.assertFalse(ok)
+        self.assertIn("FAIL  (no result)", out)
+
+
 class Committed(unittest.TestCase):
     def test_declared_names_and_rows(self):
         workloads = {w["name"] for w in SPEC["workloads"]}
-        metrics = {m["name"] for m in SPEC["end_to_end"]}
+        metrics = {trace: {m["name"] for m in SPEC[section]}
+                   for trace, section in ((0, "end_to_end"), (1, "per_layer"))}
         with open(TRAJECTORY) as f:
             records = [json.loads(l) for l in f if l.strip()]
         self.assertGreaterEqual(len(records), 1)
@@ -213,7 +376,7 @@ class Committed(unittest.TestCase):
             for s in rec["sets"]:
                 self.assertLessEqual(set(s["workloads"]), workloads)
                 for w in s["workloads"].values():
-                    self.assertLessEqual(set(w["metrics"]), metrics)
+                    self.assertLessEqual(set(w["metrics"]), metrics[s.get("trace", 0)])
         out = diff(path=TRAJECTORY)
         expect = sum(len(w["metrics"]) for s in records[-1]["sets"]
                      for w in s["workloads"].values())

@@ -123,10 +123,7 @@ let run_trace file out =
   | Ok a -> (
     let tracer = Obs.Tracer.create () in
     let sink = Obs.Tracer.process tracer ~name:a.art_scenario in
-    Sim.set_default_tracer (Some sink);
-    let outcome = Explore.Search.replay_artifact ~tracer:sink a in
-    Sim.set_default_tracer None;
-    match outcome with
+    match Explore.Search.replay_artifact ~tracer:sink a with
     | Error e ->
       err "explore trace: %s" e;
       1

@@ -94,7 +94,7 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
           Sim.note_progress ctx
         done
       in
-      Sim.run ~seed ~strategy ?record
+      Sim.run ~seed ~strategy ?record ?tracer
         ?faults:(Option.map Sim.Fault.make faults)
         ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
         ~watchdog:watchdog_budget
@@ -136,7 +136,7 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
           Sim.note_progress ctx
         done
       in
-      Sim.run ~seed ~strategy ?record
+      Sim.run ~seed ~strategy ?record ?tracer
         ?faults:(Option.map Sim.Fault.make faults)
         ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
         ~watchdog:watchdog_budget
@@ -191,7 +191,7 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
         Collect_spec.deregister log inst ctx h;
         Sim.note_progress ctx
       in
-      Sim.run ~seed ~strategy ?record
+      Sim.run ~seed ~strategy ?record ?tracer
         ?faults:(Option.map Sim.Fault.make faults)
         ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
         ~watchdog:watchdog_budget

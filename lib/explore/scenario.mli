@@ -27,9 +27,9 @@ type t = {
     tracer:Obs.Tracer.sink option ->
     outcome;
       (** [trace] captures the run from the first operation on; [tracer]
-          renders the machine's events from its creation. Scheduler
-          slices come from the ambient {!Sim.set_default_tracer} sink,
-          which should be the same one. *)
+          renders the machine's events from its creation and is passed
+          to {!Sim.run}, so the scheduler's slices land in the same
+          sink. *)
 }
 
 val queue_lin :

@@ -45,15 +45,12 @@ type lstat = {
   mutable l_prov : (int * int * int) option; (* tid, clock, alloc count *)
 }
 
-(* Simmem's lines are 8 words. *)
-let line_shift = 3
-
 type t = {
   max_hops : int;
   mutable total : int;
   edges : (int * int, edge) Hashtbl.t; (* (victim, aggressor) *)
   lines : (int, lstat) Hashtbl.t;
-  line_names : (int, string list ref) Hashtbl.t;
+  regions : Regions.t;
   allocs : (int, alloc) Hashtbl.t;
   sites : (string, int ref) Hashtbl.t;
   victims : (int, int ref) Hashtbl.t;
@@ -68,7 +65,7 @@ let create ?(max_hops = 256) () =
     total = 0;
     edges = Hashtbl.create 64;
     lines = Hashtbl.create 256;
-    line_names = Hashtbl.create 256;
+    regions = Regions.create ();
     allocs = Hashtbl.create 256;
     sites = Hashtbl.create 16;
     victims = Hashtbl.create 16;
@@ -77,19 +74,12 @@ let create ?(max_hops = 256) () =
     hop_total = 0;
   }
 
-let label t ~name ~base ~words =
-  if words > 0 then begin
-    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
-    for line = lo to hi do
-      match Hashtbl.find_opt t.line_names line with
-      | Some names -> if not (List.mem name !names) then names := name :: !names
-      | None -> Hashtbl.add t.line_names line (ref [ name ])
-    done
-  end
+let label t ~name ~base ~words = Regions.label t.regions ~name ~base ~words
 
 let note_alloc t ~base ~words ~tid ~clock =
   if words > 0 then begin
-    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
+    let shift = Regions.line_shift in
+    let lo = base lsr shift and hi = (base + words - 1) lsr shift in
     for line = lo to hi do
       match Hashtbl.find_opt t.allocs line with
       | Some a ->
@@ -153,13 +143,6 @@ let count t = t.total
 let hop_count t = t.hop_total
 let hops t = List.rev t.rev_hops
 
-(* Same convention as the profiler: multiple names on a line mean distinct
-   regions shared it over its lifetime. *)
-let region_of t line =
-  match Hashtbl.find_opt t.line_names line with
-  | None | Some { contents = [] } -> "?"
-  | Some names -> String.concat " + " (List.sort String.compare !names)
-
 type edge_stat = { es_victim : int; es_aggressor : int; es_rw : int; es_ww : int }
 
 let edges t =
@@ -192,8 +175,8 @@ let lines ?top t =
       (fun line ls acc ->
         {
           fl_line = line;
-          fl_addr = line lsl line_shift;
-          fl_region = region_of t line;
+          fl_addr = line lsl Regions.line_shift;
+          fl_region = Regions.region_of t.regions line;
           fl_prov = ls.l_prov;
           fl_conflicts = ls.l_conflicts;
           fl_rw = ls.l_rw;
@@ -270,11 +253,7 @@ let absorb dst src =
           { l_conflicts = ls.l_conflicts; l_rw = ls.l_rw; l_ww = ls.l_ww;
             l_prov = ls.l_prov })
     src.lines;
-  Hashtbl.iter
-    (fun line names ->
-      List.iter (fun name -> label dst ~name ~base:(line lsl line_shift) ~words:1)
-        (List.rev !names))
-    src.line_names;
+  Regions.absorb dst.regions src.regions;
   Hashtbl.iter
     (fun line a ->
       match Hashtbl.find_opt dst.allocs line with

@@ -56,7 +56,7 @@ val create : ?max_hops:int -> unit -> t
 (** {1 Recording} *)
 
 val label : t -> name:string -> base:int -> words:int -> unit
-(** Name the lines covering [\[base, base+words)], for {!region_of}.
+(** Name the lines covering [\[base, base+words)], for {!lines}.
     Multiple distinct names on one line are all kept (false sharing). *)
 
 val note_alloc : t -> base:int -> words:int -> tid:int -> clock:int -> unit

@@ -5,29 +5,10 @@ type stat = {
   mutable s_max_sharers : int;
 }
 
-(* Simmem's lines are 8 words. *)
-let line_shift = 3
+type t = { stats : (int, stat) Hashtbl.t; regions : Regions.t }
 
-type t = {
-  stats : (int, stat) Hashtbl.t;
-  (* Per-line region names, deduplicated at label time: re-labelling a
-     recycled block is O(lines covered) and idempotent, so allocation
-     hot loops can label unconditionally. *)
-  line_names : (int, string list ref) Hashtbl.t;
-}
-
-let create () =
-  { stats = Hashtbl.create 256; line_names = Hashtbl.create 256 }
-
-let label t ~name ~base ~words =
-  if words > 0 then begin
-    let lo = base lsr line_shift and hi = (base + words - 1) lsr line_shift in
-    for line = lo to hi do
-      match Hashtbl.find_opt t.line_names line with
-      | Some names -> if not (List.mem name !names) then names := name :: !names
-      | None -> Hashtbl.add t.line_names line (ref [ name ])
-    done
-  end
+let create () = { stats = Hashtbl.create 256; regions = Regions.create () }
+let label t ~name ~base ~words = Regions.label t.regions ~name ~base ~words
 
 let record_transfer t ~line ~wait ~cost ~sharers =
   let s =
@@ -52,20 +33,13 @@ type line_stat = {
   ls_max_sharers : int;
 }
 
-(* More than one name on a line means distinct regions shared it over its
-   lifetime — render them joined as a false-sharing indicator. *)
-let region_of t line =
-  match Hashtbl.find_opt t.line_names line with
-  | None | Some { contents = [] } -> "?"
-  | Some names -> String.concat " + " (List.sort String.compare !names)
-
 let lines ?top t =
   let all =
     Hashtbl.fold
       (fun line s acc ->
         {
           ls_line = line;
-          ls_region = region_of t line;
+          ls_region = Regions.region_of t.regions line;
           ls_transfers = s.s_transfers;
           ls_cycles = s.s_cycles;
           ls_wait = s.s_wait;
@@ -116,7 +90,7 @@ let print ?(top = 16) ppf t =
     List.map
       (fun ls ->
         [
-          Printf.sprintf "0x%x" (ls.ls_line lsl line_shift);
+          Printf.sprintf "0x%x" (ls.ls_line lsl Regions.line_shift);
           ls.ls_region;
           string_of_int ls.ls_transfers;
           string_of_int ls.ls_cycles;

@@ -86,11 +86,6 @@ let values outcomes =
     (fun o -> match o.oc_value with Ok v -> v | Error e -> raise e)
     outcomes
 
-let errors outcomes =
-  List.filter_map
-    (fun o -> match o.oc_value with Ok _ -> None | Error e -> Some (o.oc_label, e))
-    outcomes
-
 (* Merge the per-cell registries into [into] in canonical cell order
    (deterministic whatever order the pool ran them in), then publish the
    wall-clock telemetry. *)

@@ -64,9 +64,6 @@ val values : 'a outcome list -> 'a list
     the whole pool has drained, so one dead cell cannot suppress the
     others. *)
 
-val errors : 'a outcome list -> (string * exn) list
-(** The failed cells, as (label, exception), in canonical order. *)
-
 val absorb : into:Obs.Metrics.t -> 'a outcome list -> unit
 (** Merge the per-cell registries into [into] in canonical cell order
     (deterministic whatever order the pool ran them in), then publish

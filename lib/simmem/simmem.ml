@@ -1347,10 +1347,6 @@ module Tx_plane = struct
 
   let read_value t = t.txr_val
 
-  let read t ctx addr =
-    let ver = read_ver t ctx addr in
-    if ver < 0 then None else Some (t.txr_val, ver)
-
   let commit_write t ctx addr v =
     if addr <= 0 || addr >= t.extent || word_state t addr <> st_live then false
     else begin

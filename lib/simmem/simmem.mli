@@ -456,10 +456,6 @@ module Tx_plane : sig
   (** The value parked by the last successful {!read_ver} on this heap.
       Only meaningful immediately after it, before any other access. *)
 
-  val read : t -> Sim.tctx -> int -> (int * int) option
-  (** [(value, version)] — {!read_ver} boxed, for callers off the hot
-      path. *)
-
   val commit_write : t -> Sim.tctx -> int -> int -> bool
   (** Apply one committed store: pays the store cost {e without yielding}
       (commit is atomic in virtual time), writes, bumps the version.

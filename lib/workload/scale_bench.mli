@@ -4,11 +4,6 @@
 
 type result = { subject : string; threads : int; throughput : float }
 
-val queue_one :
-  Hqueue.Intf.maker -> threads:int -> duration:int -> seed:int -> result
-(** One fig1-shaped queue cell at [threads]; also the fixed reference
-    cell of the CI perf floor. *)
-
 val cells :
   ?threads:int list -> ?duration:int -> ?seed:int -> unit -> result Runner.Cell.t list
 (** One cell per (thread count x subject): the queue block then the

@@ -62,7 +62,13 @@ let test_failing_cell_isolated () =
     ]
   in
   let outcomes = Runner.Sweep.run ~jobs:4 cells in
-  (match Runner.Sweep.errors outcomes with
+  let errors =
+    List.filter_map
+      (fun (oc : _ Runner.Sweep.outcome) ->
+        match oc.oc_value with Ok _ -> None | Error e -> Some (oc.oc_label, e))
+      outcomes
+  in
+  (match errors with
   | [ ("boom", Boom) ] -> ()
   | errs ->
     Alcotest.failf "expected exactly the boom cell in errors, got %d" (List.length errs));

@@ -286,18 +286,17 @@ let test_tx_plane () =
   let mem, ctx = make () in
   let a = Simmem.malloc mem ctx 1 in
   Simmem.write mem ctx a 42;
-  (match Simmem.Tx_plane.read mem ctx a with
-   | None -> Alcotest.fail "live read must succeed"
-   | Some (v, ver) ->
-     Alcotest.(check int) "value" 42 v;
-     Alcotest.(check int) "current version" (Simmem.version mem a) ver;
-     let rs = Simmem.Read_set.create mem Simmem.Word in
-     Simmem.Read_set.note rs a;
-     Alcotest.(check bool) "validates" true (Simmem.Read_set.validate rs);
-     Simmem.write mem ctx a 43;
-     Alcotest.(check bool) "stale after write" false (Simmem.Read_set.validate rs));
+  let ver = Simmem.Tx_plane.read_ver mem ctx a in
+  if ver < 0 then Alcotest.fail "live read must succeed";
+  Alcotest.(check int) "value" 42 (Simmem.Tx_plane.read_value mem);
+  Alcotest.(check int) "current version" (Simmem.version mem a) ver;
+  let rs = Simmem.Read_set.create mem Simmem.Word in
+  Simmem.Read_set.note rs a;
+  Alcotest.(check bool) "validates" true (Simmem.Read_set.validate rs);
+  Simmem.write mem ctx a 43;
+  Alcotest.(check bool) "stale after write" false (Simmem.Read_set.validate rs);
   Simmem.free mem ctx a;
-  Alcotest.(check bool) "freed read reports None" true (Simmem.Tx_plane.read mem ctx a = None);
+  Alcotest.(check int) "freed read returns -1" (-1) (Simmem.Tx_plane.read_ver mem ctx a);
   Alcotest.(check bool) "commit_write to freed fails" false
     (Simmem.Tx_plane.commit_write mem ctx a 1)
 
