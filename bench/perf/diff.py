@@ -102,7 +102,10 @@ def print_set(out, title, triples):
     out.write("  %-16s %-*s %12s %12s %7s %6s  %s\n"
               % ("workload", width, "metric", "old", "new", "ratio", "wins", "gap vs old IQR"))
     for w, name, old, new, wins, meta in triples:
-        ratio = new["median"] / old["median"] if old["median"] else float("inf")
+        if old["median"]:
+            ratio = new["median"] / old["median"]
+        else:
+            ratio = 1.0 if new["median"] == 0 else float("inf")
         won = "%d/%d" % (wins, new["n"]) if wins is not None else "-"
         out.write("  %-16s %-*s %12.6g %12.6g %7.3f %6s  %s\n"
                   % (w, width, name, old["median"], new["median"], ratio, won,

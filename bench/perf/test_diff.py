@@ -263,7 +263,8 @@ def metric_set(workload, metrics, trace=0, seed=1):
 class DiffTrace(unittest.TestCase):
     def test_traced_set_not_paired_with_untraced(self):
         wall = {"wall_s": ("s", "lower", 1.0, 1.0)}
-        rung = {"sim.ns_per_switch.w16": ("ns", "lower", 100.0, 100.0)}
+        rung = {"sim.ns_per_switch.w16": ("ns", "lower", 100.0, 100.0),
+                "failed_frac": ("ratio", "lower", 0.0, 0.0)}
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "t.jsonl")
             write(path,
@@ -278,6 +279,8 @@ class DiffTrace(unittest.TestCase):
             out = diff("bbb", "ccc", path=path)
             self.assertIn("bbb2222 -> ccc3333, seed 1, 10 s, traced", out)
             self.assertEqual(row(out, "sim.ns_per_switch.w16")[4], "1.000")
+            # 0 -> 0 is no change, not an infinite ratio
+            self.assertEqual(row(out, "failed_frac")[4:7], ["1.000", "-", "equal"])
             self.assertNotIn("wall_s", out)
             out = diff("aaa", "ccc", path=path)
             self.assertNotIn("traced", out)
