@@ -177,33 +177,6 @@ class Builds(unittest.TestCase):
         self.assertNotIn("WARNING", out)
 
 
-class Summarise(unittest.TestCase):
-    def test_medians_quartiles_wins(self):
-        runs = []
-        for pair, (p, c) in enumerate([(4.0, 1.0), (2.0, 3.0), (3.0, 2.0), (1.0, 0.5), (5.0, 4.0)]):
-            for tree, v in (("parent", p), ("change", c)):
-                metrics = {m["name"]: {"value": v, "unit": m["unit"]} for m in SPEC["end_to_end"]}
-                runs.append({"tree": tree, "workload": "queue-x16", "pair": pair, "seed": 3,
-                             "seconds": 2, "rc": 0,
-                             "result": {"correct": True, "attempted": 9, "failed": 0,
-                                        "metrics": metrics}})
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "runs.jsonl")
-            with open(path, "w") as f:
-                f.writelines(json.dumps(r) + "\n" for r in runs)
-            out = subprocess.run([sys.executable, PAIRS, "--summarise", path],
-                                 capture_output=True, text=True, timeout=60, check=True).stdout
-        (s,) = [json.loads(l) for l in out.splitlines()]
-        self.assertEqual((s["seed"], s["seconds"], s["pairs"]), (3, 2, 5))
-        wall = s["workloads"]["queue-x16"]["metrics"]["wall_s"]
-        self.assertEqual(wall["parent"]["median"], 3.0)
-        self.assertEqual((wall["parent"]["q1"], wall["parent"]["q3"]), (2.0, 4.0))
-        self.assertEqual(wall["change"]["median"], 2.0)
-        # lower is better for wall_s, higher for vops_per_us
-        self.assertEqual(wall["wins"], 4)
-        self.assertEqual(s["workloads"]["queue-x16"]["metrics"]["vops_per_us"]["wins"], 1)
-
-
 def summarise(runs):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "runs.jsonl")
@@ -213,10 +186,10 @@ def summarise(runs):
     return [json.loads(l) for l in out.splitlines()]
 
 
-def raw(tree, pair, value, section, trace=None):
+def raw(tree, pair, value, section, trace=None, seed=1, seconds=10):
     """One raw run of queue-x16, every metric of a BENCHMARK.json section at value."""
     metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in SPEC[section]}
-    run = {"tree": tree, "workload": "queue-x16", "pair": pair, "seed": 1, "seconds": 10,
+    run = {"tree": tree, "workload": "queue-x16", "pair": pair, "seed": seed, "seconds": seconds,
            "rc": 0, "result": {"correct": True, "attempted": 9, "failed": 0,
                                "metrics": metrics}}
     if trace is not None:
@@ -224,7 +197,22 @@ def raw(tree, pair, value, section, trace=None):
     return run
 
 
-class SummariseTraced(unittest.TestCase):
+class Summarise(unittest.TestCase):
+    def test_medians_quartiles_wins(self):
+        runs = [raw(tree, pair, v, "end_to_end", seed=3, seconds=2)
+                for pair, (p, c) in enumerate([(4.0, 1.0), (2.0, 3.0), (3.0, 2.0), (1.0, 0.5),
+                                               (5.0, 4.0)])
+                for tree, v in (("parent", p), ("change", c))]
+        (s,) = summarise(runs)
+        self.assertEqual((s["seed"], s["seconds"], s["pairs"]), (3, 2, 5))
+        wall = s["workloads"]["queue-x16"]["metrics"]["wall_s"]
+        self.assertEqual(wall["parent"]["median"], 3.0)
+        self.assertEqual((wall["parent"]["q1"], wall["parent"]["q3"]), (2.0, 4.0))
+        self.assertEqual(wall["change"]["median"], 2.0)
+        # lower is better for wall_s, higher for vops_per_us
+        self.assertEqual(wall["wins"], 4)
+        self.assertEqual(s["workloads"]["queue-x16"]["metrics"]["vops_per_us"]["wins"], 1)
+
     def test_per_layer_rows_keyed_by_trace(self):
         runs = []
         for pair in range(3):
