@@ -229,6 +229,102 @@ let test_pick_prefix_tie () =
   ignore (Sim.Rng.bits r');
   Alcotest.(check int) "exactly one draw" (Sim.Rng.bits r') (Sim.Rng.bits r)
 
+(* Scripted fibers: fiber [i] logs [(i, clock)] when it starts and after
+   every tick of [scripts.(i)], then returns. Every resume is followed by
+   a log entry of the resumed fiber, so the log fixes the resume order,
+   and its last entry per fiber is that fiber's final clock. *)
+let scripted_bodies scripts log =
+  Array.mapi
+    (fun i script ->
+      fun ctx ->
+        log := (i, Sim.clock ctx) :: !log;
+        Array.iter
+          (fun c ->
+            Sim.tick ctx c;
+            log := (i, Sim.clock ctx) :: !log)
+          script)
+    scripts
+
+(* The scheduler as a naive model: every fiber parks at clock 0, and at
+   every switch [oracle_pick] chooses among the parked clocks with the
+   scheduler's RNG (derived from [seed] exactly as [Sim.run] derives it);
+   the chosen fiber runs its script until a tick takes its clock to the
+   oracle's second minimum, or the script ends. *)
+let model_log ~seed scripts =
+  let n = Array.length scripts in
+  let root = Sim.Rng.create seed in
+  for _ = 1 to n do
+    ignore (Sim.Rng.bits root)
+  done;
+  let srng = Sim.Rng.split root in
+  let parked = Array.make n 0 and pos = Array.make n 0 in
+  let log = ref [] and live = ref n in
+  while !live > 0 do
+    let i, second = oracle_pick srng parked in
+    let clock = ref parked.(i) in
+    parked.(i) <- max_int;
+    log := (i, !clock) :: !log;
+    let running = ref true in
+    while !running do
+      if pos.(i) = Array.length scripts.(i) then begin
+        decr live;
+        running := false
+      end
+      else begin
+        clock := !clock + scripts.(i).(pos.(i));
+        pos.(i) <- pos.(i) + 1;
+        if !clock >= second then begin
+          parked.(i) <- !clock;
+          running := false
+        end
+        else log := (i, !clock) :: !log
+      end
+    done
+  done;
+  List.rev !log
+
+(* Widths up to 256 (several mask words), costs from a tiny set so ties
+   are dense, and some fibers with short or empty scripts that finish
+   early. *)
+let scripts_gen ~max_width =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_range 1 16); (2, int_range 17 (min 62 max_width));
+        (2, int_range (min 63 max_width) max_width) ]
+    >>= fun width ->
+    int_range 0 8 >>= fun len ->
+    array_size (return width)
+      (frequency [ (1, return 0); (1, int_range 0 2); (4, return len) ] >>= fun l ->
+       array_size (return l) (oneofl [ 0; 1; 1; 2; 3 ])))
+
+let print_scripts =
+  QCheck.Print.(array (array int))
+
+let prop_run_matches_model =
+  QCheck.Test.make ~name:"run: resume order and clocks = oracle scheduler model" ~count:150
+    QCheck.(pair (make (scripts_gen ~max_width:256) ~print:print_scripts) small_int)
+    (fun (scripts, seed) ->
+      let log = ref [] in
+      Sim.run ~seed (scripted_bodies scripts log);
+      List.rev !log = model_log ~seed scripts)
+
+(* The exploring override: a recorded random walk over scripted fibers
+   replays under [Deviate] (its deviations from min-clock) to the same
+   picks, the same runnable sets at every choice and the same log. *)
+let prop_random_walk_replays =
+  QCheck.Test.make ~name:"run: a recorded random walk replays under Deviate" ~count:60
+    QCheck.(pair (make (scripts_gen ~max_width:61) ~print:print_scripts) small_int)
+    (fun (scripts, seed) ->
+      let go strategy =
+        let r = Sim.recorder () and log = ref [] in
+        Sim.run ~seed ~strategy ~record:r (scripted_bodies scripts log);
+        (r, !log)
+      in
+      let r1, l1 = go (Sim.Random_walk { rw_seed = seed + 1 }) in
+      let r2, l2 = go (Sim.Deviate (Sim.deviations r1)) in
+      Sim.decision_string r1 = Sim.decision_string r2
+      && Sim.choices r1 = Sim.choices r2 && l1 = l2)
+
 (* Backoff obeys its contract for arbitrary base/cap: the delay of
    attempt [n] lands in [bound/2, bound], where the bound doubles per
    attempt up to cap (the doubling saturates after 9 attempts), and
@@ -282,5 +378,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_deterministic_final_clocks;
           QCheck_alcotest.to_alcotest prop_backoff_bounds;
           QCheck_alcotest.to_alcotest prop_pick_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_run_matches_model;
+          QCheck_alcotest.to_alcotest prop_random_walk_replays;
         ] );
     ]
