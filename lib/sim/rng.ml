@@ -30,6 +30,12 @@ let[@inline] next t =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
+(* Every output steps the state by the gamma exactly once, so [k] steps
+   are one multiply-add. *)
+let skip t k =
+  if k < 0 then invalid_arg "Rng.skip: negative count";
+  set t 0 (Int64.add (get t 0) (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
+
 let bits64 t = next t
 let bits t = Int64.to_int (next t)
 let split t = of_state (next t)

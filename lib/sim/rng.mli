@@ -16,6 +16,12 @@ val int : t -> int -> int
 (** [int t bound] returns a uniform value in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
+val skip : t -> int -> unit
+(** [skip t k] advances [t] past [k] outputs in O(1): the stream then
+    continues exactly as after [k] calls of any drawing function
+    ([int], [bits], [bool], [float], [bits64]; each takes one output).
+    @raise Invalid_argument if [k < 0]. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

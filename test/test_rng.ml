@@ -244,6 +244,20 @@ let test_known_answers () =
       Alcotest.(check int64) (what "after split") k.after_split (Sim.Rng.bits64 r))
     kats
 
+(* [skip t k] is [k] draws: after it, the stream continues with the
+   [k]th output (0-based) of the known-answer streams. *)
+let test_skip_known_answers () =
+  List.iter
+    (fun k ->
+      Array.iteri
+        (fun i want ->
+          let r = Sim.Rng.create k.seed in
+          Sim.Rng.skip r i;
+          Alcotest.(check int64) (Printf.sprintf "seed %d, skip %d" k.seed i) want
+            (Sim.Rng.bits64 r))
+        k.bits64)
+    kats
+
 let test_determinism () =
   let a = Sim.Rng.create 42 and b = Sim.Rng.create 42 in
   for _ = 1 to 100 do
@@ -357,6 +371,19 @@ let prop_matches_reference =
           | Split -> Sim.Rng.bits64 (Sim.Rng.split r) = Ref.bits64 (Ref.split f))
         ops)
 
+(* Every [int] draw steps the state once, whatever its bound, so
+   skipping [k] equals any [k] bounded draws. *)
+let prop_skip_is_draws =
+  QCheck.Test.make ~name:"Rng.skip k = k bounded draws" ~count:500
+    QCheck.(triple int (int_range 0 300) (int_range 1 1000))
+    (fun (seed, k, bound) ->
+      let a = Sim.Rng.create seed and b = Sim.Rng.create seed in
+      Sim.Rng.skip a k;
+      for i = 1 to k do
+        ignore (Sim.Rng.int b (1 + (i mod bound)))
+      done;
+      Sim.Rng.bits64 a = Sim.Rng.bits64 b)
+
 let () =
   Alcotest.run "rng"
     [
@@ -371,7 +398,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_float_bounds;
           Alcotest.test_case "uniformity" `Quick test_uniformity;
           Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "skip known answers" `Quick test_skip_known_answers;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_int_in_bounds; prop_bool_balanced; prop_matches_reference ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_int_in_bounds; prop_bool_balanced; prop_matches_reference; prop_skip_is_draws ] );
     ]
