@@ -60,6 +60,324 @@ let boot_tid = max_threads
    and default sharer sets use [1 lsl tid] directly. *)
 let mask_threads = 61
 
+(* The ready queue: the parked threads grouped by clock, one group per
+   distinct clock, each with the mask of the tids parked at it. The
+   groups sit in a ring in ascending clock order, the minimum at [head],
+   so a park is one sorted insert and the min-clock pick reads the head
+   group.
+
+   The pick replays the reservoir scan that [pick_min] (sim.mli)
+   specifies without visiting every thread. With [p] the head group's
+   lowest tid (the scan's first argmin) and [M] its clock:
+   - every other tid at [M] lies above [p] and draws [Rng.int rng t],
+     [t = 2, 3, ...], in ascending tid order;
+   - a tid below [p] draws only when it ties the running minimum of the
+     tids before it: that is a group's second, third, ... tid below the
+     lowest tid of every smaller clock. [p] overwrites those draws, so
+     they only advance the RNG, in one [Rng.skip] before the draws at
+     [M]. [dmask], the tids of the groups with two or more, bounds the
+     walk that counts them: with fewer than two such tids below [p] no
+     group can draw, and most picks stop there.
+   A mask is [w = ceil (n / 62)] words of 62 tids; tid [i] is bit
+   [i mod 62] of word [i / 62]. Runs of up to 62 threads, all the
+   paper's, take the one-word paths. *)
+module Ready = struct
+  type t = {
+    w : int;
+    cmask : int;  (* ring capacity - 1; the capacity is a power of two >= n *)
+    clk : int array;  (* each slot's clock *)
+    msk : int array;  (* each slot's tid mask, [w] words from [slot * w] *)
+    mutable head : int;  (* the slot of the minimum clock *)
+    mutable len : int;  (* groups *)
+    dmask : int array;  (* the tids of the groups with two or more, [w] words *)
+    mutable second : int;  (* set by [pick]: the second-smallest clock with multiplicity *)
+  }
+
+  let bits = 62
+
+  let create n =
+    let n = max 1 n in
+    let w = (n + bits - 1) / bits in
+    let cap = ref 1 in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    { w; cmask = !cap - 1; clk = Array.make !cap 0; msk = Array.make (!cap * w) 0; head = 0;
+      len = 0; dmask = Array.make w 0; second = max_int }
+
+  (* The index of the one set bit of [b] (a power of two below 2^62): a
+     de Bruijn multiply on the unboxed 64-bit product, then a table. *)
+  let[@inline] db_index b = Int64.(to_int (shift_right_logical (mul b 0x03f79d71b4cb0a89L) 58))
+
+  let db_table =
+    let t = Bytes.make 64 '\000' in
+    for i = 0 to bits - 1 do
+      Bytes.set t (db_index (Int64.shift_left 1L i)) (Char.chr i)
+    done;
+    Bytes.unsafe_to_string t
+
+  let[@inline] ctz_bit b = Char.code (String.unsafe_get db_table (db_index (Int64.of_int b)))
+
+  let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+  let[@inline] slot q j = (q.head + j) land q.cmask
+
+  (* The one-word paths. *)
+
+  (* [bit] joins the group at slot [s]. A group of one becomes a group of
+     two: both tids enter [dmask]. *)
+  let[@inline] join1 q s bit =
+    let m = Array.unsafe_get q.msk s in
+    Array.unsafe_set q.dmask 0 (Array.unsafe_get q.dmask 0 lor m lor bit);
+    Array.unsafe_set q.msk s (m lor bit)
+
+  (* [tid] parks at clock [c]. Groups with smaller clocks than [c] move
+     one slot toward the head as the search passes them: a resumed
+     thread runs until it passes the second minimum, so it mostly lands
+     a few groups behind the head. A thread that lands behind every
+     group (every resume of the scheduler ladder) is appended at the
+     back. Slots are masked by [cmask], so the accesses are unchecked. *)
+  let add1 q tid c =
+    let bit = 1 lsl tid and clk = q.clk and msk = q.msk and cm = q.cmask in
+    let h = q.head and len = q.len in
+    let back = (h + len - 1) land cm in
+    if len = 0 || Array.unsafe_get clk back < c then begin
+      let s = (back + 1) land cm in
+      Array.unsafe_set clk s c;
+      Array.unsafe_set msk s bit;
+      q.len <- len + 1
+    end
+    else if Array.unsafe_get clk back = c then join1 q back bit
+    else begin
+      let start = (h - 1) land cm in
+      let hole = ref start and j = ref h in
+      while Array.unsafe_get clk !j < c do
+        Array.unsafe_set clk !hole (Array.unsafe_get clk !j);
+        Array.unsafe_set msk !hole (Array.unsafe_get msk !j);
+        hole := !j;
+        j := (!j + 1) land cm
+      done;
+      if Array.unsafe_get clk !j = c then begin
+        (* Move the passed groups back. *)
+        while !hole <> start do
+          let s = (!hole - 1) land cm in
+          Array.unsafe_set clk !hole (Array.unsafe_get clk s);
+          Array.unsafe_set msk !hole (Array.unsafe_get msk s);
+          hole := s
+        done;
+        join1 q !j bit
+      end
+      else begin
+        Array.unsafe_set clk !hole c;
+        Array.unsafe_set msk !hole bit;
+        q.head <- start;
+        q.len <- len + 1
+      end
+    end
+
+  (* The overwritten draws below the head's lowest tid [low] (an
+     isolated bit), with [dup] the dup tids below it. *)
+  let overwritten1 q low dup =
+    let k = ref 0 and low = ref low and dup = ref dup and j = ref 1 in
+    while !dup land (!dup - 1) <> 0 && !j < q.len do
+      let g = Array.unsafe_get q.msk (slot q !j) in
+      let below = g land (!low - 1) in
+      if below land (below - 1) <> 0 then k := !k + popcount below - 1;
+      let gl = g land -g in
+      if gl < !low then begin
+        low := gl;
+        dup := !dup land (gl - 1)
+      end;
+      incr j
+    done;
+    !k
+
+  let pick1 q rng =
+    let h = q.head in
+    let m0 = Array.unsafe_get q.msk h in
+    let p = m0 land -m0 in
+    let dup = Array.unsafe_get q.dmask 0 land (p - 1) in
+    if dup land (dup - 1) <> 0 then Rng.skip rng (overwritten1 q p dup);
+    let rest = m0 lxor p in
+    if rest = 0 then begin
+      let h = (h + 1) land q.cmask and len = q.len - 1 in
+      q.head <- h;
+      q.len <- len;
+      q.second <- (if len = 0 then max_int else Array.unsafe_get q.clk h);
+      ctz_bit p
+    end
+    else begin
+      let c = ref p and t = ref 1 and r = ref rest in
+      while !r <> 0 do
+        let b = !r land - !r in
+        incr t;
+        if Rng.int rng !t = 0 then c := b;
+        r := !r lxor b
+      done;
+      Array.unsafe_set q.msk h (m0 lxor !c);
+      (* A group of two leaves one tid, which leaves [dmask] too. *)
+      Array.unsafe_set q.dmask 0 (Array.unsafe_get q.dmask 0 land lnot (if !t = 2 then m0 else !c));
+      q.second <- Array.unsafe_get q.clk h;
+      ctz_bit !c
+    end
+
+  (* The multi-word paths. *)
+
+  (* Set bits of the [w] words from [a.(off)] that stand for tids below
+     [lim], counted up to [cap]. *)
+  let count_below q a off lim cap =
+    let c = ref 0 and j = ref 0 in
+    while !c < cap && !j < q.w && !j * bits < lim do
+      let x = a.(off + !j) and r = lim - (!j * bits) in
+      c := !c + popcount (if r >= bits then x else x land ((1 lsl r) - 1));
+      incr j
+    done;
+    min !c cap
+
+  let lowest q off =
+    let j = ref 0 in
+    while q.msk.(off + !j) = 0 do
+      incr j
+    done;
+    let x = q.msk.(off + !j) in
+    (!j * bits) + ctz_bit (x land -x)
+
+  let move q src dst =
+    q.clk.(dst) <- q.clk.(src);
+    Array.blit q.msk (src * q.w) q.msk (dst * q.w) q.w
+
+  let addw q tid c =
+    let w = q.w and wi = tid / bits and bit = 1 lsl (tid mod bits) in
+    let k = ref q.len in
+    if q.len > 0 && q.clk.(slot q (q.len - 1)) >= c then begin
+      k := 0;
+      while q.clk.(slot q !k) < c do
+        incr k
+      done
+    end;
+    if !k < q.len && q.clk.(slot q !k) = c then begin
+      let off = slot q !k * w in
+      for i = 0 to w - 1 do
+        q.dmask.(i) <- q.dmask.(i) lor q.msk.(off + i)
+      done;
+      q.dmask.(wi) <- q.dmask.(wi) lor bit;
+      q.msk.(off + wi) <- q.msk.(off + wi) lor bit
+    end
+    else begin
+      (* Groups [0, k) move one slot toward the head, unless [k] is the
+         back. *)
+      if !k < q.len then begin
+        q.head <- (q.head - 1) land q.cmask;
+        for j = 0 to !k - 1 do
+          move q (slot q (j + 1)) (slot q j)
+        done
+      end;
+      let s = slot q !k in
+      q.len <- q.len + 1;
+      q.clk.(s) <- c;
+      Array.fill q.msk (s * w) w 0;
+      q.msk.((s * w) + wi) <- bit
+    end
+
+  let overwrittenw q p =
+    let k = ref 0 and low = ref p and j = ref 1 in
+    while !j < q.len && count_below q q.dmask 0 !low 2 >= 2 do
+      let off = slot q !j * q.w in
+      let below = count_below q q.msk off !low max_int in
+      if below >= 2 then k := !k + below - 1;
+      low := min !low (lowest q off);
+      incr j
+    done;
+    !k
+
+  let pickw q rng =
+    let h = q.head and w = q.w in
+    let off = h * w in
+    let p = lowest q off in
+    if count_below q q.dmask 0 p 2 >= 2 then Rng.skip rng (overwrittenw q p);
+    let c = ref p and t = ref 1 in
+    for k = p / bits to w - 1 do
+      let x = q.msk.(off + k) in
+      let r = ref (if k = p / bits then x lxor (1 lsl (p mod bits)) else x) in
+      while !r <> 0 do
+        let b = !r land - !r in
+        incr t;
+        if Rng.int rng !t = 0 then c := (k * bits) + ctz_bit b;
+        r := !r lxor b
+      done
+    done;
+    let wi = !c / bits and bit = 1 lsl (!c mod bits) in
+    if !t = 1 then begin
+      q.head <- (h + 1) land q.cmask;
+      q.len <- q.len - 1;
+      q.second <- (if q.len = 0 then max_int else q.clk.(q.head))
+    end
+    else begin
+      if !t = 2 then
+        for k = 0 to w - 1 do
+          q.dmask.(k) <- q.dmask.(k) land lnot q.msk.(off + k)
+        done
+      else q.dmask.(wi) <- q.dmask.(wi) lxor bit;
+      q.msk.(off + wi) <- q.msk.(off + wi) lxor bit;
+      q.second <- q.clk.(h)
+    end;
+    !c
+
+  (* [tid] parks at clock [c]. *)
+  let[@inline] add q tid c = if q.w = 1 then add1 q tid c else addw q tid c
+
+  (* The min-clock pick: removes and returns the chosen tid, [-1] if the
+     queue is empty, and sets [second]. *)
+  let[@inline] pick q rng =
+    if q.len = 0 then begin
+      q.second <- max_int;
+      -1
+    end
+    else if q.w = 1 then pick1 q rng
+    else pickw q rng
+
+  (* The position of [tid]'s group, or -1. *)
+  let position q tid =
+    let wi = tid / bits and bit = 1 lsl (tid mod bits) in
+    let rec go j =
+      if j = q.len then -1
+      else if q.msk.((slot q j * q.w) + wi) land bit <> 0 then j
+      else go (j + 1)
+    in
+    go 0
+
+  let mem q tid = position q tid >= 0
+
+  (* Removes a parked [tid] wherever it sits (an exploring strategy's
+     choice). *)
+  let remove q tid =
+    let j = position q tid in
+    let off = slot q j * q.w in
+    let wi = tid / bits and bit = 1 lsl (tid mod bits) in
+    match count_below q q.msk off max_int 3 with
+    | 1 ->
+      for k = j to q.len - 2 do
+        move q (slot q (k + 1)) (slot q k)
+      done;
+      q.len <- q.len - 1
+    | t ->
+      if t = 2 then
+        for k = 0 to q.w - 1 do
+          q.dmask.(k) <- q.dmask.(k) land lnot q.msk.(off + k)
+        done
+      else q.dmask.(wi) <- q.dmask.(wi) land lnot bit;
+      q.msk.(off + wi) <- q.msk.(off + wi) land lnot bit
+
+  (* Every parked tid, for runs of one mask word. *)
+  let union q =
+    assert (q.w = 1);
+    let m = ref 0 in
+    for j = 0 to q.len - 1 do
+      m := !m lor q.msk.(slot q j)
+    done;
+    !m
+end
+
 type _ Effect.t += Yield : unit Effect.t
 
 type tctx = {
@@ -86,13 +404,11 @@ type tctx = {
 
 and sched = {
   ctxs : tctx array;
-  (* The clock plane ([plane_get]): the clock each thread parked at,
-     [parked] while it runs or once it has finished. At once the runnable
-     set and the pick key, so a switch is one store on each side and the
-     pick one flat scan. *)
-  clocks : Bytes.t;
+  (* The parked threads by clock ([Ready]). The running thread is not in
+     it: the loop adds it back after its slice, unless it finished. *)
+  ready : Ready.t;
   (* Each parked thread's continuation; a slot is meaningful only while
-     its [clocks] entry is below [parked]. *)
+     its tid is in [ready]. *)
   conts : (unit, unit) Effect.Deep.continuation array;
   (* Set by a thread's first instruction: only the watchdog diagnostic
      tells a thread that never ran from a parked one. *)
@@ -103,10 +419,6 @@ and sched = {
      threads; the running thread keeps going without yielding while its
      clock stays below this, which removes most continuation captures. *)
   mutable min_other : int;
-  (* Scratch written by [min_scan]: the second-smallest runnable clock
-     (with multiplicity), i.e. the minimum over the other runnable threads
-     once the picked one is excluded. Saves the separate min_other scan. *)
-  pick_min2 : int ref;
   wd_budget : int;  (* max_int = no watchdog: one compare per switch, no option match *)
   wd_diag : (unit -> string) option;
   (* Clock of the most recent progress note; the watchdog fires when the
@@ -318,159 +630,73 @@ let deviations r = List.rev r.rev_devs
 let choices r = List.rev r.rev_choices
 let decision_string r = String.concat ";" (List.rev_map string_of_int r.rev_picks)
 
-(* The clock plane: each thread's parked clock as an untagged int64, 8
-   bytes per thread, [parked] (= [Int64.max_int]) while it runs or once
-   it has finished. The pick's arithmetic then runs on unboxed int64
-   locals, with no tag fixups. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-let parked = Int64.max_int
-let plane_width p = Bytes.length p lsr 3
-let[@inline] plane_get p i = get64 p (i lsl 3)
-let[@inline] plane_set p i c = set64 p (i lsl 3) c
-
-let plane_make n =
-  let p = Bytes.create (n lsl 3) in
-  for i = 0 to n - 1 do
-    plane_set p i parked
-  done;
-  p
-
-(* [pick_min] (sim.mli) on a clock plane: the second minimum lands in
-   [m2], so the run loop's min_other update needs no second scan. The
-   first pass is branch-free, because the clock compares of an in-cell
-   schedule are data-dependent and mispredict as branches; it also flags
-   whether any entry tied the running minimum when visited. Only then (a
-   minority of picks) does the exact reservoir loop run: with no tie it
-   would draw nothing and keep the first argmin, which the first pass
-   already has. The pass starts from [top], above every clock and below
-   [parked], so a parked entry never ties and a real one always
-   undercuts the start. *)
-let min_scan rng clocks m2 =
-  let n = plane_width clocks in
-  let top = Int64.pred parked in
-  let m = ref top and sec = ref top and arg = ref (-1L) and i = ref 0L in
-  (* Sign bit cleared by a tie: d lor (-d) is non-negative only at 0. *)
-  let untied = ref (-1L) in
-  for k = 0 to n - 1 do
-    let c = plane_get clocks k in
-    let d = Int64.sub c !m in
-    let lt = Int64.shift_right d 63 (* -1 when c < m, else 0 *) in
-    untied := Int64.logand !untied (Int64.logor d (Int64.neg d));
-    let t = Int64.logand d lt in
-    (* [sec] becomes min sec (max c m): [m] itself when c undercuts it. *)
-    let e = Int64.sub (Int64.sub c t) !sec in
-    sec := Int64.add !sec (Int64.logand e (Int64.shift_right e 63));
-    m := Int64.add !m t;
-    arg := Int64.add !arg (Int64.logand (Int64.sub !i !arg) lt);
-    i := Int64.succ !i
-  done;
-  m2 := (if !sec = top then max_int else Int64.to_int !sec);
-  if !untied < 0L then Int64.to_int !arg
-  else begin
-    let best = ref (-1) and best_clock = ref parked and ties = ref 0 in
-    for i = 0 to n - 1 do
-      let c = plane_get clocks i in
-      if c < !best_clock then begin
-        best_clock := c;
-        best := i;
-        ties := 1
-      end
-      else if c = !best_clock && c < parked then begin
-        incr ties;
-        if Rng.int rng !ties = 0 then best := i
-      end
-    done;
-    !best
-  end
-
 let pick_min rng clocks =
-  let plane = plane_make (Array.length clocks) in
-  Array.iteri
-    (fun i c -> plane_set plane i (if c = max_int then parked else Int64.of_int c))
-    clocks;
-  let m2 = ref max_int in
-  let i = min_scan rng plane m2 in
-  (i, !m2)
+  let q = Ready.create (Array.length clocks) in
+  Array.iteri (fun i c -> if c <> max_int then Ready.add q i c) clocks;
+  let i = Ready.pick q rng in
+  (i, q.second)
 
-let is_runnable s i = plane_get s.clocks i < parked
-
-let count_runnable s =
-  let n = ref 0 in
-  for i = 0 to plane_width s.clocks - 1 do
-    if is_runnable s i then incr n
-  done;
-  !n
-
-let runnable_mask s =
-  let m = ref 0 in
-  for i = 0 to plane_width s.clocks - 1 do
-    if is_runnable s i then m := !m lor (1 lsl i)
-  done;
-  !m
-
-(* The [k]th runnable thread in index order, or [-1]. *)
-let nth_runnable s k =
-  let rec go i seen =
-    if i = plane_width s.clocks then -1
-    else if not (is_runnable s i) then go (i + 1) seen
-    else if seen = k then i
-    else go (i + 1) (seen + 1)
+(* One exploring-mode decision, given the min-clock pick [d]. The
+   min-clock pick (and its tie-break RNG draws) is made at every decision
+   even when another strategy overrides it: the replay of a recorded
+   schedule as deviations from min-clock depends on both runs consuming
+   the scheduler RNG identically. The strategy then chooses among every
+   parked thread, [d] put back included. *)
+let explore_pick s d =
+  Ready.add s.ready d s.ctxs.(d).clock;
+  let runnable = Ready.union s.ready in
+  let nr = Ready.popcount runnable in
+  let is_runnable tid = runnable land (1 lsl tid) <> 0 in
+  let chosen =
+    match s.strat with
+    | S_min -> d
+    | S_dev tbl ->
+      (match Hashtbl.find_opt tbl s.choice_idx with
+       | Some tid when tid >= 0 && tid < Array.length s.ctxs && is_runnable tid -> tid
+       | Some _ | None -> d)
+    | S_random rng ->
+      if nr <= 1 then d
+      else begin
+        (* The [k]th runnable thread in index order. *)
+        let rec nth m k =
+          let b = m land -m in
+          if k = 0 then Ready.ctz_bit b else nth (m lxor b) (k - 1)
+        in
+        nth runnable (Rng.int rng nr)
+      end
+    | S_pct p ->
+      let best = ref (-1) in
+      for i = 0 to Array.length s.ctxs - 1 do
+        if is_runnable i && (!best < 0 || p.prio.(i) > p.prio.(!best)) then best := i
+      done;
+      !best
   in
-  go 0 0
-
-(* One scheduling decision. In exploring mode the min-clock pick (and its
-   tie-break RNG draws) is computed at every decision even when another
-   strategy overrides it: the replay of a recorded schedule as deviations
-   from min-clock depends on both runs consuming the scheduler RNG
-   identically. *)
-let pick s =
-  let d = min_scan s.srng s.clocks s.pick_min2 in
-  if not s.explore then d
-  else begin
-    let nr = count_runnable s in
-    let chosen =
-      match s.strat with
-      | S_min -> d
-      | S_dev tbl ->
-        (match Hashtbl.find_opt tbl s.choice_idx with
-         | Some tid when tid >= 0 && tid < Array.length s.ctxs && is_runnable s tid -> tid
-         | Some _ | None -> d)
-      | S_random rng -> if nr <= 1 then d else nth_runnable s (Rng.int rng nr)
-      | S_pct p ->
-        let best = ref (-1) in
-        for i = 0 to Array.length s.ctxs - 1 do
-          if is_runnable s i && (!best < 0 || p.prio.(i) > p.prio.(!best)) then best := i
-        done;
-        !best
-    in
-    (match s.strat with
-     | S_pct p ->
-       (* A change point demotes the thread chosen at that point below
-          every priority handed out so far, PCT-style. *)
-       let rec demote () =
-         match p.changes with
-         | c :: rest when c <= s.choice_idx ->
-           p.changes <- rest;
-           p.demote_next <- p.demote_next - 1;
-           p.prio.(chosen) <- p.demote_next;
-           demote ()
-         | _ -> ()
-       in
-       demote ()
-     | S_min | S_random _ | S_dev _ -> ());
-    (match s.recd with
-     | Some r ->
-       r.rev_picks <- chosen :: r.rev_picks;
-       if nr >= 2 then begin
-         r.rev_choices <- (s.choice_idx, runnable_mask s, chosen) :: r.rev_choices;
-         if chosen <> d then r.rev_devs <- (s.choice_idx, chosen) :: r.rev_devs
-       end
-     | None -> ());
-    if nr >= 2 then s.choice_idx <- s.choice_idx + 1;
-    chosen
-  end
+  Ready.remove s.ready chosen;
+  (match s.strat with
+   | S_pct p ->
+     (* A change point demotes the thread chosen at that point below
+        every priority handed out so far, PCT-style. *)
+     let rec demote () =
+       match p.changes with
+       | c :: rest when c <= s.choice_idx ->
+         p.changes <- rest;
+         p.demote_next <- p.demote_next - 1;
+         p.prio.(chosen) <- p.demote_next;
+         demote ()
+       | _ -> ()
+     in
+     demote ()
+   | S_min | S_random _ | S_dev _ -> ());
+  (match s.recd with
+   | Some r ->
+     r.rev_picks <- chosen :: r.rev_picks;
+     if nr >= 2 then begin
+       r.rev_choices <- (s.choice_idx, runnable, chosen) :: r.rev_choices;
+       if chosen <> d then r.rev_devs <- (s.choice_idx, chosen) :: r.rev_devs
+     end
+   | None -> ());
+  if nr >= 2 then s.choice_idx <- s.choice_idx + 1;
+  chosen
 
 (* Exit flush as a scheduler-visible step: a thread that buffered stores
    (has drain hooks) yields once between its last instruction and its
@@ -488,13 +714,8 @@ let handler s t : (unit, unit) Effect.Deep.handler =
      allocated once per thread, not once per [perform]. The scheduler
      switches on every contended memory access, so a per-perform closure
      here is a measurable share of the whole simulation's allocation. *)
-  let on_yield (k : (unit, unit) Effect.Deep.continuation) =
-    s.conts.(t.ctx_tid) <- k;
-    plane_set s.clocks t.ctx_tid (Int64.of_int t.clock)
-  in
+  let on_yield (k : (unit, unit) Effect.Deep.continuation) = s.conts.(t.ctx_tid) <- k in
   let some_on_yield = Some on_yield in
-  (* A finished thread's [clocks] entry is already [parked]: it was
-     running. *)
   let finish () =
     drain_terminal t;
     s.live <- s.live - 1
@@ -528,8 +749,9 @@ let placeholder () =
 
 (* Watchdog diagnostic: the full machine state a livelock post-mortem
    needs — per-thread clocks, run states, and progress recency. It runs
-   between slices, so every thread is parked or finished. *)
-let diagnose s frontier =
+   between slices, so every thread but the one just picked ([running])
+   is parked or finished. *)
+let diagnose s ~running frontier =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "no progress committed while the schedule advanced to cycle %d" frontier);
@@ -537,7 +759,7 @@ let diagnose s frontier =
   Array.iteri
     (fun i t ->
       let st =
-        if not (is_runnable s i) then "finished"
+        if i <> running && not (Ready.mem s.ready i) then "finished"
         else if s.started.(i) then "ready"
         else "not-started"
       in
@@ -601,9 +823,9 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
   in
   let filler = placeholder () in
   let s =
-    { ctxs; clocks = plane_make n; conts = Array.make n filler;
+    { ctxs; ready = Ready.create n; conts = Array.make n filler;
       started = Array.make n false; srng = Rng.split root; live = n; min_other = 0;
-      pick_min2 = ref max_int; wd_budget = Option.value watchdog ~default:max_int;
+      wd_budget = Option.value watchdog ~default:max_int;
       wd_diag = diag; wd_last = 0;
       strat; explore = exploring; recd = record; choice_idx = 0 }
   in
@@ -619,22 +841,24 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
           s.started.(i) <- true;
           bodies.(i) t;
           exit_flush t)
-        () (handler s t))
+        () (handler s t);
+      Ready.add s.ready i 0)
     ctxs;
   Effect.Deep.continue filler ();
   let rec loop () =
     if s.live > 0 then begin
-      let i = pick s in
+      let d = Ready.pick s.ready s.srng in
+      let i = if s.explore then explore_pick s d else d in
       assert (i >= 0);
       let t = ctxs.(i) in
       if t.clock - s.wd_last > s.wd_budget then begin
         Array.iter (fun c -> c.sched <- None) ctxs;
-        raise (Watchdog (diagnose s t.clock))
+        raise (Watchdog (diagnose s ~running:i t.clock))
       end;
-      s.min_other <- (if s.explore then min_int else !(s.pick_min2));
-      let slice_start = t.clock in
-      plane_set s.clocks i parked;
+      s.min_other <- (if s.explore then min_int else s.ready.second);
+      let slice_start = t.clock and live = s.live in
       Effect.Deep.continue s.conts.(i) ();
+      if s.live = live then Ready.add s.ready i t.clock;
       (match sink with
        | None -> ()
        | Some sk ->

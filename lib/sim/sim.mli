@@ -135,7 +135,11 @@ val pick_min : Rng.t -> int array -> int * int
     minimum when visited draws [Rng.int rng ties] and is picked on 0.
     [second] is the second-smallest runnable clock counted with
     multiplicity ([max_int] if fewer than two can run). {!run} makes
-    exactly this decision, with exactly these draws, at every switch. *)
+    exactly this decision, with exactly these draws, at every switch.
+    Both go through one ready queue: the parked threads grouped by clock
+    in sorted order, so the pick reads the minimum group and counts the
+    draws a later, smaller clock overwrites instead of scanning every
+    thread; [pick_min] builds that queue from [clocks]. *)
 
 type recorder
 (** Accumulates the scheduling decisions of one {!run}: the full pick
@@ -179,6 +183,13 @@ val run :
   unit
 (** [run bodies] executes one fiber per body until all finish. Thread [i]
     gets tid [i] and a fresh RNG derived from [seed] and [i].
+
+    Every thread parks before its first instruction. At each switch the
+    thread that just ran parks again at its clock (unless it finished),
+    and the scheduler resumes the {!pick_min} choice among the parked
+    threads, which then runs until its clock reaches the second minimum.
+    A switch costs one sorted insert into the ready queue and a pick
+    from its minimum, not a pass over every thread.
 
     [strategy] selects the scheduling strategy (default {!Min_clock});
     [record] logs every scheduling decision into the given {!recorder}.

@@ -176,9 +176,9 @@ let prop_deterministic_final_clocks =
    runnable entries with the reservoir tie-break, in ascending index
    order, that the scheduler has always made. Clocks come from a tiny
    range so ties are dense, with [max_int] holes for threads that cannot
-   run and a few clocks just below [max_int], next to the scheduler's
-   parked sentinel. The pick, the second minimum and the RNG state afterwards (the
-   next [Rng.bits]) must all agree. *)
+   run and a few clocks just below [max_int]. The pick, the second
+   minimum and the RNG state afterwards (the next [Rng.bits]) must all
+   agree. *)
 let oracle_pick rng clocks =
   let runnable =
     List.filter (fun (_, c) -> c <> max_int)
@@ -210,7 +210,7 @@ let clock_array_gen =
            (1, int_range (max_int - 3) (max_int - 1)) ]))
 
 let prop_pick_matches_oracle =
-  QCheck.Test.make ~name:"pick: flat scan = list-scan reservoir oracle" ~count:2000
+  QCheck.Test.make ~name:"pick: ready queue = list-scan reservoir oracle" ~count:2000
     QCheck.(
       pair
         (make clock_array_gen
