@@ -176,10 +176,13 @@ module Ready = struct
     end
 
   (* The overwritten draws below the head's lowest tid [low] (an
-     isolated bit), with [dup] the dup tids below it. *)
+     isolated bit), with [dup] the dup tids below it. Every tid left in
+     [dup] sits in a group not yet visited, so the walk ends before the
+     back unless [dmask] holds a tid it should not. *)
   let overwritten1 q low dup =
     let k = ref 0 and low = ref low and dup = ref dup and j = ref 1 in
-    while !dup land (!dup - 1) <> 0 && !j < q.len do
+    while !dup land (!dup - 1) <> 0 do
+      assert (!j < q.len);
       let g = Array.unsafe_get q.msk (slot q !j) in
       let below = g land (!low - 1) in
       if below land (below - 1) <> 0 then k := !k + popcount below - 1;
@@ -281,7 +284,8 @@ module Ready = struct
 
   let overwrittenw q p =
     let k = ref 0 and low = ref p and j = ref 1 in
-    while !j < q.len && count_below q q.dmask 0 !low 2 >= 2 do
+    while count_below q q.dmask 0 !low 2 >= 2 do
+      assert (!j < q.len);
       let off = slot q !j * q.w in
       let below = count_below q q.msk off !low max_int in
       if below >= 2 then k := !k + below - 1;
