@@ -9,8 +9,11 @@ compares each workload's wall_s and every sim.ns_per_switch.* rung of the
 scheduler ladder with its reference: the change side's median in the
 newest record of bench/perf/trajectory.jsonl whose seed-1 set of the same
 trace setting holds that workload and metric. A run at most 2x its
-reference passes, at most 4x warns, beyond fails. A metric with no
-reference is printed and skipped.
+reference passes, at most 4x warns, beyond fails. A workload that reads
+over 2x on any gated metric is run once more, and the second run is
+the one judged: one process of a workload can land in a slow mode of
+the host that the next one does not (bench/perf/README.md). A metric
+with no reference is printed and skipped.
 
 Exits 1 when a metric fails, when a run prints no result, or when a run
 reports failed cells. The bands are wide on purpose: wall time varies
@@ -53,12 +56,27 @@ def band(ratio):
     return "OK" if ratio <= PASS else "WARN" if ratio <= WARN else "FAIL"
 
 
-def check(records, runs, out):
+def worst(records, workload, trace, result):
+    """The largest ratio to its reference among result's gated metrics, or 0."""
+    ratios = [m["value"] / ref[0] for name, m in result["metrics"].items()
+              if gated(name, trace)
+              for ref in [reference(records, workload, name, trace)] if ref is not None]
+    return max(ratios, default=0.0)
+
+
+def check(records, runs, out, rerun=None):
     """Print one line per gated metric of runs, a list of (workload, trace,
-    result or None); True when none failed."""
+    result or None); True when none failed. A run that reads over PASS on
+    a gated metric is replaced by rerun(workload, trace), when given."""
     ok = True
     for workload, trace, result in runs:
         cell = "%s%s" % (workload, " (traced)" if trace else "")
+        if rerun is not None and result is not None and result["failed"] == 0:
+            first = worst(records, workload, trace, result)
+            if first > PASS:
+                out.write("perf floor: %-34s read %.2fx its reference; running it once more\n"
+                          % (cell, first))
+                result = rerun(workload, trace)
         if result is None:
             out.write("perf floor: %-34s FAIL  (no result)\n" % cell)
             ok = False
@@ -107,7 +125,7 @@ def main():
         workloads = [w["name"] for w in json.load(f)["workloads"]]
     records = diff.load(os.path.join(diff.HERE, "trajectory.jsonl"))
     runs = [(w, 0, run(w, 0)) for w in workloads] + [(TRACED, 1, run(TRACED, 1))]
-    sys.exit(0 if check(records, runs, sys.stdout) else 1)
+    sys.exit(0 if check(records, runs, sys.stdout, rerun=run) else 1)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,16 @@ records keep under "sets": per workload and metric (end-to-end, or
 per-layer for traced runs), the parent's and the change's median and
 quartiles, and the pairs the change won. The record around the sets
 (commit, parent, host note) is written by hand.
+
+--summarise also reports the host's run modes on stderr, so stdout stays
+the sets alone. A perfbench process either runs fast or, as a whole,
+slow: its setup_s and its wall_s both rise by 1.5x or more (bench/perf/
+README.md, "Run modes"). Each untraced run is tagged slow when its
+setup_s exceeds SLOW times the smallest setup_s of its side and workload
+in the group, else fast. One line per workload gives each side's
+fast-mode wall_s median and slow share, and a WARNING line follows when
+the two sides' slow shares differ: their medians then compare different
+mixes of modes, and the fast-mode medians are the fairer comparison.
 """
 
 import argparse
@@ -49,6 +59,56 @@ def quartiles(xs):
 def stats(xs):
     q1, med, q3 = quartiles(sorted(xs))
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(xs)}
+
+
+# Fast runs of one side spread by up to 1.3x in setup_s, slow ones sit
+# 1.55x or more above the fastest (recorded runs in bench/perf/README.md).
+SLOW = 1.4
+
+
+def modes(runs):
+    """{(seed, seconds): {workload: {side: {"fast": [wall_s], "slow": n}}}} of
+    the untraced runs, each tagged by its setup_s against its side's fastest."""
+    groups = {}
+    for r in runs:
+        if r["result"] is None or r.get("trace", 0):
+            continue
+        m = r["result"]["metrics"]
+        if "setup_s" not in m or "wall_s" not in m:
+            continue
+        sides = groups.setdefault((r["seed"], r["seconds"]), {}).setdefault(r["workload"], {})
+        sides.setdefault(r["tree"], []).append((m["setup_s"]["value"], m["wall_s"]["value"]))
+    out = {}
+    for key, workloads in groups.items():
+        for w, sides in workloads.items():
+            for tree, rs in sides.items():
+                floor = min(setup for setup, _ in rs)
+                fast = [wall for setup, wall in rs if setup <= SLOW * floor]
+                out.setdefault(key, {}).setdefault(w, {})[tree] = {
+                    "fast": fast, "slow": len(rs) - len(fast), "n": len(rs)}
+    return out
+
+
+def report_modes(runs, out):
+    """One line per group and workload: each side's fast-mode wall_s median
+    and slow share; a WARNING line when the slow shares differ."""
+    for (seed, seconds), workloads in sorted(modes(runs).items()):
+        for w, sides in sorted(workloads.items()):
+            parts = []
+            for tree in ("parent", "change"):
+                s = sides.get(tree)
+                if s is None:
+                    continue
+                med = statistics.median(s["fast"]) if s["fast"] else float("nan")
+                parts.append("%s fast wall_s median %.6g s, slow %d/%d"
+                             % (tree, med, s["slow"], s["n"]))
+            out.write("modes: seed %d, %d s, %s: %s\n" % (seed, seconds, w, "; ".join(parts)))
+            shares = [sides[t]["slow"] / sides[t]["n"] for t in ("parent", "change") if t in sides]
+            if len(shares) == 2 and shares[0] != shares[1]:
+                out.write("WARNING: seed %d, %d s, %s: the slow mode fell unevenly (parent %d/%d, "
+                          "change %d/%d); compare the fast-mode medians\n"
+                          % (seed, seconds, w, sides["parent"]["slow"], sides["parent"]["n"],
+                             sides["change"]["slow"], sides["change"]["n"]))
 
 
 def summarise(runs):
@@ -138,6 +198,7 @@ def main():
             runs = [json.loads(l) for l in f if l.strip()]
         for s in summarise(runs):
             print(json.dumps(s, sort_keys=True))
+        report_modes(runs, sys.stderr)
         return
     if not (args.parent and args.change and args.runs):
         ap.error("give PARENT_DIR, CHANGE_DIR and --runs, or --summarise RUNS")

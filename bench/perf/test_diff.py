@@ -6,8 +6,9 @@
 Runs diff.py on a small synthetic trajectory and checks its ratios, IQR
 verdicts and build labels (a comparison across builds is flagged), that
 it never pairs a traced set with an untraced one, checks pairs.py's
-summary of synthetic raw runs, traced and untraced, checks floor.py's
-bands, references and failures on synthetic records, and checks that the
+summary of synthetic raw runs, traced and untraced, and its run-mode
+report, checks floor.py's bands, references, re-run and failures on
+synthetic records, and checks that the
 committed trajectory names only workloads and metrics that BENCHMARK.json
 declares (per-layer ones in traced sets), only known builds, and that
 diff.py prints a row for each of them.
@@ -22,6 +23,7 @@ import tempfile
 import unittest
 
 import floor
+import pairs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -236,6 +238,56 @@ class Summarise(unittest.TestCase):
         self.assertEqual(rows["sim.ns_per_switch.w16"]["change"]["median"], 4.0)
 
 
+def timed(tree, pair, setup, wall, trace=None):
+    """An untraced (or traced) raw run with the given setup_s and wall_s."""
+    run = raw(tree, pair, 1.0, "per_layer" if trace else "end_to_end", trace)
+    run["result"]["metrics"].update({"setup_s": {"value": setup, "unit": "s"},
+                                     "wall_s": {"value": wall, "unit": "s"}})
+    return run
+
+
+class Modes(unittest.TestCase):
+    def report(self, runs):
+        out = io.StringIO()
+        pairs.report_modes(runs, out)
+        return out.getvalue()
+
+    def test_slow_runs_tagged_against_the_side_fastest(self):
+        # parent: one run 2x its fastest setup_s; change: fast throughout,
+        # although its fastest setup_s is half the parent's
+        runs = [timed("parent", i, su, w)
+                for i, (su, w) in enumerate([(1.0, 10.0), (1.3, 11.0), (1.2, 12.0), (2.0, 20.0)])]
+        runs += [timed("change", i, su, w)
+                 for i, (su, w) in enumerate([(0.5, 9.0), (0.55, 9.5), (0.6, 10.0), (0.65, 10.5)])]
+        m = pairs.modes(runs)[(1, 10)]["queue-x16"]
+        self.assertEqual((m["parent"]["slow"], sorted(m["parent"]["fast"])), (1, [10.0, 11.0, 12.0]))
+        self.assertEqual((m["change"]["slow"], m["change"]["n"]), (0, 4))
+        out = self.report(runs)
+        self.assertIn("parent fast wall_s median 11 s, slow 1/4; "
+                      "change fast wall_s median 9.75 s, slow 0/4", out)
+        self.assertIn("WARNING: seed 1, 10 s, queue-x16: the slow mode fell unevenly "
+                      "(parent 1/4, change 0/4)", out)
+
+    def test_even_modes_and_traced_runs(self):
+        runs = [timed("parent", 0, 1.0, 10.0), timed("parent", 1, 2.0, 20.0),
+                timed("change", 0, 1.0, 9.0), timed("change", 1, 1.9, 19.0),
+                timed("change", 2, 9.0, 99.0, trace=1)]
+        out = self.report(runs)
+        self.assertIn("slow 1/2; change fast wall_s median 9 s, slow 1/2", out)
+        self.assertNotIn("WARNING", out)
+        self.assertNotIn("99", out)
+
+    def test_sets_on_stdout_modes_on_stderr(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "runs.jsonl")
+            write(path, timed("parent", 0, 1.0, 10.0), timed("change", 0, 1.0, 9.0))
+            proc = subprocess.run([sys.executable, PAIRS, "--summarise", path],
+                                  capture_output=True, text=True, timeout=60, check=True)
+        (line,) = proc.stdout.splitlines()
+        self.assertEqual(json.loads(line)["pairs"], 1)
+        self.assertIn("modes: seed 1, 10 s, queue-x16: parent fast", proc.stderr)
+
+
 def metric_set(workload, metrics, trace=0, seed=1):
     """A set holding {name: (unit, better, parent median, change median)} on one workload."""
     rows = {name: {"unit": unit, "better": better, "wins": 0,
@@ -341,6 +393,36 @@ class Floor(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("FAIL  (10.00x the reference 0.001 s, record ccc3333)",
                       self.line(out, "queue-x16 wall_s"))
+
+    def test_over_pass_runs_once_more(self):
+        calls = []
+
+        def rerun(ratio):
+            def again(workload, trace):
+                calls.append((workload, trace))
+                return result({"wall_s": ("s", 0.010 * ratio)})
+            return again
+
+        first = [("queue-x16", 0, result({"wall_s": ("s", 0.025)}))]
+        for second, verdict in ((1.1, "OK"), (3.0, "WARN")):
+            calls.clear()
+            out = io.StringIO()
+            self.assertTrue(floor.check(self.RECORDS, first, out, rerun(second)))
+            out = out.getvalue()
+            self.assertEqual(calls, [("queue-x16", 0)])
+            self.assertIn("read 2.50x its reference; running it once more", out)
+            self.assertIn("%-5s (%.2fx the reference" % (verdict, second),
+                          self.line(out, "queue-x16 wall_s"))
+        # a run within the band, or one with failed cells, is not run again
+        calls.clear()
+        for run in (result({"wall_s": ("s", 0.019)}), result({"wall_s": ("s", 0.05)}, failed=1)):
+            floor.check(self.RECORDS, [("queue-x16", 0, run)], io.StringIO(), rerun(1.0))
+        self.assertEqual(calls, [])
+        # the second run's verdict stands, a missing result included
+        out = io.StringIO()
+        ok = floor.check(self.RECORDS, first, out, lambda w, t: None)
+        self.assertFalse(ok)
+        self.assertIn("FAIL  (no result)", out.getvalue())
 
     def test_failed_cells_and_missing_results_fail(self):
         ok, out = self.gate([("queue-x16", 0, result({"wall_s": ("s", 0.010)}, failed=1))])
