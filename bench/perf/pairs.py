@@ -99,9 +99,9 @@ def report_modes(runs, out):
                 s = sides.get(tree)
                 if s is None:
                     continue
-                med = statistics.median(s["fast"]) if s["fast"] else float("nan")
+                # never empty: the side's fastest run is fast
                 parts.append("%s fast wall_s median %.6g s, slow %d/%d"
-                             % (tree, med, s["slow"], s["n"]))
+                             % (tree, statistics.median(s["fast"]), s["slow"], s["n"]))
             out.write("modes: seed %d, %d s, %s: %s\n" % (seed, seconds, w, "; ".join(parts)))
             shares = [sides[t]["slow"] / sides[t]["n"] for t in ("parent", "change") if t in sides]
             if len(shares) == 2 and shares[0] != shares[1]:
