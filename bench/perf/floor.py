@@ -56,12 +56,16 @@ def band(ratio):
     return "OK" if ratio <= PASS else "WARN" if ratio <= WARN else "FAIL"
 
 
-def worst(records, workload, trace, result):
-    """The largest ratio to its reference among result's gated metrics, or 0."""
-    ratios = [m["value"] / ref[0] for name, m in result["metrics"].items()
-              if gated(name, trace)
-              for ref in [reference(records, workload, name, trace)] if ref is not None]
-    return max(ratios, default=0.0)
+def rows(records, workload, trace, result):
+    """(label, unit, ratio, reference) for each gated metric of result, by
+    name; ratio and reference are None when no record holds the metric."""
+    out = []
+    for name, m in sorted(result["metrics"].items()):
+        if gated(name, trace):
+            ref = reference(records, workload, name, trace)
+            ratio = None if ref is None else m["value"] / ref[0]
+            out.append(("%s %s" % (workload, name), m["unit"], ratio, ref))
+    return out
 
 
 def check(records, runs, out, rerun=None):
@@ -71,12 +75,14 @@ def check(records, runs, out, rerun=None):
     ok = True
     for workload, trace, result in runs:
         cell = "%s%s" % (workload, " (traced)" if trace else "")
+        table = [] if result is None else rows(records, workload, trace, result)
         if rerun is not None and result is not None and result["failed"] == 0:
-            first = worst(records, workload, trace, result)
+            first = max((r for _, _, r, _ in table if r is not None), default=0.0)
             if first > PASS:
                 out.write("perf floor: %-34s read %.2fx its reference; running it once more\n"
                           % (cell, first))
                 result = rerun(workload, trace)
+                table = [] if result is None else rows(records, workload, trace, result)
         if result is None:
             out.write("perf floor: %-34s FAIL  (no result)\n" % cell)
             ok = False
@@ -84,20 +90,15 @@ def check(records, runs, out, rerun=None):
         if result["failed"] > 0:
             out.write("perf floor: %-34s FAIL  (failed = %d)\n" % (cell, result["failed"]))
             ok = False
-        for name, m in sorted(result["metrics"].items()):
-            if not gated(name, trace):
-                continue
-            label = "%s %s" % (workload, name)
-            ref = reference(records, workload, name, trace)
+        for label, unit, ratio, ref in table:
             if ref is None:
                 out.write("perf floor: %-34s (no reference; skipped)\n" % label)
                 continue
             median, commit = ref
-            ratio = m["value"] / median
             verdict = band(ratio)
             ok = ok and verdict != "FAIL"
             out.write("perf floor: %-34s %-5s (%.2fx the reference %.4g %s, record %s)\n"
-                      % (label, verdict, ratio, median, m["unit"], commit))
+                      % (label, verdict, ratio, median, unit, commit))
     if not ok:
         out.write("perf floor: FAILED: a run printed no result, reported failed cells, or\n"
                   "took more than %gx its reference in bench/perf/trajectory.jsonl.\n" % WARN)
