@@ -85,6 +85,10 @@ type stm_crash_result = {
   st_stm_commits : int;
 }
 
+val stm_crash_one : ?seed:int -> unit -> stm_crash_result
+(** Run the STM commit-window crash scenario (ListFastCollect, software
+    path). *)
+
 type summary = {
   crashes : crash_result list;
   queues : queue_result list;

@@ -4,6 +4,16 @@
 
 type result = { algo : string; label : string; dereg_period : int; throughput : float }
 
+val run_one :
+  Collect.Intf.maker ->
+  churners:int ->
+  dereg_period:int ->
+  duration:int ->
+  step:Collect.Intf.step_policy ->
+  seed:int ->
+  result
+(** One (algorithm, dereg period) cell. *)
+
 val cells :
   ?makers:Collect.Intf.maker list ->
   ?churners:int ->

@@ -8,6 +8,17 @@ type result = {
   buckets : (float * float) list;  (** (time in ms, collects per µs) *)
 }
 
+val run_one :
+  Collect.Intf.maker ->
+  updaters:int ->
+  phase_len:int ->
+  phases:int ->
+  bucket_len:int ->
+  step:Collect.Intf.step_policy ->
+  seed:int ->
+  result
+(** One algorithm's run over [phases] phases of [phase_len] cycles. *)
+
 val cells :
   ?updaters:int ->
   ?phase_len:int ->

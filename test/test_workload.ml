@@ -152,6 +152,66 @@ let test_replayability () =
       Alcotest.(check (float 0.0)) (n1 ^ ": identical throughput") t1 t2)
     a b
 
+(* Pins the collect cells' behaviour: each run's result and the metrics
+   registry it fed, digested together. Any change to what a cell
+   simulates (who registers, updates or deregisters when, how long the
+   handles stay open, what is torn down, which statistics are reset)
+   moves a digest. Each run is a sweep cell, so the value supply and
+   machine labels start afresh whatever ran before it. *)
+let pin_digest f =
+  let cell () =
+    let reg = Obs.Metrics.create () in
+    Workload.Driver.set_obs { Workload.Driver.no_obs with obs_metrics = Some reg };
+    let r = f () in
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string r [ Marshal.No_sharing ]
+         ^ Obs.Json.to_string (Obs.Metrics.to_json reg)))
+  in
+  List.hd (run [ Runner.Cell.v ~label:"pin" cell ])
+
+let maker name = Option.get (Collect.find_maker name)
+
+let collect_pins () =
+  let open Workload in
+  let ada = maker "ArrayDynAppendDereg" and hohrc = maker "ListHoHRC" in
+  [
+    ( "fig4 ArrayDynAppendDereg adaptive",
+      "e86f9ec4c307e202fb54b64b59e1c2d5",
+      pin_digest (fun () ->
+          Collect_update.run_one ada ~updaters:3 ~period:2_000 ~duration:40_000
+            ~step:Collect.Intf.Adaptive ~seed:5) );
+    ( "fig4 ListHoHRC step 8",
+      "353d6f6fdae320e722e5f908ab017d3f",
+      pin_digest (fun () ->
+          Collect_update.run_one hohrc ~updaters:3 ~period:2_000 ~duration:40_000
+            ~step:(Collect.Intf.Fixed 8) ~seed:5) );
+    ( "fig7 collect-dereg",
+      "89793a04596d2c4edd0e55bc4466b352",
+      pin_digest (fun () ->
+          Collect_dereg.run_one ada ~churners:3 ~dereg_period:2_000 ~duration:60_000
+            ~step:(Collect.Intf.Fixed 32) ~seed:5) );
+    ( "fig8 phased",
+      "b828454d705c72b4523a8346942435ac",
+      pin_digest (fun () ->
+          Phased.run_one ada ~updaters:3 ~phase_len:30_000 ~phases:2 ~bucket_len:20_000
+            ~step:(Collect.Intf.Fixed 32) ~seed:5) );
+    ( "chaos collect crash",
+      "9f191f7c62e2d703a43bb4656a5a4852",
+      pin_digest (fun () -> Chaos_bench.collect_crash_one ~seed:5 hohrc) );
+    ( "chaos spurious",
+      "70ab3687ad8763794f77e30618ec150d",
+      pin_digest (fun () -> Chaos_bench.spurious_one ~seed:5 ada) );
+    ( "chaos stm crash",
+      "69171ff8be76e65d6d110ffa78e83b27",
+      pin_digest (fun () -> Chaos_bench.stm_crash_one ~seed:5 ()) );
+  ]
+
+let test_collect_pins () =
+  List.iter
+    (fun (name, expected, actual) -> Alcotest.(check string) name expected actual)
+    (collect_pins ())
+
 let test_fresh_values_unique () =
   let a = Workload.Driver.fresh_value () in
   let b = Workload.Driver.fresh_value () in
@@ -174,5 +234,6 @@ let () =
           Alcotest.test_case "space collect" `Quick test_space_collect;
           Alcotest.test_case "unique values" `Quick test_fresh_values_unique;
           Alcotest.test_case "replayability" `Quick test_replayability;
+          Alcotest.test_case "collect cells pinned" `Quick test_collect_pins;
         ] );
     ]
