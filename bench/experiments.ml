@@ -331,44 +331,9 @@ let contend =
 (* Ablations (paper §6)                                                *)
 
 type ablate_piece =
-  | A_tle of float * int  (* throughput, lock fallbacks *)
+  | A_tle of (float * int)  (* throughput, lock fallbacks *)
   | A_sandbox of string  (* run verdict *)
-  | A_sb of float * int  (* throughput, largest step discovered *)
-
-(* TLE: the paper notes the algorithms can run without any transactional
-   progress guarantee by falling back to a lock (§6). Compare native
-   retry against TLE fallback under contention. *)
-let ablate_tle_one ~duration ~seed config =
-  let maker = Option.get (Collect.find_maker "ArrayDynAppendDereg") in
-  let m = Workload.Driver.machine ~htm_config:config ~seed () in
-  let cfg =
-    { Collect.Intf.max_slots = 128; num_threads = 16; step = Collect.Intf.Fixed 16;
-      min_size = 4 }
-  in
-  let inst = maker.make m.htm m.boot cfg in
-  let deadline = Workload.Driver.warmup + duration in
-  let collects = ref 0 in
-  let measuring = ref true in
-  let collector ctx =
-    let buf = Sim.Ibuf.create () in
-    collects :=
-      Workload.Driver.measured_loop ctx ~deadline (fun () ->
-          Sim.Ibuf.clear buf;
-          inst.collect ctx buf);
-    measuring := false
-  in
-  let updater ctx =
-    let hs = Array.init 4 (fun _ -> inst.register ctx (Workload.Driver.fresh_value ())) in
-    Workload.Driver.periodic_loop ctx ~deadline ~period:2_000 (fun () ->
-        inst.update ctx hs.(0) (Workload.Driver.fresh_value ()));
-    while !measuring do
-      Sim.tick ctx 2000
-    done;
-    Array.iter (fun h -> inst.deregister ctx h) hs
-  in
-  Sim.run ~seed (Array.init 16 (fun i -> if i = 0 then collector else updater));
-  let st = Htm.stats m.htm in
-  A_tle (Workload.Driver.ops_per_us ~ops:!collects ~duration, st.lock_fallbacks)
+  | A_sb of (float * int)  (* throughput, largest step discovered *)
 
 (* Sandboxing (paper footnote 1 / §6): a transaction that loads a
    pointer, stalls, and dereferences it after a concurrent thread has
@@ -405,54 +370,19 @@ let ablate_sandbox_one ~seed sandboxed =
   | () -> A_sandbox "completed (transaction aborted and retried)"
   | exception Simmem.Fault f -> A_sandbox (Format.asprintf "SEGFAULT: %a" Simmem.pp_fault f)
 
-(* Store-buffer capacity sweep: the adaptive controller must discover the
-   largest step each buffer admits. *)
 let sb_buffers = [ 8; 16; 32; 64 ]
-
-let ablate_sb_one ~duration ~seed sb =
-  let maker = Option.get (Collect.find_maker "ArrayDynAppendDereg") in
-  let config = { Htm.default_config with store_buffer = sb } in
-  let m = Workload.Driver.machine ~htm_config:config ~seed () in
-  let cfg =
-    { Collect.Intf.max_slots = 128; num_threads = 2; step = Collect.Intf.Adaptive;
-      min_size = 4 }
-  in
-  let inst = maker.make m.htm m.boot cfg in
-  let deadline = Workload.Driver.warmup + duration in
-  let collects = ref 0 in
-  let measuring = ref true in
-  let bodies =
-    [|
-      (fun ctx ->
-        let buf = Sim.Ibuf.create () in
-        collects :=
-          Workload.Driver.measured_loop ctx ~deadline (fun () ->
-              Sim.Ibuf.clear buf;
-              inst.collect ctx buf);
-        measuring := false);
-      (fun ctx ->
-        let hs =
-          Array.init 64 (fun _ -> inst.register ctx (Workload.Driver.fresh_value ()))
-        in
-        while !measuring do
-          Sim.tick ctx 2000
-        done;
-        Array.iter (fun h -> inst.deregister ctx h) hs);
-    |]
-  in
-  Sim.run ~seed bodies;
-  let top_step = List.fold_left (fun acc (s, _) -> max acc s) 0 (inst.step_histogram ()) in
-  A_sb (Workload.Driver.ops_per_us ~ops:!collects ~duration, top_step)
 
 let ablate =
   exp "ablate" "section 6 ablations" 200_000
     (fun ~duration ~seed ->
       [
         Runner.Cell.v ~label:"ablate/tle/native" (fun () ->
-            ablate_tle_one ~duration ~seed Htm.default_config);
+            A_tle (Workload.Collect_cell.tle_one ~htm_config:Htm.default_config ~duration ~seed));
         Runner.Cell.v ~label:"ablate/tle/after4" (fun () ->
-            ablate_tle_one ~duration ~seed
-              { Htm.default_config with tle = Htm.Tle_after 4 });
+            A_tle
+              (Workload.Collect_cell.tle_one
+                 ~htm_config:{ Htm.default_config with tle = Htm.Tle_after 4 }
+                 ~duration ~seed));
         Runner.Cell.v ~label:"ablate/sandbox/on" (fun () -> ablate_sandbox_one ~seed true);
         Runner.Cell.v ~label:"ablate/sandbox/off" (fun () -> ablate_sandbox_one ~seed false);
       ]
@@ -460,7 +390,7 @@ let ablate =
           (fun sb ->
             Runner.Cell.v
               ~label:(Printf.sprintf "ablate/store-buffer/%d" sb)
-              (fun () -> ablate_sb_one ~duration ~seed sb))
+              (fun () -> A_sb (Workload.Collect_cell.store_buffer_one sb ~duration ~seed)))
           sb_buffers)
     (fun ctx ocs ->
       match values ocs with
@@ -506,55 +436,11 @@ let ablate =
    implemented there)                                                  *)
 
 type ext_piece =
-  | E_thru of float  (* a single throughput number (starvation / queue cells) *)
+  | E_thru of (int * string * float)
+      (* row key, column, throughput: a starvation cell's churn period or a
+         queue cell's thread count, and its algorithm *)
   | E_lat of Workload.Latency.result
   | E_coll of Workload.Collect_update.result
-
-(* The §3.1.2 starvation scenario: a large stable handle population keeps
-   collects long, while churners rapidly cycle one volatile slot each.
-   Plain FastCollect restarts on every deregister anywhere; the deferred
-   variant restarts only when its own cursor's node is hit. *)
-let ext_starvation ~duration ~seed mk churn_period =
-  let m = Workload.Driver.machine ~seed () in
-  let churners = 15 in
-  let cfg =
-    { Collect.Intf.max_slots = 256; num_threads = churners + 1;
-      step = Collect.Intf.Adaptive; min_size = 4 }
-  in
-  let inst = mk.Collect.Intf.make m.htm m.boot cfg in
-  let deadline = Workload.Driver.warmup + duration in
-  let collects = ref 0 in
-  let measuring = ref true in
-  let collector ctx =
-    let buf = Sim.Ibuf.create () in
-    collects :=
-      Workload.Driver.measured_loop ctx ~deadline (fun () ->
-          Sim.Ibuf.clear buf;
-          inst.collect ctx buf);
-    measuring := false
-  in
-  let churner ctx =
-    let stable =
-      Array.init 4 (fun _ -> inst.register ctx (Workload.Driver.fresh_value ()))
-    in
-    let volatile = ref (inst.register ctx (Workload.Driver.fresh_value ())) in
-    let next = ref Workload.Driver.warmup in
-    while !next < deadline do
-      Sim.advance_to ctx !next;
-      inst.deregister ctx !volatile;
-      Sim.advance_to ctx (!next + (churn_period / 2));
-      volatile := inst.register ctx (Workload.Driver.fresh_value ());
-      next := !next + churn_period
-    done;
-    while !measuring do
-      Sim.tick ctx 2000
-    done;
-    inst.deregister ctx !volatile;
-    Array.iter (fun h -> inst.deregister ctx h) stable
-  in
-  Sim.run ~seed (Array.init (churners + 1) (fun i -> if i = 0 then collector else churner));
-  inst.destroy m.boot;
-  Workload.Driver.ops_per_us ~ops:!collects ~duration
 
 (* Michael-Scott reclaimed through a Dynamic Collect object vs the fixed
    hazard array: same discipline, dynamic announcement space. *)
@@ -580,7 +466,8 @@ let ext =
             (fun name ->
               let mk = Option.get (Collect.find_maker name) in
               Runner.Cell.v ~label:(Printf.sprintf "ext/starve/%s/p%d" name p) (fun () ->
-                  E_thru (ext_starvation ~duration ~seed mk p)))
+                  E_thru
+                    (p, name, Workload.Collect_cell.starvation_one mk ~churn_period:p ~duration ~seed)))
             ext_starve_makers)
         ext_starve_periods
       @ List.concat_map
@@ -588,7 +475,7 @@ let ext =
             List.map
               (fun name ->
                 Runner.Cell.v ~label:(Printf.sprintf "ext/queue/%s/x%d" name threads)
-                  (fun () -> E_thru (ext_queue_one ~duration ~seed ~threads name)))
+                  (fun () -> E_thru (threads, name, ext_queue_one ~duration ~seed ~threads name)))
               ext_queue_names)
           ext_queue_threads
       @ List.map
@@ -610,61 +497,34 @@ let ext =
               ext_upd_variants)
           ext_coll_periods)
     (fun ctx ocs ->
-      let vs = Array.of_list (values ocs) in
-      let thru i = match vs.(i) with E_thru t -> Some t | _ -> assert false in
-      let nstarve = List.length ext_starve_makers in
-      ctx.emit
-        {
-          Obs.Table.title =
-            "Extension: deferred-free FastCollect, 60 stable handles + 15 churning \
-             (section 3.1.2)";
-          xlabel = "churn period";
-          unit = "ops/us";
-          columns = ext_starve_makers;
-          rows =
-            List.mapi
-              (fun pi p ->
-                ( Workload.Collect_update.period_label p,
-                  List.mapi (fun mi _ -> thru ((pi * nstarve) + mi)) ext_starve_makers ))
-              ext_starve_periods;
-        };
-      let qbase = List.length ext_starve_periods * nstarve in
-      let nqueue = List.length ext_queue_names in
-      ctx.emit
-        {
-          Obs.Table.title =
-            "Extension: reclamation via fixed hazard array vs Dynamic Collect (section \
-             1.2)";
-          xlabel = "threads";
-          unit = "ops/us";
-          columns = ext_queue_names;
-          rows =
-            List.mapi
-              (fun ti threads ->
-                ( string_of_int threads,
-                  List.mapi (fun qi _ -> thru (qbase + (ti * nqueue) + qi)) ext_queue_names
-                ))
-              ext_queue_threads;
-        };
-      let lbase = qbase + (List.length ext_queue_threads * nqueue) in
-      let lat =
-        List.mapi
-          (fun i _ ->
-            match vs.(lbase + i) with E_lat r -> r | _ -> assert false)
-          ext_upd_variants
+      let vs = values ocs in
+      let thru_table ~title ~xlabel ~label rows columns =
+        Obs.Table.pivot ~title ~xlabel ~unit:"ops/us"
+          ~rows:(List.map (fun r -> (label r, r)) rows)
+          ~columns ~key:(fun (r, c, _) -> (r, c)) ~value:(fun (_, _, t) -> t)
+          (List.filter_map (function E_thru t -> Some t | _ -> None) vs)
       in
       ctx.emit
-        { (Workload.Latency.to_table lat) with
+        (thru_table
+           ~title:
+             "Extension: deferred-free FastCollect, 60 stable handles + 15 churning \
+              (section 3.1.2)"
+           ~xlabel:"churn period" ~label:Workload.Collect_update.period_label
+           ext_starve_periods ext_starve_makers);
+      ctx.emit
+        (thru_table
+           ~title:
+             "Extension: reclamation via fixed hazard array vs Dynamic Collect (section \
+              1.2)"
+           ~xlabel:"threads" ~label:string_of_int ext_queue_threads ext_queue_names);
+      ctx.emit
+        { (Workload.Latency.to_table
+             (List.filter_map (function E_lat r -> Some r | _ -> None) vs)) with
           title = "Extension: update latency of the section 4.1 variant" };
-      let cbase = lbase + List.length ext_upd_variants in
-      let coll =
-        List.init
-          (List.length ext_coll_periods * List.length ext_upd_variants)
-          (fun i -> match vs.(cbase + i) with E_coll r -> r | _ -> assert false)
-      in
       ctx.emit
         (Workload.Collect_update.to_table
-           ~title:"Extension: collect throughput of the section 4.1 variant" coll))
+           ~title:"Extension: collect throughput of the section 4.1 variant"
+           (List.filter_map (function E_coll r -> Some r | _ -> None) vs)))
 
 (* ------------------------------------------------------------------ *)
 (* The scaling study: the flat simulator core removes the Rock-era

@@ -13,6 +13,13 @@ let pivot ~title ~xlabel ~unit ~rows ~columns ~key ~value results =
   { title; xlabel; unit; columns;
     rows = List.map (fun (label, r) -> (label, List.map (cell r) columns)) rows }
 
+let counts ~title ~xlabel ~unit ~columns row results =
+  let row r =
+    let label, ns = row r in
+    (label, List.map (fun n -> Some (float_of_int n)) ns)
+  in
+  { title; xlabel; unit; columns; rows = List.map row results }
+
 let cell = function
   | None -> "-"
   | Some v ->

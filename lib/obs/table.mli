@@ -29,6 +29,18 @@ val pivot :
     [value] of the first result whose [key] is structurally equal to
     [(r, c)], or [None] if there is none. *)
 
+val counts :
+  title:string ->
+  xlabel:string ->
+  unit:string ->
+  columns:string list ->
+  ('a -> string * int list) ->
+  'a list ->
+  table
+(** [counts ~columns row results] is a table of integer cells with one
+    row per result: [row r] gives the row's label and its cells, one per
+    column. *)
+
 val print_cols : Format.formatter -> string list -> string list list -> unit
 (** [print_cols ppf header rows] renders pre-stringified rows as
     left-aligned columns sized to their widest entry — the raw layout

@@ -38,20 +38,22 @@ type crash_result = {
    counter-based schemes. *)
 let cr_crash_pinned c = c.cr_pinned_faulty - c.cr_pinned_control
 
-(* 2 collectors + [churners] updaters; churners register one handle each
-   and update it continuously; every operation goes through the §2.3 spec
-   checker. Returns (ops, verdict, live_at_quiesce, pinned_after_destroy).
-   Raises [Collect_spec.Violation] if any collect was incorrect and
-   [Sim.Watchdog] if the machine ever stopped committing progress. *)
-let collect_workload (maker : Collect.Intf.maker) ~seed ~faults =
-  let m = Driver.machine ~seed ~label:("chaos/" ^ maker.algo_name) () in
+(* The checked churn every spec-checked scenario runs: 2 collectors and 6
+   churners; each churner registers one handle, updates it until the
+   deadline and deregisters it, and every operation goes through the
+   §2.3 spec checker. [diag] renders the HTM statistics into the
+   watchdog's report. Returns the machine, the instance, the checker and
+   the operations completed. Raises [Sim.Watchdog] if the machine ever
+   stopped committing progress. *)
+let checked_churn ?htm_config ?faults ?diag ~label ~seed (maker : Collect.Intf.maker) =
+  let m = Driver.machine ?htm_config ~seed ~label () in
   let churners = 6 in
   let threads = churners + 2 in
   let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
   let inst = maker.make m.htm m.boot cfg in
   let spec = Collect_spec.create () in
   let ops = ref 0 in
-  let churner _i ctx =
+  let churner ctx =
     let h = Collect_spec.register spec inst ctx in
     Sim.note_progress ctx;
     while Sim.clock ctx < deadline do
@@ -71,26 +73,10 @@ let collect_workload (maker : Collect.Intf.maker) ~seed ~faults =
       incr ops
     done
   in
-  let bodies =
-    Array.init threads (fun i -> if i < 2 then collector else churner (i - 2))
-  in
   Sim.run ~seed ?faults ~watchdog:watchdog_budget
-    ~diag:(fun () ->
-      let st = Htm.stats m.htm in
-      Printf.sprintf
-        "  htm: %d commits, %d fallbacks, aborts c/o/i/e/l/s = %d/%d/%d/%d/%d/%d\n"
-        st.commits st.lock_fallbacks st.aborts_conflict st.aborts_overflow
-        st.aborts_illegal st.aborts_explicit st.aborts_lock st.aborts_spurious)
-    bodies;
-  (* Quiescent: survivors deregistered; only crashed threads' handles are
-     still registered. One last checked collect from the boot context must
-     see exactly those. *)
-  Collect_spec.collect spec inst m.boot;
-  let verdict = Collect_spec.check spec in
-  let live = (Simmem.stats m.mem).live_words in
-  inst.destroy m.boot;
-  let pinned = (Simmem.stats m.mem).live_words in
-  (!ops, verdict, live, pinned)
+    ?diag:(Option.map (fun d () -> d (Htm.stats m.htm)) diag)
+    (Array.init threads (fun i -> if i < 2 then collector else churner));
+  (m, inst, spec, !ops)
 
 (* Deterministic kill schedule: two churners and one collector die
    mid-measurement, at fixed virtual times — mid-operation with whatever
@@ -105,9 +91,29 @@ let crash_spec =
   }
 
 let collect_crash_one ?(seed = 7) (maker : Collect.Intf.maker) =
+  (* (ops, verdict, live_at_quiesce, pinned_after_destroy) of one checked
+     churn. Raises [Collect_spec.Violation] if any collect was incorrect. *)
+  let crash_run faults =
+    let m, inst, spec, ops =
+      checked_churn ?faults ~label:("chaos/" ^ maker.algo_name) ~seed maker
+        ~diag:(fun st ->
+          Printf.sprintf
+            "  htm: %d commits, %d fallbacks, aborts c/o/i/e/l/s = %d/%d/%d/%d/%d/%d\n"
+            st.commits st.lock_fallbacks st.aborts_conflict st.aborts_overflow
+            st.aborts_illegal st.aborts_explicit st.aborts_lock st.aborts_spurious)
+    in
+    (* Quiescent: survivors deregistered; only crashed threads' handles are
+       still registered. One last checked collect from the boot context
+       must see exactly those. *)
+    Collect_spec.collect spec inst m.boot;
+    let verdict = Collect_spec.check spec in
+    let live = (Simmem.stats m.mem).live_words in
+    inst.destroy m.boot;
+    (ops, verdict, live, (Simmem.stats m.mem).live_words)
+  in
   let faults = Sim.Fault.make crash_spec in
-  let ops, verdict, live_faulty, pinned = collect_workload maker ~seed ~faults:(Some faults) in
-  let _, _, live_control, pinned_control = collect_workload maker ~seed ~faults:None in
+  let ops, verdict, live_faulty, pinned = crash_run (Some faults) in
+  let _, _, live_control, pinned_control = crash_run None in
   {
     cr_algo = maker.algo_name;
     cr_kills = Sim.Fault.kills faults;
@@ -223,17 +229,6 @@ type spurious_result = {
 }
 
 let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
-  let m =
-    Driver.machine
-      ~htm_config:{ Htm.default_config with tle = Htm.Tle_after 6 }
-      ~seed ~label:("spurious/" ^ maker.algo_name) ()
-  in
-  let churners = 6 in
-  let threads = churners + 2 in
-  let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
-  let inst = maker.make m.htm m.boot cfg in
-  let spec = Collect_spec.create () in
-  let ops = ref 0 in
   let faults =
     Sim.Fault.make
       {
@@ -244,28 +239,10 @@ let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
         spurious_abort_rate = rate;
       }
   in
-  let churner ctx =
-    let h = Collect_spec.register spec inst ctx in
-    Sim.note_progress ctx;
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.update spec inst ctx h;
-      Sim.note_progress ctx;
-      incr ops
-    done;
-    Collect_spec.deregister spec inst ctx h;
-    Sim.note_progress ctx
+  let m, inst, spec, ops =
+    checked_churn ~htm_config:{ Htm.default_config with tle = Htm.Tle_after 6 } ~faults
+      ~label:("spurious/" ^ maker.algo_name) ~seed maker
   in
-  let collector ctx =
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.collect spec inst ctx;
-      Sim.note_progress ctx;
-      incr ops
-    done
-  in
-  let bodies = Array.init threads (fun i -> if i < 2 then collector else churner) in
-  Sim.run ~seed ~faults ~watchdog:watchdog_budget bodies;
   let verdict = Collect_spec.check spec in
   inst.destroy m.boot;
   let st = Htm.stats m.htm in
@@ -274,7 +251,7 @@ let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
   in
   {
     sp_algo = maker.algo_name;
-    sp_ops = !ops;
+    sp_ops = ops;
     sp_spurious = st.aborts_spurious;
     sp_fallbacks = st.lock_fallbacks;
     sp_max_consec = st.max_consecutive_aborts;
@@ -299,18 +276,6 @@ type stm_crash_result = {
 }
 
 let stm_crash_one ?(seed = 7) () =
-  let maker = Option.get (Collect.find_maker "ListFastCollect") in
-  let m =
-    Driver.machine
-      ~htm_config:{ Htm.default_config with stm = Htm.Stm_after 0 }
-      ~seed ~label:"chaos/stm-crash" ()
-  in
-  let churners = 6 in
-  let threads = churners + 2 in
-  let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
-  let inst = maker.make m.htm m.boot cfg in
-  let spec = Collect_spec.create () in
-  let ops = ref 0 in
   let faults =
     Sim.Fault.make
       {
@@ -320,38 +285,18 @@ let stm_crash_one ?(seed = 7) () =
           [ (3, "stm.commit", 1_200_000); (5, "stm.commit", 1_600_000) ];
       }
   in
-  let churner ctx =
-    let h = Collect_spec.register spec inst ctx in
-    Sim.note_progress ctx;
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.update spec inst ctx h;
-      Sim.note_progress ctx;
-      incr ops
-    done;
-    Collect_spec.deregister spec inst ctx h;
-    Sim.note_progress ctx
+  let m, inst, spec, ops =
+    checked_churn ~htm_config:{ Htm.default_config with stm = Htm.Stm_after 0 } ~faults
+      ~label:"chaos/stm-crash" ~seed
+      ~diag:(fun st -> Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
+      (Option.get (Collect.find_maker "ListFastCollect"))
   in
-  let collector ctx =
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.collect spec inst ctx;
-      Sim.note_progress ctx;
-      incr ops
-    done
-  in
-  let bodies = Array.init threads (fun i -> if i < 2 then collector else churner) in
-  Sim.run ~seed ~faults ~watchdog:watchdog_budget
-    ~diag:(fun () ->
-      let st = Htm.stats m.htm in
-      Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
-    bodies;
   Collect_spec.collect spec inst m.boot;
   let verdict = Collect_spec.check spec in
   let st = Htm.stats m.htm in
   {
     st_kills = Sim.Fault.kills faults;
-    st_ops = !ops;
+    st_ops = ops;
     st_steals = st.stm_steals;
     st_checked_collects = verdict.Collect_spec.checked_collects;
     st_stm_commits = st.stm_commits;
@@ -405,58 +350,37 @@ let summary_of_pieces pieces =
     stm_crashes = List.filter_map (function Stm_crash s -> Some s | _ -> None) pieces;
   }
 
-let fi = float_of_int
-
-let crash_table (crashes : crash_result list) : Obs.Table.table =
-  {
-    title = "Thread crashes mid-operation (3 of 8 threads killed): \
-             spec verdicts and leakage";
-    xlabel = "algorithm";
-    unit = "words / counts";
-    columns =
+let crash_table =
+  Obs.Table.counts
+    ~title:"Thread crashes mid-operation (3 of 8 threads killed): \
+            spec verdicts and leakage"
+    ~xlabel:"algorithm" ~unit:"words / counts"
+    ~columns:
       [ "kills"; "ops-survived"; "collects-ok"; "live@quiesce"; "live-control";
-        "crash-pinned" ];
-    rows =
-      List.map
-        (fun c ->
-          ( c.cr_algo,
-            [ Some (fi c.cr_kills); Some (fi c.cr_ops); Some (fi c.cr_checked_collects);
-              Some (fi c.cr_live_faulty); Some (fi c.cr_live_control);
-              Some (fi (cr_crash_pinned c)) ] ))
-        crashes;
-  }
+        "crash-pinned" ]
+    (fun c ->
+      ( c.cr_algo,
+        [ c.cr_kills; c.cr_ops; c.cr_checked_collects; c.cr_live_faulty;
+          c.cr_live_control; cr_crash_pinned c ] ))
 
-let queue_table (queues : queue_result list) : Obs.Table.table =
-  {
-    title = "Thread crashes against the queues (2 of 8 threads killed)";
-    xlabel = "queue";
-    unit = "words / counts";
-    columns = [ "kills"; "enq-started"; "deq-total"; "lost-in-crash"; "live@quiesce" ];
-    rows =
-      List.map
-        (fun q ->
-          ( q.qr_queue,
-            [ Some (fi q.qr_kills); Some (fi q.qr_enqueued); Some (fi q.qr_dequeued);
-              Some (fi q.qr_lost); Some (fi q.qr_live_quiesce) ] ))
-        queues;
-  }
+let queue_table =
+  Obs.Table.counts ~title:"Thread crashes against the queues (2 of 8 threads killed)"
+    ~xlabel:"queue" ~unit:"words / counts"
+    ~columns:[ "kills"; "enq-started"; "deq-total"; "lost-in-crash"; "live@quiesce" ]
+    (fun q ->
+      ( q.qr_queue,
+        [ q.qr_kills; q.qr_enqueued; q.qr_dequeued; q.qr_lost; q.qr_live_quiesce ] ))
 
-let spurious_table (spurious : spurious_result list) : Obs.Table.table =
-  {
-    title = "Spurious aborts at 15% per attempt, TLE after 6 (all runs \
-             completed; watchdog silent)";
-    xlabel = "algorithm";
-    unit = "counts";
-    columns = [ "ops"; "spurious-aborts"; "lock-fallbacks"; "max-consec-aborts";
-                "slowest-commit-2^k" ];
-    rows =
-      List.map
-        (fun s ->
-          ( s.sp_algo,
-            [ Some (fi s.sp_ops); Some (fi s.sp_spurious); Some (fi s.sp_fallbacks);
-              Some (fi s.sp_max_consec); Some (fi s.sp_slowest_commit) ] ))
-        spurious;
-  }
+let spurious_table =
+  Obs.Table.counts
+    ~title:"Spurious aborts at 15% per attempt, TLE after 6 (all runs \
+            completed; watchdog silent)"
+    ~xlabel:"algorithm" ~unit:"counts"
+    ~columns:[ "ops"; "spurious-aborts"; "lock-fallbacks"; "max-consec-aborts";
+               "slowest-commit-2^k" ]
+    (fun s ->
+      ( s.sp_algo,
+        [ s.sp_ops; s.sp_spurious; s.sp_fallbacks; s.sp_max_consec; s.sp_slowest_commit ] ))
 
 let crash_note =
   "Every collect above passed the full #2.3 specification check after\n\
@@ -478,20 +402,14 @@ let spurious_note =
    the escalation tail shows up in max-consec-aborts and the\n\
    cycles-to-commit histogram.\n"
 
-let stm_crash_table (stm_crashes : stm_crash_result list) : Obs.Table.table =
-  {
-    title = "Crashes inside the STM commit window (ListFastCollect, software path)";
-    xlabel = "run";
-    unit = "counts";
-    columns = [ "kills"; "ops-survived"; "lock-steals"; "collects-ok"; "stm-commits" ];
-    rows =
-      List.map
-        (fun s ->
-          ( "stm-forced, 2 of 8 killed",
-            [ Some (fi s.st_kills); Some (fi s.st_ops); Some (fi s.st_steals);
-              Some (fi s.st_checked_collects); Some (fi s.st_stm_commits) ] ))
-        stm_crashes;
-  }
+let stm_crash_table =
+  Obs.Table.counts
+    ~title:"Crashes inside the STM commit window (ListFastCollect, software path)"
+    ~xlabel:"run" ~unit:"counts"
+    ~columns:[ "kills"; "ops-survived"; "lock-steals"; "collects-ok"; "stm-commits" ]
+    (fun s ->
+      ( "stm-forced, 2 of 8 killed",
+        [ s.st_kills; s.st_ops; s.st_steals; s.st_checked_collects; s.st_stm_commits ] ))
 
 let stm_crash_note =
   "The kills fire at the [stm.commit] fault point: the victims die\n\

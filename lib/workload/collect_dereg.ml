@@ -18,20 +18,9 @@ let run_one (maker : Collect.Intf.maker) ~churners ~dereg_period ~duration ~step
   let cfg =
     { Collect.Intf.max_slots = total_handles * 2; num_threads = threads; step; min_size = 4 }
   in
-  let inst = maker.make m.htm m.boot cfg in
   let deadline = Driver.warmup + duration in
-  let collects = ref 0 in
-  let measuring = ref true in
   let quotas = Array.of_list (Driver.split_evenly total_handles churners) in
-  let collector ctx =
-    let buf = Sim.Ibuf.create ~capacity:(2 * total_handles) () in
-    collects :=
-      Driver.measured_loop ctx ~deadline (fun () ->
-          Sim.Ibuf.clear buf;
-          inst.collect ctx buf);
-    measuring := false
-  in
-  let churner i ctx =
+  let churner (inst : Collect.Intf.instance) i ctx =
     let slots = Queue.create () in
     for _ = 1 to quotas.(i) do
       Queue.add (inst.register ctx (Driver.fresh_value ())) slots
@@ -49,21 +38,16 @@ let run_one (maker : Collect.Intf.maker) ~churners ~dereg_period ~duration ~step
       Queue.add (inst.register ctx (Driver.fresh_value ())) slots;
       next := !next + register_period + dereg_period
     done;
-    (* Hold remaining registrations until the collector finishes. *)
-    while !measuring do
-      Sim.tick ctx 2000
-    done;
-    Queue.iter (fun h -> inst.deregister ctx h) slots
+    List.of_seq (Queue.to_seq slots)
   in
-  let bodies = Array.init threads (fun i -> if i = 0 then collector else churner (i - 1)) in
-  Sim.run ~seed bodies;
+  let collects, inst = Collect_cell.run m maker cfg ~deadline ~seed ~helper:churner in
   inst.destroy m.boot;
   {
     algo = maker.algo_name;
     label =
       Printf.sprintf "%s (%s)" maker.algo_name (Collect_update.step_label step);
     dereg_period;
-    throughput = Driver.ops_per_us ~ops:!collects ~duration;
+    throughput = Driver.ops_per_us ~ops:collects ~duration;
   }
 
 let default_periods =

@@ -22,6 +22,11 @@ let step_label = function
   | Collect.Intf.Fixed_instrumented n -> Printf.sprintf "step %d (instr)" n
   | Collect.Intf.Adaptive -> "adapt"
 
+(* Every abort, whatever its cause. *)
+let total_aborts (st : Htm.stats) =
+  st.aborts_conflict + st.aborts_overflow + st.aborts_illegal + st.aborts_explicit
+  + st.aborts_lock + st.aborts_spurious
+
 let run_one (maker : Collect.Intf.maker) ~updaters ~period ~duration ~step ~seed =
   let m =
     Driver.machine ~seed ~label:(Printf.sprintf "%s u%d" maker.algo_name updaters) ()
@@ -30,43 +35,15 @@ let run_one (maker : Collect.Intf.maker) ~updaters ~period ~duration ~step ~seed
   let cfg =
     { Collect.Intf.max_slots = total_handles * 2; num_threads = threads; step; min_size = 4 }
   in
-  let inst = maker.make m.htm m.boot cfg in
   let deadline = Driver.warmup + duration in
-  let collects = ref 0 in
-  let measuring = ref true in
   let quotas = Array.of_list (Driver.split_evenly total_handles updaters) in
-  let collector ctx =
-    let buf = Sim.Ibuf.create ~capacity:(2 * total_handles) () in
-    Sim.advance_to ctx Driver.warmup;
-    (* Measure only the steady state: registration-phase transactions
-       (including resize helping) would pollute the abort telemetry. *)
-    Htm.reset_stats m.htm;
-    collects :=
-      Driver.measured_loop ctx ~deadline (fun () ->
-          Sim.Ibuf.clear buf;
-          inst.collect ctx buf);
-    measuring := false
+  (* Measure only the steady state: registration-phase transactions
+     (including resize helping) would pollute the abort telemetry. *)
+  let collects, inst =
+    Collect_cell.run m maker cfg ~deadline ~seed
+      ~at_warmup:(fun () -> Htm.reset_stats m.htm)
+      ~helper:(Collect_cell.updater ~deadline ~period (Array.get quotas))
   in
-  let updater i ctx =
-    let handles =
-      Array.init quotas.(i) (fun _ -> inst.register ctx (Driver.fresh_value ()))
-    in
-    if Array.length handles > 0 then begin
-      let h = handles.(0) in
-      Driver.periodic_loop ctx ~deadline ~period (fun () ->
-          inst.update ctx h (Driver.fresh_value ()))
-    end;
-    (* Keep the handles registered until the collector's measurement ends:
-       the registered count must stay at 64 for the whole window. *)
-    while !measuring do
-      Sim.tick ctx 2000
-    done;
-    Array.iter (fun h -> inst.deregister ctx h) handles
-  in
-  let bodies =
-    Array.init threads (fun i -> if i = 0 then collector else updater (i - 1))
-  in
-  Sim.run ~seed bodies;
   let histogram = inst.step_histogram () in
   inst.destroy m.boot;
   let st = Htm.stats m.htm in
@@ -74,12 +51,10 @@ let run_one (maker : Collect.Intf.maker) ~updaters ~period ~duration ~step ~seed
     algo = maker.algo_name;
     label = Printf.sprintf "%s (%s)" maker.algo_name (step_label step);
     period;
-    throughput = Driver.ops_per_us ~ops:!collects ~duration;
+    throughput = Driver.ops_per_us ~ops:collects ~duration;
     histogram;
     commits = st.commits;
-    aborts =
-      st.aborts_conflict + st.aborts_overflow + st.aborts_illegal + st.aborts_explicit
-      + st.aborts_lock + st.aborts_spurious;
+    aborts = total_aborts st;
   }
 
 (* Registration stampede: half the threads run collects back to back
@@ -147,9 +122,7 @@ let churn_one (maker : Collect.Intf.maker) ~threads ~duration ~seed =
     churn_throughput =
       Driver.ops_per_us ~ops:(Array.fold_left ( + ) 0 registers) ~duration;
     churn_commits = st.commits;
-    churn_aborts =
-      st.aborts_conflict + st.aborts_overflow + st.aborts_illegal + st.aborts_explicit
-      + st.aborts_lock + st.aborts_spurious;
+    churn_aborts = total_aborts st;
   }
 
 let default_periods =

@@ -288,26 +288,20 @@ let grid_table ~shared (grid : grid_result list) =
     ~key:(fun g -> (g.gr_policy, column g.gr_threads))
     ~value:(fun g -> g.gr_tput) grid
 
-let detail_table (grid : grid_result list) : Obs.Table.table =
+let detail_table (grid : grid_result list) =
   let at8 =
     List.filter (fun g -> g.gr_shared && g.gr_threads = List.fold_left max 1 default_threads) grid
   in
-  {
-    title = "Where the attempts went (shared region, widest sweep point)";
-    xlabel = "policy";
-    unit = "counts";
-    columns =
+  Obs.Table.counts ~title:"Where the attempts went (shared region, widest sweep point)"
+    ~xlabel:"policy" ~unit:"counts"
+    ~columns:
       [ "attempts-hw"; "attempts-stm"; "attempts-tle"; "escalations"; "lock-fallbacks";
-        "stm-commits" ];
-    rows =
-      List.map
-        (fun g ->
-          ( g.gr_policy,
-            [ Some (fi g.gr_attempts_hw); Some (fi g.gr_attempts_stm);
-              Some (fi g.gr_attempts_tle); Some (fi g.gr_escalations);
-              Some (fi g.gr_fallbacks); Some (fi g.gr_stm_commits) ] ))
-        at8;
-  }
+        "stm-commits" ]
+    (fun g ->
+      ( g.gr_policy,
+        [ g.gr_attempts_hw; g.gr_attempts_stm; g.gr_attempts_tle; g.gr_escalations;
+          g.gr_fallbacks; g.gr_stm_commits ] ))
+    at8
 
 let interference_table (interference : interf_result list) : Obs.Table.table =
   {
@@ -327,20 +321,12 @@ let interference_table (interference : interf_result list) : Obs.Table.table =
         interference;
   }
 
-let chaos_table (chaos : chaos_result list) : Obs.Table.table =
-  {
-    title = "Liveness: threads killed inside the STM commit window (locks held)";
-    xlabel = "run";
-    unit = "counts";
-    columns = [ "kills"; "survivor-ops"; "lock-steals"; "torn-words" ];
-    rows =
-      List.map
-        (fun c ->
-          ( "stm-only, 6 threads",
-            [ Some (fi c.ch_kills); Some (fi c.ch_survivor_ops); Some (fi c.ch_steals);
-              Some (fi c.ch_torn) ] ))
-        chaos;
-  }
+let chaos_table =
+  Obs.Table.counts
+    ~title:"Liveness: threads killed inside the STM commit window (locks held)"
+    ~xlabel:"run" ~unit:"counts"
+    ~columns:[ "kills"; "survivor-ops"; "lock-steals"; "torn-words" ]
+    (fun c -> ("stm-only, 6 threads", [ c.ch_kills; c.ch_survivor_ops; c.ch_steals; c.ch_torn ]))
 
 let grid_note =
   "Shared region: every transaction overflows the store buffer and all\n\

@@ -133,26 +133,18 @@ let summary_of_pieces pieces =
     litmus = List.filter_map (function Litmus l -> Some l | _ -> None) pieces;
   }
 
-let fi = float_of_int
-
-let search_table (searches : search_result list) : Obs.Table.table =
-  {
-    title =
-      Printf.sprintf
-        "Linearizability search per memory model (%d threads, %d ops/thread, \
-         stop at first violation)"
-        threads ops;
-    xlabel = "scenario/model";
-    unit = "counts";
-    columns = [ "budget"; "runs"; "violations"; "first-violation"; "shrunk-devs" ];
-    rows =
-      List.map
-        (fun s ->
-          ( Printf.sprintf "%s under %s" s.ms_scenario s.ms_model,
-            [ Some (fi s.ms_budget); Some (fi s.ms_runs); Some (fi s.ms_violations);
-              Some (fi s.ms_first_violation); Some (fi s.ms_deviations) ] ))
-        searches;
-  }
+let search_table =
+  Obs.Table.counts
+    ~title:
+      (Printf.sprintf
+         "Linearizability search per memory model (%d threads, %d ops/thread, \
+          stop at first violation)"
+         threads ops)
+    ~xlabel:"scenario/model" ~unit:"counts"
+    ~columns:[ "budget"; "runs"; "violations"; "first-violation"; "shrunk-devs" ]
+    (fun s ->
+      ( Printf.sprintf "%s under %s" s.ms_scenario s.ms_model,
+        [ s.ms_budget; s.ms_runs; s.ms_violations; s.ms_first_violation; s.ms_deviations ] ))
 
 let search_note =
   "ms-nofence drops the announcement fence from the MS/ROP queue: under\n\
@@ -162,19 +154,13 @@ let search_note =
    the control: transactional publish is atomic and the TLE lock is a\n\
    full fence, so the HTM queue is clean under every variant.\n"
 
-let litmus_table (litmus : litmus_result list) : Obs.Table.table =
-  {
-    title = "Litmus fingerprints (exhaustive schedule enumeration)";
-    xlabel = "program/model";
-    unit = "counts";
-    columns = [ "distinct-outcomes"; "relaxed-reached" ];
-    rows =
-      List.map
-        (fun l ->
-          ( Printf.sprintf "%s under %s" l.lt_program l.lt_model,
-            [ Some (fi l.lt_outcomes); Some (if l.lt_relaxed then 1. else 0.) ] ))
-        litmus;
-  }
+let litmus_table =
+  Obs.Table.counts ~title:"Litmus fingerprints (exhaustive schedule enumeration)"
+    ~xlabel:"program/model" ~unit:"counts"
+    ~columns:[ "distinct-outcomes"; "relaxed-reached" ]
+    (fun l ->
+      ( Printf.sprintf "%s under %s" l.lt_program l.lt_model,
+        [ l.lt_outcomes; Bool.to_int l.lt_relaxed ] ))
 
 let litmus_note =
   "relaxed-reached = 1 iff the program's distinguished weak outcome is\n\

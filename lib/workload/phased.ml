@@ -27,7 +27,6 @@ let run_one (maker : Collect.Intf.maker) ~updaters ~phase_len ~phases ~bucket_le
   let cfg =
     { Collect.Intf.max_slots = high_slots * 2; num_threads = threads; step; min_size = 4 }
   in
-  let inst = maker.make m.htm m.boot cfg in
   let duration = phase_len * phases in
   let deadline = Driver.warmup + duration in
   let nbuckets = (duration + bucket_len - 1) / bucket_len in
@@ -38,20 +37,11 @@ let run_one (maker : Collect.Intf.maker) ~updaters ~phase_len ~phases ~bucket_le
     let phase = (now - Driver.warmup) / phase_len in
     if phase mod 2 = 0 then low_quota.(i) else high_quota.(i)
   in
-  let measuring = ref true in
-  let collector ctx =
-    let buf = Sim.Ibuf.create ~capacity:(2 * high_slots) () in
-    Sim.advance_to ctx Driver.warmup;
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Sim.Ibuf.clear buf;
-      inst.collect ctx buf;
-      let b = (Sim.clock ctx - Driver.warmup) / bucket_len in
-      if b >= 0 && b < nbuckets then bucket_counts.(b) <- bucket_counts.(b) + 1
-    done;
-    measuring := false
+  let bucket ctx =
+    let b = (Sim.clock ctx - Driver.warmup) / bucket_len in
+    if b >= 0 && b < nbuckets then bucket_counts.(b) <- bucket_counts.(b) + 1
   in
-  let updater i ctx =
+  let updater (inst : Collect.Intf.instance) i ctx =
     let slots = Queue.create () in
     let adjust () =
       let target = target_quota i (Sim.clock ctx) in
@@ -73,15 +63,11 @@ let run_one (maker : Collect.Intf.maker) ~updaters ~phase_len ~phases ~bucket_le
           inst.update ctx h (Driver.fresh_value ());
           Queue.add h slots
         end);
-    (* Hold the final phase's registrations until the collector finishes. *)
-    while !measuring do
-      Sim.tick ctx 2000
-    done;
-    Queue.iter (fun h -> inst.deregister ctx h) slots;
-    Queue.clear slots
+    List.of_seq (Queue.to_seq slots)
   in
-  let bodies = Array.init threads (fun i -> if i = 0 then collector else updater (i - 1)) in
-  Sim.run ~seed bodies;
+  let _, inst =
+    Collect_cell.run m maker cfg ~deadline ~seed ~after_collect:bucket ~helper:updater
+  in
   inst.destroy m.boot;
   let bucket_us = float_of_int bucket_len /. float_of_int Driver.cycles_per_us in
   let buckets =

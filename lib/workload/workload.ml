@@ -7,6 +7,7 @@ module Driver = Driver
 module Queue_bench = Queue_bench
 module Latency = Latency
 module Collect_dominated = Collect_dominated
+module Collect_cell = Collect_cell
 module Collect_update = Collect_update
 module Collect_dereg = Collect_dereg
 module Phased = Phased

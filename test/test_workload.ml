@@ -202,6 +202,20 @@ let collect_pins () =
     ( "chaos spurious",
       "70ab3687ad8763794f77e30618ec150d",
       pin_digest (fun () -> Chaos_bench.spurious_one ~seed:5 ada) );
+    ( "ablate tle after 4",
+      "a0bbff747e6b5720a384d8f434bc5c11",
+      pin_digest (fun () ->
+          Collect_cell.tle_one
+            ~htm_config:{ Htm.default_config with tle = Htm.Tle_after 4 }
+            ~duration:40_000 ~seed:5) );
+    ( "ablate store buffer 16",
+      "d7ca3a4b1149affbcb7ce6e83657dd99",
+      pin_digest (fun () -> Collect_cell.store_buffer_one 16 ~duration:40_000 ~seed:5) );
+    ( "ext starvation",
+      "b1e0b87ed0558eedfad69b10afac4140",
+      pin_digest (fun () ->
+          Collect_cell.starvation_one (maker "ListFastCollectDeferred") ~churn_period:2_000
+            ~duration:40_000 ~seed:5) );
     ( "chaos stm crash",
       "69171ff8be76e65d6d110ffa78e83b27",
       pin_digest (fun () -> Chaos_bench.stm_crash_one ~seed:5 ()) );
