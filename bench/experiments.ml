@@ -377,7 +377,9 @@ let ablate =
     (fun ~duration ~seed ->
       [
         Runner.Cell.v ~label:"ablate/tle/native" (fun () ->
-            A_tle (Workload.Collect_cell.tle_one ~htm_config:Htm.default_config ~duration ~seed));
+            A_tle
+              (Workload.Collect_cell.tle_one ~htm_config:Htm.default_config ~duration
+                 ~seed));
         Runner.Cell.v ~label:"ablate/tle/after4" (fun () ->
             A_tle
               (Workload.Collect_cell.tle_one
@@ -467,7 +469,9 @@ let ext =
               let mk = Option.get (Collect.find_maker name) in
               Runner.Cell.v ~label:(Printf.sprintf "ext/starve/%s/p%d" name p) (fun () ->
                   E_thru
-                    (p, name, Workload.Collect_cell.starvation_one mk ~churn_period:p ~duration ~seed)))
+                    ( p,
+                      name,
+                      Workload.Collect_cell.starvation_one mk ~churn_period:p ~duration ~seed )))
             ext_starve_makers)
         ext_starve_periods
       @ List.concat_map
@@ -475,7 +479,8 @@ let ext =
             List.map
               (fun name ->
                 Runner.Cell.v ~label:(Printf.sprintf "ext/queue/%s/x%d" name threads)
-                  (fun () -> E_thru (threads, name, ext_queue_one ~duration ~seed ~threads name)))
+                  (fun () ->
+                    E_thru (threads, name, ext_queue_one ~duration ~seed ~threads name)))
               ext_queue_names)
           ext_queue_threads
       @ List.map

@@ -288,7 +288,8 @@ let stm_crash_one ?(seed = 7) () =
   let m, inst, spec, ops =
     checked_churn ~htm_config:{ Htm.default_config with stm = Htm.Stm_after 0 } ~faults
       ~label:"chaos/stm-crash" ~seed
-      ~diag:(fun st -> Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
+      ~diag:(fun st ->
+        Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
       (Option.get (Collect.find_maker "ListFastCollect"))
   in
   Collect_spec.collect spec inst m.boot;

@@ -45,7 +45,8 @@ val store_buffer_one : int -> duration:int -> seed:int -> float * int
     handles. Returns collects per µs and the largest step setting the
     adaptive controller used. *)
 
-val starvation_one : Collect.Intf.maker -> churn_period:int -> duration:int -> seed:int -> float
+val starvation_one :
+  Collect.Intf.maker -> churn_period:int -> duration:int -> seed:int -> float
 (** The §3.1.2 starvation scenario: 15 churners each hold 4 stable
     handles and cycle a volatile one, deregistering it and registering a
     replacement half a [churn_period] later. Returns collects per µs. *)

@@ -326,7 +326,8 @@ let chaos_table =
     ~title:"Liveness: threads killed inside the STM commit window (locks held)"
     ~xlabel:"run" ~unit:"counts"
     ~columns:[ "kills"; "survivor-ops"; "lock-steals"; "torn-words" ]
-    (fun c -> ("stm-only, 6 threads", [ c.ch_kills; c.ch_survivor_ops; c.ch_steals; c.ch_torn ]))
+    (fun c ->
+      ("stm-only, 6 threads", [ c.ch_kills; c.ch_survivor_ops; c.ch_steals; c.ch_torn ]))
 
 let grid_note =
   "Shared region: every transaction overflows the store buffer and all\n\
