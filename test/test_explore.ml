@@ -136,6 +136,34 @@ let test_artifact_roundtrip () =
     | Error e -> Alcotest.failf "parse: %s" e)
   | Error e -> Alcotest.failf "parse: %s" e
 
+(* Both explorer outputs of a faulted run, pinned by digest: the text
+   trace's lines (fault lines among the accesses and transactions) and
+   the Perfetto timeline (scheduler slices and fault instants among the
+   machine's events). A digest that moves means an event, its order or
+   its rendering changed. *)
+let test_fault_trace_pinned () =
+  let scn = E.Scenario.queue_lin Hqueue.Htm_queue.maker ~threads:3 ~ops:5 in
+  let faults = Some { (E.Search.light_faults 11) with stall_rate = 0.05 } in
+  let trace = E.Trace.create () in
+  let t = Obs.Tracer.create () in
+  let sink = Obs.Tracer.process t ~name:"replay" in
+  (match
+     scn.scn_run ~strategy:Sim.Min_clock ~seed:3 ~faults ~record:None ~trace:(Some trace)
+       ~tracer:(Some sink)
+   with
+  | E.Scenario.Pass -> ()
+  | E.Scenario.Fail msg -> Alcotest.failf "faulted run failed: %s" msg);
+  let lines = E.Trace.lines trace in
+  let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
+  let has affix s = Astring.String.is_infix ~affix s in
+  Alcotest.(check bool) "fault lines in the trace" true (List.exists (has " flt ") lines);
+  Alcotest.(check bool) "stall instants in the timeline" true (has "fault.stall" js);
+  Alcotest.(check bool) "run slices in the timeline" true (has "\"run\"" js);
+  Alcotest.(check string) "trace lines digest" "c13acf9b9b188b8bc25d6c778b6904f4"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)));
+  Alcotest.(check string) "timeline digest" "c4f5c038d14ab59d946972cf3d0c12e0"
+    (Digest.to_hex (Digest.string js))
+
 let () =
   Alcotest.run "explore"
     [
@@ -153,5 +181,7 @@ let () =
           Alcotest.test_case "broken ROP passes min-clock" `Quick test_broken_rop_passes_min_clock;
           Alcotest.test_case "clean queues: no violations" `Quick test_clean_queues;
           Alcotest.test_case "artifact round-trip" `Quick test_artifact_roundtrip;
+          Alcotest.test_case "faulted run's trace and timeline pinned" `Quick
+            test_fault_trace_pinned;
         ] );
     ]
