@@ -51,12 +51,19 @@ let watchdog_budget = 10_000_000
 
 (* A scenario's machine is observed in two stages: the Perfetto tracer
    from creation, so a replay's timeline covers the structure's setup,
-   and the text trace from the first operation on — the timeline that
-   goes into artifacts. *)
+   and the text trace too once the threads start — the timeline that
+   goes into artifacts. The scheduler reports to the same sinks, and the
+   threads run under the liveness watchdog. *)
 let observe mem ~tracer ~trace =
   Simmem.attach mem
     (List.filter_map Fun.id
        [ Option.map Simmem.tracer_sink tracer; Option.map Trace.sink trace ])
+
+let run_threads mem ~strategy ~seed ~record ~faults ~tracer ~trace ~threads body =
+  observe mem ~tracer ~trace;
+  Sim.run ~seed ~strategy ?record ?observe:(Simmem.observer mem)
+    ?faults:(Option.map Sim.Fault.make faults) ~watchdog:watchdog_budget
+    (Array.init threads body)
 
 let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
     (mk : Hqueue.Intf.maker) ~threads ~ops =
@@ -74,7 +81,6 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
       let boot = Sim.boot ~seed () in
       let q = mk.make htm boot ~num_threads:threads in
       let hist = Lin.create () in
-      observe mem ~tracer ~trace;
       let body i ctx =
         let rng = Sim.rng ctx in
         for k = 1 to ops do
@@ -94,11 +100,7 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
           Sim.note_progress ctx
         done
       in
-      Sim.run ~seed ~strategy ?record ?tracer
-        ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
-        ~watchdog:watchdog_budget
-        (Array.init threads body);
+      run_threads mem ~strategy ~seed ~record ~faults ~tracer ~trace ~threads body;
       (match Lin.check hist with Ok () -> () | Error msg -> raise (Lin_violation msg));
       q.destroy boot)
   in
@@ -125,7 +127,6 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
       observe mem ~tracer ~trace:None;
       let boot = Sim.boot ~seed () in
       let addr = Simmem.malloc mem boot 1 in
-      observe mem ~tracer ~trace;
       let window = (ops * 200) + 1000 in
       let body i ctx =
         Sim.advance_to ctx (i * window);
@@ -136,11 +137,7 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
           Sim.note_progress ctx
         done
       in
-      Sim.run ~seed ~strategy ?record ?tracer
-        ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
-        ~watchdog:watchdog_budget
-        (Array.init threads body);
+      run_threads mem ~strategy ~seed ~record ~faults ~tracer ~trace ~threads body;
       let total = Simmem.peek mem addr in
       if total <> threads * ops then
         raise
@@ -177,7 +174,6 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
       in
       let inst = mk.make htm boot cfg in
       let log = Collect_spec.create () in
-      observe mem ~tracer ~trace;
       let body _i ctx =
         let rng = Sim.rng ctx in
         let h = Collect_spec.register log inst ctx in
@@ -191,11 +187,7 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
         Collect_spec.deregister log inst ctx h;
         Sim.note_progress ctx
       in
-      Sim.run ~seed ~strategy ?record ?tracer
-        ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
-        ~watchdog:watchdog_budget
-        (Array.init threads body);
+      run_threads mem ~strategy ~seed ~record ~faults ~tracer ~trace ~threads body;
       let (_ : Collect_spec.verdict) = Collect_spec.check log in
       (* a killed thread leaves its handle registered, so destroy (which
          requires quiescence) is only valid on kill-free plans *)

@@ -14,19 +14,10 @@ let note t line =
     t.n <- t.n + 1
   end
 
-let on_fault t (ev : Sim.Fault.event) =
-  let what =
-    match ev.ev_kind with
-    | Sim.Fault.Stalled d -> Printf.sprintf "stalled %d cycles" d
-    | Sim.Fault.Killed -> "killed"
-    | Sim.Fault.Killed_at p -> "killed at " ^ p
-    | Sim.Fault.Spurious_abort -> "spurious abort armed"
-  in
-  note t (Format.asprintf "t%-2d @%-9d flt  %s" ev.ev_tid ev.ev_clock what)
-
 (* With the last-writer journal on, abort lines name the write that
    doomed each transaction (pp_tx_event renders the witness).
-   The TLE lock release gets no line: the acquisition marks the section. *)
+   The TLE lock release gets no line: the acquisition marks the section;
+   nor do scheduler slices, which the accesses already order. *)
 let sink t =
   let fold ~tid ~clock (ev : Simmem.event) =
     match ev with
@@ -34,7 +25,16 @@ let sink t =
       note t (Format.asprintf "t%-2d @%-9d mem  %a" tid clock Simmem.pp_access a)
     | Tx (Tx_release _) -> ()
     | Tx ev -> note t (Format.asprintf "t%-2d @%-9d htm  %a" tid clock Htm.pp_tx_event ev)
-    | Miss _ | Label _ | Witness _ | Hop _ -> ()
+    | Sched (Fault kind) ->
+      let what =
+        match kind with
+        | Stalled d -> Printf.sprintf "stalled %d cycles" d
+        | Killed -> "killed"
+        | Killed_at p -> "killed at " ^ p
+        | Spurious_abort -> "spurious abort armed"
+      in
+      note t (Format.asprintf "t%-2d @%-9d flt  %s" tid clock what)
+    | Sched (Slice _) | Miss _ | Label _ | Witness _ | Hop _ -> ()
   in
   { Simmem.fold; accesses = true; journal = true }
 

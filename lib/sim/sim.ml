@@ -384,6 +384,9 @@ end
 
 type _ Effect.t += Yield : unit Effect.t
 
+type event = Slice of int | Fault of Fault.event_kind
+type observer = tid:int -> clock:int -> event -> unit
+
 type tctx = {
   ctx_tid : int;
   mutable clock : int;
@@ -392,11 +395,10 @@ type tctx = {
   mutable faults : Fault.t option;
   mutable shield_depth : int;
   mutable last_progress : int;
-  (* Observability taps. Pure OCaml-side bookkeeping: recording charges no
-     virtual cycles, draws no simulator RNG and never forces exploring
-     mode, so a traced run is cycle-identical to an untraced one. *)
-  ctx_tracer : Obs.Tracer.sink option;
-  ctx_on_fault : (Fault.event -> unit) option;
+  (* The run's observer of slices and faults: it charges no virtual
+     cycles, draws no simulator RNG and never forces exploring mode, so an
+     observed run is cycle-identical to a bare one. *)
+  ctx_observe : observer option;
   (* Drain hooks installed by memory layers with store buffers ({!Simmem}):
      [fence] runs them with [~terminal:false]; thread termination (normal
      return or a kill) runs them with [~terminal:true], where they must not
@@ -460,16 +462,16 @@ and recorder = {
   mutable rev_choices : (int * int * int) list;
 }
 
-(* The ambient tracer sink: consulted by [run] when no explicit
-   [?tracer] is given. The benchmark driver points it at the current
-   machine's process sink so workloads that call [Sim.run] directly are
-   traced without threading a sink through every signature. *)
-(* Domain-local: worker domains of the benchmark runner install their
-   own sinks without racing the main domain (or each other). *)
-let ambient_tracer : Obs.Tracer.sink option Domain.DLS.key =
+(* The ambient observer: consulted by [run] when no explicit [?observe]
+   is given. The benchmark driver points it at the current machine's
+   sinks so workloads that call [Sim.run] directly are observed without
+   threading an observer through every signature. Domain-local: worker
+   domains of the benchmark runner install their own without racing the
+   main domain (or each other). *)
+let ambient_observer : observer option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let set_default_tracer s = Domain.DLS.set ambient_tracer s
+let set_default_observer o = Domain.DLS.set ambient_observer o
 
 let boot ?(seed = 0) () =
   {
@@ -480,8 +482,7 @@ let boot ?(seed = 0) () =
     faults = None;
     shield_depth = 0;
     last_progress = 0;
-    ctx_tracer = None;
-    ctx_on_fault = None;
+    ctx_observe = None;
     ctx_drains = [];
   }
 
@@ -498,20 +499,9 @@ let yield () = incr yield_count; Effect.perform Yield
    the thread exactly as [stop] would — mid-operation, with whatever
    partial non-transactional effects it had already applied. *)
 let observe_fault ctx kind =
-  (match ctx.ctx_tracer with
-   | None -> ()
-   | Some sink ->
-     let name, args =
-       match kind with
-       | Fault.Stalled d -> ("fault.stall", [ ("cycles", Obs.Json.Int d) ])
-       | Fault.Killed -> ("fault.kill", [])
-       | Fault.Killed_at p -> ("fault.kill", [ ("point", Obs.Json.Str p) ])
-       | Fault.Spurious_abort -> ("fault.spurious", [])
-     in
-     Obs.Tracer.instant sink ~tid:ctx.ctx_tid ~name ~cat:"fault" ~args ctx.clock);
-  match ctx.ctx_on_fault with
+  match ctx.ctx_observe with
   | None -> ()
-  | Some f -> f { Fault.ev_tid = ctx.ctx_tid; ev_clock = ctx.clock; ev_kind = kind }
+  | Some f -> f ~tid:ctx.ctx_tid ~clock:ctx.clock (Fault kind)
 
 let inject ctx =
   match ctx.faults with
@@ -776,8 +766,8 @@ let diagnose s ~running frontier =
    | Some f -> Buffer.add_string b (f ()));
   Buffer.contents b
 
-let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tracer
-    ?on_fault bodies =
+let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?observe
+    bodies =
   let n = Array.length bodies in
   if n = 0 || n > max_threads then
     invalid_arg "Sim.run: need between 1 and 256 threads";
@@ -786,7 +776,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
   in
   if exploring && n > mask_threads then
     invalid_arg "Sim.run: exploring strategies and recording support at most 61 threads";
-  let sink = match tracer with Some _ -> tracer | None -> Domain.DLS.get ambient_tracer in
+  let observe = if Option.is_none observe then Domain.DLS.get ambient_observer else observe in
   let root = Rng.create seed in
   let ctxs =
     Array.init n (fun i ->
@@ -798,8 +788,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
           faults;
           shield_depth = 0;
           last_progress = 0;
-          ctx_tracer = sink;
-          ctx_on_fault = on_fault;
+          ctx_observe = observe;
           ctx_drains = [];
         })
   in
@@ -863,11 +852,9 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
       let slice_start = t.clock and live = s.live in
       Effect.Deep.continue s.conts.(i) ();
       if s.live = live then Ready.add s.ready i t.clock;
-      (match sink with
+      (match observe with
        | None -> ()
-       | Some sk ->
-         if t.clock > slice_start then
-           Obs.Tracer.span sk ~tid:i ~name:"run" ~cat:"sched" slice_start t.clock);
+       | Some f -> if t.clock > slice_start then f ~tid:i ~clock:t.clock (Slice slice_start));
       loop ()
     end
   in

@@ -170,6 +170,12 @@ val choices : recorder -> (int * int * int) list
     runnable alternative, and the prefix guarantees the same machine state
     (hence the same mask) at that index. *)
 
+(** What the scheduler tells an observer, stamped with a thread and its
+    clock: a run slice from the given clock to the stamp (only slices that
+    advance the clock), or an injected fault. *)
+type event = Slice of int | Fault of Fault.event_kind
+type observer = tid:int -> clock:int -> event -> unit
+
 val run :
   ?seed:int ->
   ?strategy:strategy ->
@@ -177,8 +183,7 @@ val run :
   ?faults:Fault.t ->
   ?watchdog:int ->
   ?diag:(unit -> string) ->
-  ?tracer:Obs.Tracer.sink ->
-  ?on_fault:(Fault.event -> unit) ->
+  ?observe:observer ->
   (tctx -> unit) array ->
   unit
 (** [run bodies] executes one fiber per body until all finish. Thread [i]
@@ -207,22 +212,21 @@ val run :
     phase (e.g. a measurement warmup). [diag] contributes an extra
     section (e.g. HTM abort counters) to the watchdog diagnostic.
 
-    [tracer] attaches every thread to an {!Obs.Tracer} sink (default: the
-    ambient sink, see {!set_default_tracer}): the scheduler records each
-    run slice as a span, and fault injections as instants. [on_fault] is
-    called at each injected fault (stall, kill, spurious abort), e.g. to
-    merge fault lines into an exploration trace. Both taps charge zero
-    virtual cycles and consume no simulator RNG: a traced run is
-    cycle-for-cycle identical to an untraced one.
+    [observe] receives every run slice and injected fault (default: the
+    ambient observer, see {!set_default_observer}). [Simmem.observer]
+    forwards them to a machine's sinks, which render them beside the
+    machine's own events. Observing charges zero virtual cycles and
+    consumes no simulator RNG: an observed run is cycle-for-cycle
+    identical to a bare one.
 
     @raise Invalid_argument if there are 0 bodies or more than
     {!max_threads}. *)
 
-val set_default_tracer : Obs.Tracer.sink option -> unit
-(** Install (or clear) the ambient tracer sink that {!run} picks up when
-    no explicit [?tracer] is given. The benchmark driver points this at
-    the current machine's process sink so workloads that call [Sim.run]
-    internally are traced without signature changes. *)
+val set_default_observer : observer option -> unit
+(** Install (or clear) the ambient observer that {!run} picks up when no
+    explicit [?observe] is given. The benchmark driver points this at the
+    current machine's sinks so workloads that call [Sim.run] internally
+    are observed without signature changes. *)
 
 val note_progress : tctx -> unit
 (** Feed the liveness watchdog: record that this thread just completed

@@ -239,6 +239,7 @@ type event =
       witness : Obs.Forensics.witness option;
     }
   | Tx of Txn.tx_event
+  | Sched of Sim.event
 
 type sink = {
   fold : tid:int -> clock:int -> event -> unit;
@@ -246,13 +247,13 @@ type sink = {
   journal : bool;
 }
 
-(* The Perfetto rendering of the machine's events. Scheduler slices and
-   fault instants come from {!Sim.run}'s own tracer, on the same
-   process sink. *)
+(* The Perfetto rendering of the machine's events, the scheduler's run
+   slices and fault instants among them. *)
 let tracer_sink tr =
   let int key n = (key, Obs.Json.Int n) in
   let span ~tid name args t0 t1 = Obs.Tracer.span tr ~tid ~name ~cat:"tx" ~args t0 t1 in
   let instant ~tid name args t = Obs.Tracer.instant tr ~tid ~name ~cat:"tx" ~args t in
+  let fault ~tid name args t = Obs.Tracer.instant tr ~tid ~name ~cat:"fault" ~args t in
   let fold ~tid ~clock = function
     | Access _ | Label _ | Hop _ -> ()
     | Miss { write; addr; sharers; cost; wait; _ } ->
@@ -296,6 +297,12 @@ let tracer_sink tr =
     | Tx (Tx_escalate { esc_to = P_hw | P_tle; _ }) -> ()
     | Tx (Tx_steal { st_victim; st_locks }) ->
       instant ~tid "stm.steal" [ int "victim" st_victim; int "locks" st_locks ] clock
+    | Sched (Slice t0) -> Obs.Tracer.span tr ~tid ~name:"run" ~cat:"sched" t0 clock
+    | Sched (Fault (Stalled d)) -> fault ~tid "fault.stall" [ int "cycles" d ] clock
+    | Sched (Fault Killed) -> fault ~tid "fault.kill" [] clock
+    | Sched (Fault (Killed_at p)) ->
+      fault ~tid "fault.kill" [ ("point", Obs.Json.Str p) ] clock
+    | Sched (Fault Spurious_abort) -> fault ~tid "fault.spurious" [] clock
   in
   { fold; accesses = false; journal = false }
 
@@ -304,7 +311,7 @@ let profiler_sink p =
     | Miss { line; sharers; cost; wait; _ } ->
       Obs.Profiler.record_transfer p ~line ~wait ~cost ~sharers
     | Label { name; base; words } -> Obs.Profiler.label p ~name ~base ~words
-    | Access _ | Witness _ | Hop _ | Tx _ -> ()
+    | Access _ | Witness _ | Hop _ | Tx _ | Sched _ -> ()
   in
   { fold; accesses = false; journal = false }
 
@@ -319,7 +326,7 @@ let forensics_sink f =
     | Hop { from_path; to_path; reason; witness } ->
       Obs.Forensics.note_hop f ~tid ~clock ~from_path:(path_label from_path)
         ~to_path:(path_label to_path) ~reason:(abort_label reason) witness
-    | Access _ | Miss _ | Tx _ -> ()
+    | Access _ | Miss _ | Tx _ | Sched _ -> ()
   in
   { fold; accesses = false; journal = true }
 
@@ -594,6 +601,12 @@ let emit t ctx ev =
   match t.sink with
   | None -> ()
   | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
+
+(* [None] when nothing is attached: an unobserved switch pays one match. *)
+let observer t =
+  match t.sink with
+  | None -> None
+  | Some f -> Some (fun ~tid ~clock ev -> f ~tid ~clock (Sched ev))
 
 (* A label is not a thread action: it carries no thread and no clock. *)
 let label t ~name ~base ~words =

@@ -336,6 +336,7 @@ type event =
       witness : Obs.Forensics.witness option;
     }  (** one escalation step (HW → STM → TLE) and the abort driving it *)
   | Tx of Txn.tx_event
+  | Sched of Sim.event  (** a scheduler slice or fault, through {!observer} *)
 
 type sink = {
   fold : tid:int -> clock:int -> event -> unit;
@@ -359,10 +360,14 @@ val emit : t -> Sim.tctx -> event -> unit
 (** Deliver an event, stamped with the acting thread and its clock, to
     the attached sinks ({!Htm} and {!Stm} report their lifecycle here). *)
 
+val observer : t -> Sim.observer option
+(** [Sim.run]'s [?observe] for this heap: scheduler events go to the
+    attached sinks as {!Sched}. [None] when no sink is attached. *)
+
 val tracer_sink : Obs.Tracer.sink -> sink
-(** Perfetto rendering: [miss.read] / [miss.write] instants, [conflict]
-    flow arrows for witnesses whose aggressor is known, and the
-    transaction lifecycle — [tx] and [tx.attempt] spans with [tx.abort]
+(** Perfetto rendering: [run] spans, [fault.*] and [miss.read] /
+    [miss.write] instants, [conflict] flow arrows for witnesses whose
+    aggressor is known, and the transaction lifecycle — [tx] and [tx.attempt] spans with [tx.abort]
     on the hardware path, [tx.stm] / [tx.stm.abort] on the software
     path, [tle.fallback] and the [tx.locked] span for the TLE lock,
     [stm.escalate] and [stm.steal]. *)

@@ -59,7 +59,7 @@ let set_obs o =
   st.st_seq <- 0;
   st.st_profs <- [];
   st.st_fors <- [];
-  if o.obs_tracer = None then Sim.set_default_tracer None
+  Sim.set_default_observer None
 
 let obs () = (state ()).st_obs
 let profilers () = List.rev (state ()).st_profs
@@ -77,10 +77,7 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
     Simmem.create ?metrics:o.obs_metrics ?threads ?initial_words:heap_words
       ?alloc ()
   in
-  (* The tracer process takes the scheduler's slices through the ambient
-     sink and the machine's own events through its tracer sink. *)
   let tracer = Option.map (fun tr -> Obs.Tracer.process tr ~name) o.obs_tracer in
-  Sim.set_default_tracer tracer;
   let profiler = if o.obs_profile then Some (Obs.Profiler.create ()) else None in
   let forensics = if o.obs_forensics then Some (Obs.Forensics.create ()) else None in
   Option.iter (fun p -> st.st_profs <- (name, p) :: st.st_profs) profiler;
@@ -92,6 +89,7 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
          Option.map Simmem.profiler_sink profiler;
          Option.map Simmem.forensics_sink forensics;
        ]);
+  Sim.set_default_observer (Simmem.observer mem);
   let htm = Htm.create ~config:htm_config ?metrics:o.obs_metrics mem in
   { mem; htm; boot = Sim.boot ~seed () }
 

@@ -15,11 +15,11 @@ type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
 (** Harness-wide observability. Workloads build machines internally, so
     the benchmark front-end installs sinks once with {!set_obs}; every
     {!machine} built afterwards attaches itself — a tracer process per
-    machine (the ambient {!Sim.set_default_tracer} sink for scheduler
-    slices, {!Simmem.tracer_sink} for the machine's events), the shared
-    metrics registry as parent of its heap's and HTM domain's registries,
-    and a per-machine contention profiler and forensics aggregator when
-    asked for, all attached through the one {!Simmem.attach} call. *)
+    machine ({!Simmem.tracer_sink}), the shared metrics registry as
+    parent of its heap's and HTM domain's registries, and a per-machine
+    contention profiler and forensics aggregator when asked for, all
+    attached through the one {!Simmem.attach} call; the heap's
+    {!Simmem.observer} becomes the scheduler's ambient observer. *)
 type obs = {
   obs_tracer : Obs.Tracer.t option;
   obs_metrics : Obs.Metrics.t option;
@@ -33,8 +33,8 @@ type obs = {
 val no_obs : obs
 
 val set_obs : obs -> unit
-(** Install the observability sinks and reset the machine-label sequence
-    and profiler log. *)
+(** Install the observability sinks and reset the machine-label sequence,
+    profiler log and ambient observer. *)
 
 val obs : unit -> obs
 (** The currently installed sinks (for experiments that re-install a

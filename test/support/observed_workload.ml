@@ -3,11 +3,12 @@
    hammer it with naked stores. Strong atomicity dooms the scans
    mid-flight, so every transaction path aborts, escalates (under the
    config's policy) and captures witnesses. [sinks] are attached right
-   after the heap is created, as the benchmark driver does; [tracer] is
-   the scheduler's; [metrics] parents the heap's and HTM's registries. Returns the region's base address, the committed
+   after the heap is created, as the benchmark driver does, and also
+   observe the scheduler; [metrics] parents the heap's and HTM's
+   registries. Returns the region's base address, the committed
    sums and each thread's final clock — enough to detect any
    virtual-time perturbation. *)
-let run ?(config = Htm.default_config) ?(sinks = []) ?tracer ?metrics ~seed () =
+let run ?(config = Htm.default_config) ?(sinks = []) ?metrics ~seed () =
   let mem = Simmem.create ?metrics () in
   Simmem.attach mem sinks;
   let htm = Htm.create ~config ?metrics mem in
@@ -16,7 +17,7 @@ let run ?(config = Htm.default_config) ?(sinks = []) ?tracer ?metrics ~seed () =
   Simmem.label mem ~name:"shared" ~base:arr ~words:16;
   let clocks = Array.make 4 0 in
   let sum = ref 0 in
-  Sim.run ~seed ?tracer
+  Sim.run ~seed ?observe:(Simmem.observer mem)
     (Array.init 4 (fun i ->
          fun ctx ->
            (if i = 0 then

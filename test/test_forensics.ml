@@ -296,7 +296,7 @@ let test_conflict_flows_in_trace () =
   let _ =
     Observed_workload.run
       ~sinks:[ Simmem.tracer_sink sink; Simmem.forensics_sink f ]
-      ~tracer:sink ~seed:7 ()
+      ~seed:7 ()
   in
   let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
   Alcotest.(check bool) "flow tail events" true (contains js "\"ph\":\"s\"");

@@ -368,7 +368,7 @@ let test_trace_determinism () =
     let t = Obs.Tracer.create () in
     let sink = Obs.Tracer.process t ~name:"machine" in
     let (_ : int * int * int list) =
-      Observed_workload.run ~sinks:[ Simmem.tracer_sink sink ] ~tracer:sink ~seed:7 ()
+      Observed_workload.run ~sinks:[ Simmem.tracer_sink sink ] ~seed:7 ()
     in
     Obs.Json.to_string (Obs.Tracer.to_json t)
   in
@@ -411,7 +411,7 @@ let test_zero_cost_prop =
                      Simmem.forensics_sink f;
                      Explore.Trace.sink trace;
                    ]
-                 ~tracer:sink ~seed ()
+                 ~seed ()
              in
              Obs.Tracer.recorded t > 0
              && Obs.Forensics.count f > 0
@@ -432,8 +432,19 @@ let test_fault_instants_in_trace () =
       }
   in
   let seen = ref [] in
-  Sim.run ~seed:3 ~tracer:sink ~faults
-    ~on_fault:(fun ev -> seen := ev.Sim.Fault.ev_kind :: !seen)
+  let faults_seen =
+    {
+      Simmem.fold =
+        (fun ~tid:_ ~clock:_ -> function
+          | Simmem.Sched (Fault kind) -> seen := kind :: !seen
+          | _ -> ());
+      accesses = false;
+      journal = false;
+    }
+  in
+  let mem = Simmem.create () in
+  Simmem.attach mem [ Simmem.tracer_sink sink; faults_seen ];
+  Sim.run ~seed:3 ?observe:(Simmem.observer mem) ~faults
     (Array.init 2 (fun _ ->
          fun ctx ->
            for _ = 1 to 100 do
@@ -443,9 +454,9 @@ let test_fault_instants_in_trace () =
   let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
   Alcotest.(check bool) "kill instant traced" true (contains js "fault.kill");
   Alcotest.(check bool) "stall instant traced" true (contains js "fault.stall");
-  Alcotest.(check bool) "on_fault tap saw the kill" true
+  Alcotest.(check bool) "machine sink saw the kill" true
     (List.mem Sim.Fault.Killed !seen);
-  Alcotest.(check bool) "on_fault tap saw a stall" true
+  Alcotest.(check bool) "machine sink saw a stall" true
     (List.exists (function Sim.Fault.Stalled _ -> true | _ -> false) !seen)
 
 let () =
