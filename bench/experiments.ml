@@ -143,9 +143,8 @@ let aborts =
                   (* Updater transactions essentially never abort, so the
                      abort count is attributable to the collector's chunks. *)
                   let collects =
-                    int_of_float
-                      (r.throughput *. float_of_int ctx.duration
-                      /. float_of_int Workload.Driver.cycles_per_us)
+                    Workload.Driver.ops_of_per_us ~per_us:r.throughput
+                      ~duration:ctx.duration
                   in
                   if collects = 0 then None
                   else Some (float_of_int r.aborts /. float_of_int collects))

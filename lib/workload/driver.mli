@@ -68,6 +68,10 @@ val fresh_value : unit -> int
 
 val ops_per_us : ops:int -> duration:int -> float
 
+val ops_of_per_us : per_us:float -> duration:int -> int
+(** The operation count behind an {!ops_per_us} throughput: the exact
+    inverse for any count and positive duration. *)
+
 val tick_dispatch : Sim.tctx -> unit
 (** Charge the per-op dispatch cost with jitter (see the implementation
     note on phase-locking). *)

@@ -231,6 +231,15 @@ let test_fresh_values_unique () =
   let b = Workload.Driver.fresh_value () in
   Alcotest.(check bool) "distinct and nonzero" true (a <> b && a <> 0 && b <> 0)
 
+(* Counts read back from a throughput must be the counts that made it. *)
+let test_ops_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"ops_of_per_us inverts ops_per_us"
+       QCheck.(pair (int_range 0 10_000_000) (int_range 1 100_000_000))
+       (fun (ops, duration) ->
+         let per_us = Workload.Driver.ops_per_us ~ops ~duration in
+         Workload.Driver.ops_of_per_us ~per_us ~duration = ops))
+
 let () =
   Alcotest.run "workload"
     [
@@ -249,5 +258,6 @@ let () =
           Alcotest.test_case "unique values" `Quick test_fresh_values_unique;
           Alcotest.test_case "replayability" `Quick test_replayability;
           Alcotest.test_case "collect cells pinned" `Quick test_collect_pins;
+          test_ops_round_trip;
         ] );
     ]
