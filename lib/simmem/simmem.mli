@@ -367,10 +367,10 @@ val observer : t -> Sim.observer option
 val tracer_sink : Obs.Tracer.sink -> sink
 (** Perfetto rendering: [run] spans, [fault.*] and [miss.read] /
     [miss.write] instants, [conflict] flow arrows for witnesses whose
-    aggressor is known, and the transaction lifecycle — [tx] and [tx.attempt] spans with [tx.abort]
-    on the hardware path, [tx.stm] / [tx.stm.abort] on the software
-    path, [tle.fallback] and the [tx.locked] span for the TLE lock,
-    [stm.escalate] and [stm.steal]. *)
+    aggressor is known, and the transaction lifecycle — [tx] and
+    [tx.attempt] spans with [tx.abort] on the hardware path, [tx.stm] /
+    [tx.stm.abort] on the software path, [tle.fallback] and the
+    [tx.locked] span for the TLE lock, [stm.escalate] and [stm.steal]. *)
 
 val profiler_sink : Obs.Profiler.t -> sink
 (** Every coherence transfer and region label into a contention

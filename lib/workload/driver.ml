@@ -106,8 +106,6 @@ let fresh_value () =
    operations per microsecond. *)
 let ops_per_us ~ops ~duration = float_of_int ops *. float_of_int cycles_per_us /. float_of_int duration
 
-(* Its inverse, rounded: truncating would read a count one short
-   whenever the float round trip lands just below it (55 as 54). *)
 let ops_of_per_us ~per_us ~duration =
   Float.to_int (Float.round (per_us *. float_of_int duration /. float_of_int cycles_per_us))
 

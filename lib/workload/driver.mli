@@ -69,8 +69,8 @@ val fresh_value : unit -> int
 val ops_per_us : ops:int -> duration:int -> float
 
 val ops_of_per_us : per_us:float -> duration:int -> int
-(** The operation count behind an {!ops_per_us} throughput: the exact
-    inverse for any count and positive duration. *)
+(** The operation count behind an {!ops_per_us} throughput, rounded: the
+    float round trip can land just below the count (55 read as 54). *)
 
 val tick_dispatch : Sim.tctx -> unit
 (** Charge the per-op dispatch cost with jitter (see the implementation
