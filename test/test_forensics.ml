@@ -306,31 +306,79 @@ let test_conflict_flows_in_trace () =
   Alcotest.(check bool) "named after the conflict" true
     (contains js "\"conflict\"")
 
-let test_escalation_hop_capture () =
+(* Runs [blocks] on a fresh heap with forensics and the explorer's text
+   trace attached; returns the hops and the trace's lines. *)
+let observed_escalation config blocks =
   let f = Obs.Forensics.create () in
+  let trace = Explore.Trace.create () in
   let mem = Simmem.create () in
-  Simmem.attach mem [ Simmem.forensics_sink f ];
-  let htm =
-    Htm.create ~config:{ Htm.default_config with tle = Htm.Tle_after 1 } mem
-  in
+  Simmem.attach mem [ Simmem.forensics_sink f; Explore.Trace.sink trace ];
+  let htm = Htm.create ~config mem in
   let boot = Sim.boot ~seed:3 () in
-  let n = Htm.default_config.store_buffer + 1 in
+  let n = config.Htm.store_buffer + 1 in
   let addr = Simmem.malloc mem boot n in
-  Sim.run ~seed:3
-    [|
-      (fun ctx ->
-        Htm.atomic htm ctx (fun tx ->
-            for i = 0 to n - 1 do
-              Htm.write tx (addr + i) i
-            done));
-    |];
-  Alcotest.(check int) "one hop recorded" 1 (Obs.Forensics.hop_count f);
-  match Obs.Forensics.hops f with
-  | [ h ] ->
-    Alcotest.(check string) "left the hardware path" "hw" h.Obs.Forensics.hp_from;
-    Alcotest.(check string) "into the lock" "tle" h.hp_to;
-    Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
-  | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs)
+  Sim.run ~seed:3 ?observe:(Simmem.observer mem) (blocks htm addr n);
+  (Obs.Forensics.hops f, Explore.Trace.lines trace)
+
+(* A block one store past the hardware's capacity. *)
+let overflow htm ctx addr n =
+  Htm.atomic htm ctx (fun tx ->
+      for i = 0 to n - 1 do
+        Htm.write tx (addr + i) i
+      done)
+
+let hop_line (h : Obs.Forensics.hop) =
+  Format.asprintf "t%d @%d %s->%s %s %a" h.hp_tid h.hp_clock h.hp_from h.hp_to h.hp_reason
+    (Format.pp_print_option Obs.Forensics.pp_witness)
+    h.hp_witness
+
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Every escalation hop: hw->tle when the lock follows the hardware
+   directly, and hw->stm then stm->tle under the hybrid lattice, where a
+   writer keeps dooming the software attempts until their budget runs
+   out. The digests pin each hop (from, to, reason, witness) as
+   forensics records it and the explorer trace's lines around them. *)
+let test_escalation_hop_capture () =
+  let hops, lines =
+    observed_escalation { Htm.default_config with tle = Htm.Tle_after 1 }
+      (fun htm addr n -> [| (fun ctx -> overflow htm ctx addr n) |])
+  in
+  (match hops with
+   | [ h ] ->
+     Alcotest.(check string) "left the hardware path" "hw" h.Obs.Forensics.hp_from;
+     Alcotest.(check string) "into the lock" "tle" h.hp_to;
+     Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
+   | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs));
+  Alcotest.(check string) "hw->tle hops digest" "582d6f5b7e208d623166528caa85b9b4"
+    (digest (List.map hop_line hops));
+  Alcotest.(check string) "hw->tle trace digest" "814e165a2f64a7a9fad146bfc01790bf"
+    (digest lines);
+  let hops, lines =
+    observed_escalation Htm.hybrid_config (fun htm addr n ->
+        let finished = ref false in
+        [|
+          (fun ctx ->
+            Htm.atomic htm ctx (fun tx ->
+                ignore (Htm.read tx addr);
+                for i = 0 to n - 1 do
+                  Htm.write tx (addr + i) i
+                done);
+            finished := true);
+          (fun ctx ->
+            while not !finished do
+              Simmem.write (Htm.mem htm) ctx addr 7;
+              Sim.tick ctx 500
+            done);
+        |])
+  in
+  Alcotest.(check (list (pair string string))) "hw->stm, then stm->tle"
+    [ ("hw", "stm"); ("stm", "tle") ]
+    (List.map (fun (h : Obs.Forensics.hop) -> (h.hp_from, h.hp_to)) hops);
+  Alcotest.(check string) "hybrid hops digest" "4a4479869191d15df6d74f1c68c0e671"
+    (digest (List.map hop_line hops));
+  Alcotest.(check string) "hybrid trace digest" "bbfa369f6ce1bd1a0d160fa70ca14c69"
+    (digest lines)
 
 (* Detaching is complete: once the last sink goes, the last-writer
    journal is off and a committed store leaves no entry — the
