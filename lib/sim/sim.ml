@@ -39,12 +39,7 @@ module Memmodel = struct
       Printf.sprintf "custom[depth=%d,forward=%b,fence=%b]" m.sb_depth m.forward_loads
         m.fence_drains
 
-  let of_string = function
-    | "sc" -> Some sc
-    | "sb" -> Some sb
-    | "sb-bypass" -> Some sb_bypass
-    | "sb-fence-nop" -> Some sb_fence_nop
-    | _ -> None
+  let of_string name = List.assoc_opt name all
 end
 
 (* Simulated-thread ceiling. Sharer sets in Simmem are multi-word bitmasks
