@@ -360,9 +360,11 @@ let release_lock h ctx = Simmem.fenced_write h.hmem ctx h.lock_addr 0
 let observed h = Simmem.observed h.hmem
 let emit h ctx ev = Simmem.emit h.hmem ctx (Simmem.Tx ev)
 
-let hop h ctx from_path to_path reason witness =
+(* One escalation hop, driven by the last abort on [from_path]. *)
+let hop h ctx tx from_path to_path reason attempt =
   if observed h then
-    Simmem.emit h.hmem ctx (Simmem.Hop { from_path; to_path; reason; witness })
+    Simmem.emit h.hmem ctx
+      (Simmem.Hop { from_path; to_path; reason; witness = tx.last_witness; attempt })
 
 let run_locked h ctx tx attempt f =
   acquire_lock h ctx;
@@ -398,17 +400,15 @@ let escalate h ctx tx f on_abort n last stop =
   match tx.path with
   | P_stm -> begin
     Obs.Metrics.incr1 h.c_esc_stm;
-    hop h ctx P_hw P_stm last tx.last_witness;
-    if observed h then emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
+    hop h ctx tx P_hw P_stm last n;
     match run (Option.get h.stm_path) tx f on_abort with
     | v -> v
     | exception Retry_exhausted r when tle_enabled h ->
-      if observed h then emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
-      hop h ctx P_stm P_tle r tx.last_witness;
+      hop h ctx tx P_stm P_tle r n;
       run_locked h ctx tx n f
   end
   | P_tle ->
-    hop h ctx P_hw P_tle last tx.last_witness;
+    hop h ctx tx P_hw P_tle last n;
     run_locked h ctx tx n f
   | P_hw -> raise stop
 

@@ -301,7 +301,6 @@ module Txn : sig
     | Tx_release of { rl_attempt : int; rl_start : int }
         (** TLE lock released, on every exit from the critical section;
             [rl_start] is the clock it was acquired at *)
-    | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
     | Tx_steal of { st_victim : int; st_locks : int }
         (** [st_locks] STM stripe locks were stolen from (crashed) thread
             [st_victim] *)
@@ -334,7 +333,10 @@ type event =
       to_path : Txn.tx_path;
       reason : Txn.abort_reason;
       witness : Obs.Forensics.witness option;
-    }  (** one escalation step (HW → STM → TLE) and the abort driving it *)
+      attempt : int;  (** hardware attempts made before leaving *)
+    }
+      (** one escalation step (HW → STM → TLE), with the reason and
+          witness of the last abort on [from_path] *)
   | Tx of Txn.tx_event
   | Sched of Sim.event  (** a scheduler slice or fault, through {!observer} *)
 

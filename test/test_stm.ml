@@ -285,7 +285,7 @@ let test_attribution_spurious () =
         journal = false;
         fold =
           (fun ~tid:_ ~clock:_ -> function
-            | Simmem.Tx (Htm.Tx_escalate { esc_to = Htm.P_stm; _ }) -> incr escalations
+            | Simmem.Hop { to_path = Htm.P_stm; _ } -> incr escalations
             | Simmem.Tx (Htm.Tx_commit { tx_path = Htm.P_stm; _ }) -> incr stm_commits
             | Simmem.Tx (Htm.Tx_abort { ab_path = Htm.P_hw; _ }) -> incr hw_aborts
             | _ -> ());
@@ -460,7 +460,7 @@ let test_overflow_escalates_without_backoff () =
           (fun ~tid:_ ~clock -> function
             | Simmem.Tx (Htm.Tx_abort { ab_reason = Htm.Overflow; ab_path = Htm.P_hw; _ }) ->
               abort_at := clock
-            | Simmem.Tx (Htm.Tx_escalate { esc_to = Htm.P_stm; _ }) -> escalate_at := clock
+            | Simmem.Hop { to_path = Htm.P_stm; _ } -> escalate_at := clock
             | _ -> ());
       };
     ];
