@@ -477,7 +477,10 @@ let last_writer t addr =
     let tid = Array.unsafe_get t.wr_tid addr in
     if tid = no_writer then None
     else
-      Some (tid, t.wr_clock.(addr), op_of_code (Char.code (Bytes.unsafe_get t.wr_kind addr)))
+      Some
+        ( tid,
+          t.wr_clock.(addr),
+          op_of_code (Char.code (Bytes.unsafe_get t.wr_kind addr)) )
 
 (* Build a witness for a conflict the acting thread just lost on [addr].
    The aggressor is resolved from the last-writer journal — of [lookup]
@@ -584,7 +587,8 @@ let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
   let start = Int.max now t.line_busy.(line) in
   let finish = start + base in
   t.line_busy.(line) <- finish;
-  observe_miss t ctx ~write ~addr ~line ~sharers ~cost:(finish - now) ~wait:(start - now);
+  observe_miss t ctx ~write ~addr ~line ~sharers ~cost:(finish - now)
+    ~wait:(start - now);
   finish - now
 
 let read_cost t ctx addr =
@@ -619,7 +623,8 @@ let read_cost t ctx addr =
         for k = w0 to w0 + t.sw - 1 do
           if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
         done;
-      miss_cost t ctx ~write:false ~addr ~line ~sharers:!n ~base:read_miss
+      miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
+        ~base:read_miss
     end
   end
 
@@ -658,7 +663,8 @@ let write_cost t ctx addr =
       done;
       t.sharers.(wi) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~write:true ~addr ~line ~sharers:!n ~base:write_miss
+      miss_cost t ctx ~write:true ~addr ~line ~sharers:!n
+        ~base:write_miss
     end
   end
 
@@ -769,10 +775,11 @@ let read t ctx addr =
     if fwd >= 0 then begin
       (* Store-to-load forwarding: served from the own buffer, no coherence
          traffic, no miss possible. *)
+      let v = (sbuf_of t ctx).sb_val.(fwd) in
       Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
       Sim.tick ctx read_hit;
       check_live t addr;
-      (sbuf_of t ctx).sb_val.(fwd)
+      v
     end
     else begin
       Sim.tick ctx (read_cost t ctx addr);

@@ -189,19 +189,11 @@ type 'o path = {
   overflow_escalates : bool;
 }
 
-let reason_index = function
-  | Conflict -> 0
-  | Overflow -> 1
-  | Illegal -> 2
-  | Explicit -> 3
-  | Lock_held -> 4
-  | Spurious -> 5
-
 (* The slot of every reason a path never raises: registered nowhere. *)
 let unattributed = Obs.Metrics.counter (Obs.Metrics.create ()) "never raised"
 
 let abort_counters reg named =
-  let table = Array.make 6 unattributed in
+  let table = Array.make (Array.length reasons) unattributed in
   List.iter
     (fun (r, name) ->
       table.(reason_index r) <- Obs.Metrics.counter ~per_thread:true reg name)
@@ -215,10 +207,6 @@ let backoff_max = 16384
 
 let backoff ctx n =
   Sim.tick ctx (Sim.Backoff.delay ~base:backoff_base ~cap:backoff_max (Sim.rng ctx) n)
-
-let ex_exhausted =
-  Array.map (fun r -> Retry_exhausted r)
-    [| Conflict; Overflow; Illegal; Explicit; Lock_held; Spurious |]
 
 (* Top-level recursion, so a pooled transaction's whole fast path —
    begin, body, commit — allocates nothing: one attempt is a handful of

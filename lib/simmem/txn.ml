@@ -3,6 +3,17 @@
 
 type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
 
+(* Every reason, at its [reason_index]: the index of the per-reason tables. *)
+let reasons = [| Conflict; Overflow; Illegal; Explicit; Lock_held; Spurious |]
+
+let reason_index = function
+  | Conflict -> 0
+  | Overflow -> 1
+  | Illegal -> 2
+  | Explicit -> 3
+  | Lock_held -> 4
+  | Spurious -> 5
+
 let abort_label = function
   | Conflict -> "conflict"
   | Overflow -> "overflow"
@@ -16,20 +27,10 @@ let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
 exception Aborted of abort_reason
 exception Retry_exhausted of abort_reason
 
-let ex_conflict = Aborted Conflict
-and ex_overflow = Aborted Overflow
-and ex_illegal = Aborted Illegal
-and ex_explicit = Aborted Explicit
-and ex_lock_held = Aborted Lock_held
-and ex_spurious = Aborted Spurious
-
-let abort_with = function
-  | Conflict -> raise ex_conflict
-  | Overflow -> raise ex_overflow
-  | Illegal -> raise ex_illegal
-  | Explicit -> raise ex_explicit
-  | Lock_held -> raise ex_lock_held
-  | Spurious -> raise ex_spurious
+(* Built once, so raising either allocates nothing. *)
+let ex_aborted = Array.map (fun r -> Aborted r) reasons
+let ex_exhausted = Array.map (fun r -> Retry_exhausted r) reasons
+let abort_with r = raise ex_aborted.(reason_index r)
 
 type tx_path = P_hw | P_stm | P_tle
 
