@@ -237,6 +237,51 @@ let test_commit_histogram_totals () =
   Alcotest.(check (list (pair int int))) "reset clears the histogram" []
     (Htm.commit_cycles_histogram htm)
 
+(* A fault plan against read-heavy hardware transactions: nearly every
+   scheduling point is a transactional load, so 32 of the 38 faults (36
+   stalls, one scheduled kill and one drawn) land inside [Htm.read]. The
+   counts, how many faults struck a read, the fault log and every
+   thread's clock at its last completed transaction are pinned. *)
+let test_faults_on_tx_reads () =
+  let mem = Simmem.create () in
+  let htm = Htm.create mem in
+  let boot = Sim.boot () in
+  let words = Array.init 24 (fun _ -> Simmem.malloc mem boot 1) in
+  let faults =
+    Sim.Fault.make
+      { Sim.Fault.none with fault_seed = 21; stall_rate = 0.01; stall_cycles = 600;
+        kill_rate = 0.0005; max_random_kills = 1; kills_at = [ (2, 12_000) ] }
+  in
+  let threads = 4 in
+  let reading = Array.make threads false and clocks = Array.make threads 0 in
+  let in_read = ref 0 in
+  let observe ~tid ~clock:_ = function
+    | Sim.Fault _ when tid < threads && reading.(tid) -> incr in_read
+    | _ -> ()
+  in
+  Sim.run ~seed:16 ~faults ~observe
+    (Array.init threads (fun i ->
+         fun ctx ->
+           for _ = 1 to 40 do
+             Htm.atomic htm ctx (fun tx ->
+                 let sum = ref 0 in
+                 Array.iter
+                   (fun w ->
+                     reading.(i) <- true;
+                     sum := !sum + Htm.read tx w;
+                     reading.(i) <- false)
+                   words;
+                 Htm.write tx words.(i) (!sum land 0xff));
+             clocks.(i) <- Sim.clock ctx
+           done));
+  Alcotest.(check (pair int int)) "stalls, kills" (36, 2)
+    (Sim.Fault.stalls faults, Sim.Fault.kills faults);
+  Alcotest.(check int) "faults inside a transactional read" 32 !in_read;
+  Alcotest.(check string) "fault log digest" "196d0747f1033aa959547817c34a2418"
+    (Digest.to_hex (Digest.string (Sim.Fault.trace faults)));
+  Alcotest.(check (array int)) "clock at each thread's last commit"
+    [| 51898; 22779; 11975; 27743 |] clocks
+
 (* ------------------------------------------------------------------ *)
 (* Survivability of the full algorithm suite                           *)
 
@@ -318,6 +363,7 @@ let () =
           Alcotest.test_case "spurious aborts escalate" `Quick test_spurious_aborts_escalate_to_lock;
           Alcotest.test_case "retry budget exhausted" `Quick test_retry_exhausted;
           Alcotest.test_case "commit histogram totals" `Quick test_commit_histogram_totals;
+          Alcotest.test_case "faults on transactional reads" `Quick test_faults_on_tx_reads;
         ] );
       ( "survivability",
         [

@@ -195,6 +195,53 @@ let prop_bucket_matches_loop =
        (QCheck.make ~print:string_of_int gen)
        bucket_agrees)
 
+(* [incr_t c tid] is [incr ~tid c]: the same total, per-thread breakdown
+   and parent chain, whether the counter keeps a breakdown or not, has
+   no parent, a parent of its kind or one registered earlier with the
+   other kind, and for tids inside and outside the breakdown ([-1] and
+   the one past the boot tid, which is the breakdown's length). *)
+let prop_incr_t_is_incr =
+  let max_tids = Sim.boot_tid + 1 in
+  let edge_tids = [ -1; 0; 1; Sim.boot_tid; max_tids ] in
+  let gen =
+    QCheck.Gen.(
+      quad bool (int_range 0 3)
+        (list_size (int_range 0 40) (oneof [ oneofl edge_tids; int_range (-3) (max_tids + 3) ]))
+        (int_range 0 5))
+  in
+  let print (per, parent, tids, resets) =
+    Printf.sprintf "per_thread=%b parent=%d reset_at=%d tids=[%s]" per parent resets
+      (String.concat ";" (List.map string_of_int tids))
+  in
+  (* parent: 0 none, 1 same kind, 2 pre-registered with the other kind,
+     3 a grandparent too *)
+  let run bump (per_thread, parent, tids, reset_at) =
+    let top = Obs.Metrics.create () in
+    let mid = Obs.Metrics.create ~parent:top () in
+    let reg =
+      match parent with
+      | 0 -> Obs.Metrics.create ()
+      | 1 -> Obs.Metrics.create ~parent:top ()
+      | 2 ->
+        ignore (Obs.Metrics.counter ~per_thread:(not per_thread) top "c");
+        Obs.Metrics.create ~parent:top ()
+      | _ -> Obs.Metrics.create ~parent:mid ()
+    in
+    let c = Obs.Metrics.counter ~per_thread reg "c" in
+    List.iteri
+      (fun i tid ->
+        if i = reset_at then Obs.Metrics.reset_counter c;
+        bump c tid)
+      tids;
+    let view r = Obs.Metrics.snapshot r in
+    (view reg, view mid, view top)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"incr_t is incr ~tid"
+       (QCheck.make ~print gen)
+       (fun case ->
+         run Obs.Metrics.incr_t case = run (fun c tid -> Obs.Metrics.incr ~tid c) case))
+
 let test_metrics_parent_and_reset () =
   let parent = Obs.Metrics.create () in
   let child = Obs.Metrics.create ~parent () in
@@ -480,6 +527,7 @@ let () =
           Alcotest.test_case "gauge and hist" `Quick test_metrics_gauge_hist;
           Alcotest.test_case "bucket edges" `Quick test_bucket_edges;
           prop_bucket_matches_loop;
+          prop_incr_t_is_incr;
           Alcotest.test_case "parent chain and reset" `Quick test_metrics_parent_and_reset;
           Alcotest.test_case "snapshot" `Quick test_metrics_snapshot;
           Alcotest.test_case "boot tid, lazy breakdown" `Quick test_metrics_boot_tid;

@@ -282,6 +282,57 @@ let test_access_counters () =
   Alcotest.(check int) "writes counted" (s0.writes + 2) s1.writes;
   Alcotest.(check int) "atomics counted" (s0.atomics + 1) s1.atomics
 
+(* Per-thread load counts on both sharer-set layouts (16 threads: one
+   word per line; 100 threads: two), under a parent registry. Every
+   thread loads word [a] three times and word [b], on another line,
+   twice through the transactional plane; the boot context then loads
+   [a] and stores to it, which invalidates every other copy, and every
+   thread loads [a] twice more. A thread misses on its first load of
+   each line and on its first load after the store, and hits otherwise:
+   seven loads and three misses each. The boot load hits. The parent's
+   counters match the heap's. *)
+let test_per_thread_read_counts () =
+  List.iter
+    (fun threads ->
+      let parent = Obs.Metrics.create () in
+      let mem = Simmem.create ~metrics:parent ~threads () in
+      let boot = Sim.boot () in
+      let a = Simmem.malloc mem boot 1 in
+      let b = Simmem.malloc mem boot 16 + 8 in
+      Simmem.write mem boot a 1;
+      Simmem.write mem boot b 2;
+      let tx_read ctx = ignore (Simmem.Tx_plane.read_ver mem ctx b) in
+      Sim.run ~seed:threads
+        (Array.make threads (fun ctx ->
+             for _ = 1 to 3 do
+               ignore (Simmem.read mem ctx a)
+             done;
+             tx_read ctx;
+             tx_read ctx));
+      ignore (Simmem.read mem boot a);
+      Simmem.write mem boot a 3;
+      Sim.run ~seed:threads
+        (Array.make threads (fun ctx ->
+             ignore (Simmem.read mem ctx a);
+             ignore (Simmem.read mem ctx a)));
+      let each n = List.init threads (fun tid -> (tid, n)) in
+      List.iter
+        (fun (name, per) ->
+          List.iter
+            (fun (where, reg) ->
+              let c = Obs.Metrics.counter reg name in
+              let label = Printf.sprintf "%d threads: %s %s" threads where name in
+              Alcotest.(check (list (pair int int))) label per (Obs.Metrics.per_thread c);
+              Alcotest.(check int) (label ^ " total")
+                (List.fold_left (fun s (_, n) -> s + n) 0 per)
+                (Obs.Metrics.value c))
+            [ ("heap", Simmem.metrics mem); ("parent", parent) ])
+        [
+          ("mem.reads", each 7 @ [ (Sim.boot_tid, 1) ]);
+          ("mem.read_misses", each 3);
+        ])
+    [ 16; 100 ]
+
 let test_tx_plane () =
   let mem, ctx = make () in
   let a = Simmem.malloc mem ctx 1 in
@@ -600,6 +651,7 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "access counters" `Quick test_access_counters;
+          Alcotest.test_case "per-thread read counts" `Quick test_per_thread_read_counts;
           Alcotest.test_case "metric registration order" `Quick
             test_metric_registration_order;
         ] );
