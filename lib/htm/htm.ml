@@ -159,7 +159,8 @@ let read tx addr =
     if bi >= 0 then tx.wval.(bi)
     else begin
       let mem = tx.mem in
-      if Simmem.Tx_plane.read_ver mem tx.ctx addr < 0 then illegal tx addr
+      let ver = Simmem.Tx_plane.read_ver mem tx.ctx addr in
+      if ver < 0 then illegal tx addr
       else begin
         let v = Simmem.Tx_plane.read_value mem in
         (* Opacity: the whole read set must still hold after every load.
@@ -167,7 +168,7 @@ let read tx addr =
            committed store anywhere on a read line fails the check. The
            transaction's own writes are buffered until after commit
            validation and so can never doom it on either plane. *)
-        Simmem.Read_set.note tx.reads addr;
+        Simmem.Read_set.note tx.reads addr ver;
         if not (Simmem.Read_set.validate tx.reads) then begin
           (* Under [Line] the witnessed address is the word this
              transaction read on the doomed line; the aggressor may have

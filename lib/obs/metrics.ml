@@ -73,13 +73,24 @@ let rec incr ?tid ?(by = 1) c =
 
 (* Hot-path variants: no optional arguments, so callers pass unboxed ints
    and the call compiles to straight-line field updates. *)
-let rec incr_t c tid =
+let rec incr_t_full c tid =
   c.c_total <- c.c_total + 1;
   if c.c_threaded && tid >= 0 && tid < max_tids then begin
     let per = c.c_per in
     if per != no_per then per.(tid) <- per.(tid) + 1 else add_per c tid 1
   end;
-  match c.c_parent with None -> () | Some p -> incr_t p tid
+  match c.c_parent with None -> () | Some p -> incr_t_full p tid
+
+(* Inlined into every access: a parentless counter whose breakdown
+   exists (so it is per-thread and [max_tids] long; [no_per] is empty)
+   takes two stores. Anything else runs the full chain above. *)
+let[@inline] incr_t c tid =
+  let per = c.c_per in
+  match c.c_parent with
+  | None when tid >= 0 && tid < Array.length per ->
+    c.c_total <- c.c_total + 1;
+    Array.unsafe_set per tid (Array.unsafe_get per tid + 1)
+  | _ -> incr_t_full c tid
 
 let rec incr1 c =
   c.c_total <- c.c_total + 1;

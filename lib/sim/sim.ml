@@ -530,9 +530,11 @@ let fault_point ctx name =
       raise Stop_thread
     end
 
-let tick ctx cost =
+(* The two scheduling points are inlined into every access: a fault-free
+   run pays one option test for the plan, and [inject] runs out of line. *)
+let[@inline] tick ctx cost =
   ctx.clock <- ctx.clock + cost;
-  inject ctx;
+  (match ctx.faults with None -> () | Some _ -> inject ctx);
   match ctx.sched with
   | None -> ()
   | Some s -> if ctx.clock >= s.min_other then yield ()
@@ -557,9 +559,9 @@ let fence ?(cost = 60) ctx =
    executed instructions, only their visibility was pending). *)
 let drain_terminal ctx = List.iter (fun f -> f ~terminal:true) ctx.ctx_drains
 
-let advance_to ctx t =
+let[@inline] advance_to ctx t =
   if t > ctx.clock then ctx.clock <- t;
-  inject ctx;
+  (match ctx.faults with None -> () | Some _ -> inject ctx);
   match ctx.sched with
   | None -> ()
   | Some s -> if ctx.clock >= s.min_other then yield ()

@@ -591,7 +591,7 @@ let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
     ~wait:(start - now);
   finish - now
 
-let read_cost t ctx addr =
+let read_cost_full t ctx addr =
   let tid = Sim.tid ctx in
   let line = addr lsr line_shift in
   let b = slot t tid in
@@ -627,6 +627,17 @@ let read_cost t ctx addr =
         ~base:read_miss
     end
   end
+
+(* Inlined into every load: a hit in a one-word sharer set is a bit test
+   and the read counter. Misses and wider sets take the path above. *)
+let[@inline] read_cost t ctx addr =
+  let tid = Sim.tid ctx in
+  let b = slot t tid in
+  if t.sw = 1 && t.sharers.(addr lsr line_shift) land (1 lsl b) <> 0 then begin
+    Obs.Metrics.incr_t t.c_reads tid;
+    read_hit
+  end
+  else read_cost_full t ctx addr
 
 let write_cost t ctx addr =
   let tid = Sim.tid ctx in

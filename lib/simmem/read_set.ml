@@ -67,11 +67,13 @@ let grow rs =
   rs.addrs <- extend rs.addrs n 0;
   rs.vers <- extend rs.vers n 0
 
-let note rs addr =
+(* [ver] is the word version the transactional load just returned, so
+   the word plane notes it as is. *)
+let[@inline] note rs addr ver =
   let n = rs.n in
   if n = Array.length rs.addrs then grow rs;
   rs.addrs.(n) <- addr;
-  rs.vers.(n) <- version rs addr;
+  rs.vers.(n) <- (match rs.gran with Word -> ver | Line -> rs.mem.lversions.(addr lsr line_shift));
   rs.n <- n + 1
 
 let slot keys addr =
@@ -112,11 +114,13 @@ let rec scan rs i =
 
 let first_invalid rs = scan rs 0
 
-let validate rs =
-  let bumps = rs.mem.bumps in
-  if rs.checked = bumps then true
-  else if scan rs 0 >= 0 then false
+let validate_full rs =
+  if scan rs 0 >= 0 then false
   else begin
-    rs.checked <- bumps;
+    rs.checked <- rs.mem.bumps;
     true
   end
+
+(* Inlined into every transactional load: no bump since the last full
+   check is one compare; any bump runs the scan. *)
+let[@inline] validate rs = rs.checked = rs.mem.bumps || validate_full rs

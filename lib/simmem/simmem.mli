@@ -503,11 +503,12 @@ module Read_set : sig
   val reset : t -> unit
   (** Empty the set for a new attempt. *)
 
-  val note : t -> int -> unit
-  (** [note rs addr] appends [addr] with its current version (word or
-      line, per the granularity). Call it right after the transactional
-      load of [addr], before anything can yield, so the noted version is
-      the one the value was read at. *)
+  val note : t -> int -> int -> unit
+  (** [note rs addr ver] appends [addr] with its current version: [ver],
+      the word version {!Tx_plane.read_ver} just returned for it, or under
+      [Line] the covering line's version. Call it right after the
+      transactional load of [addr], before anything can yield, so the
+      noted version is the one the value was read at. *)
 
   val length : t -> int
   (** Entries noted since the last {!reset}: one per read, re-reads

@@ -303,13 +303,14 @@ let read s d addr =
       if owner_of lw = 0 then lw else watch_or_steal s d.ctx la lw
     in
     check_stripe s d ~addr ~la ~in_read_set:false lw;
-    if Simmem.Tx_plane.read_ver s.smem d.ctx addr < 0 then abort_with Illegal;
+    let ver = Simmem.Tx_plane.read_ver s.smem d.ctx addr in
+    if ver < 0 then abort_with Illegal;
     let v = Simmem.Tx_plane.read_value s.smem in
     (* Opacity: like Htm, the whole read set is revalidated against
        Simmem's word versions on every access, so a doomed transaction
        never computes on a mixed snapshot — whoever overwrote us (hardware
        commit, TLE section, plain store, another STM commit's write-back). *)
-    Simmem.Read_set.note d.reads addr;
+    Simmem.Read_set.note d.reads addr ver;
     if not (Simmem.Read_set.validate d.reads) then begin
       capture_conflict s d "stm.read";
       abort_with Conflict

@@ -342,7 +342,7 @@ let test_tx_plane () =
   Alcotest.(check int) "value" 42 (Simmem.Tx_plane.read_value mem);
   Alcotest.(check int) "current version" (Simmem.version mem a) ver;
   let rs = Simmem.Read_set.create mem Simmem.Word in
-  Simmem.Read_set.note rs a;
+  Simmem.Read_set.note rs a ver;
   Alcotest.(check bool) "validates" true (Simmem.Read_set.validate rs);
   Simmem.write mem ctx a 43;
   Alcotest.(check bool) "stale after write" false (Simmem.Read_set.validate rs);
@@ -565,7 +565,7 @@ let prop_read_set_exact =
         let allocated = Simmem.is_allocated mem a in
         (match k with
          | Note ->
-           Simmem.Read_set.note rs a;
+           Simmem.Read_set.note rs a (Simmem.version mem a);
            if not (List.mem_assoc a !oracle) then oracle := (a, version a) :: !oracle
          | Reset ->
            Simmem.Read_set.reset rs;
