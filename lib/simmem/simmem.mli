@@ -281,8 +281,10 @@ module Txn : sig
       ({!tracer_sink}) needs. *)
   type tx_event =
     | Tx_commit of {
-        tx_reads : int;  (** distinct addresses read *)
+        tx_reads : int;
+            (** distinct addresses read; under the TLE lock, loads issued *)
         tx_writes : int;
+            (** buffered writes; under the TLE lock, stores issued *)
         tx_path : tx_path;
         tx_attempt : int;
         tx_start : int;  (** the attempt's start clock *)
@@ -555,6 +557,8 @@ module Tx_desc : sig
     mutable wval : int array;
     mutable nwrites : int;
     mutable nstores : int;  (** hardware path: store-buffer slots used *)
+    mutable tle_reads : int;  (** lock path: loads issued, re-reads included *)
+    mutable tle_writes : int;  (** lock path: stores issued *)
     mutable frees : int array;  (** blocks to free after commit *)
     mutable nfrees : int;
     mutable witness : Obs.Forensics.witness option;
@@ -575,7 +579,8 @@ module Tx_desc : sig
 
   val reset : 'o t -> Txn.tx_path -> int -> unit
   (** Start attempt [n] on a path at the current clock: empty the read,
-      write and free sets and clear the witness. The read set checks word versions on the
+      write and free sets, zero the lock path's access counts and clear
+      the witness. The read set checks word versions on the
       software path and [gran] otherwise. *)
 
   val find_write : 'o t -> int -> int

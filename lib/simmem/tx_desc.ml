@@ -19,6 +19,8 @@ type 'o t = {
   mutable wval : int array;
   mutable nwrites : int;
   mutable nstores : int;
+  mutable tle_reads : int;
+  mutable tle_writes : int;
   mutable frees : int array;
   mutable nfrees : int;
   mutable witness : Obs.Forensics.witness option;
@@ -55,6 +57,8 @@ let acquire pool owner mem gran ctx =
           wval = Array.make 32 0;
           nwrites = 0;
           nstores = 0;
+          tle_reads = 0;
+          tle_writes = 0;
           frees = Array.make 16 0;
           nfrees = 0;
           witness = None;
@@ -78,6 +82,8 @@ let reset d path attempt =
   Read_set.reset d.reads;
   d.nwrites <- 0;
   d.nstores <- 0;
+  d.tle_reads <- 0;
+  d.tle_writes <- 0;
   d.nfrees <- 0;
   d.witness <- None
 
@@ -145,15 +151,17 @@ let witness_invalid_read d site =
     true
   end
 
-(* Events are built only when a sink is attached. *)
+(* Events are built only when a sink is attached. The lock path keeps no
+   read or write set: it reports the accesses it issued. *)
 let emit_commit d =
   if observed d.mem then
     emit d.mem d.ctx
       (Tx
          (Tx_commit
             {
-              tx_reads = Read_set.distinct d.reads;
-              tx_writes = d.nwrites;
+              tx_reads =
+                (match d.path with P_tle -> d.tle_reads | P_hw | P_stm -> Read_set.distinct d.reads);
+              tx_writes = (match d.path with P_tle -> d.tle_writes | P_hw | P_stm -> d.nwrites);
               tx_path = d.path;
               tx_attempt = d.attempt;
               tx_start = d.start;

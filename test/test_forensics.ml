@@ -338,7 +338,9 @@ let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
    directly, and hw->stm then stm->tle under the hybrid lattice, where a
    writer keeps dooming the software attempts until their budget runs
    out. The digests pin each hop (from, to, reason, witness) as
-   forensics records it and the explorer trace's lines around them. *)
+   forensics records it and the explorer trace's lines around them; the
+   lock path's commit line counts the loads and stores it issued (one
+   and 33 under the hybrid lattice). *)
 let test_escalation_hop_capture () =
   let hops, lines =
     observed_escalation { Htm.default_config with tle = Htm.Tle_after 1 }
@@ -352,7 +354,7 @@ let test_escalation_hop_capture () =
    | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs));
   Alcotest.(check string) "hw->tle hops digest" "582d6f5b7e208d623166528caa85b9b4"
     (digest (List.map hop_line hops));
-  Alcotest.(check string) "hw->tle trace digest" "814e165a2f64a7a9fad146bfc01790bf"
+  Alcotest.(check string) "hw->tle trace digest" "274041ec5e4460f67b0184681d9f4e72"
     (digest lines);
   let hops, lines =
     observed_escalation Htm.hybrid_config (fun htm addr n ->
@@ -377,7 +379,7 @@ let test_escalation_hop_capture () =
     (List.map (fun (h : Obs.Forensics.hop) -> (h.hp_from, h.hp_to)) hops);
   Alcotest.(check string) "hybrid hops digest" "4a4479869191d15df6d74f1c68c0e671"
     (digest (List.map hop_line hops));
-  Alcotest.(check string) "hybrid trace digest" "bbfa369f6ce1bd1a0d160fa70ca14c69"
+  Alcotest.(check string) "hybrid trace digest" "aa2fb3fba41da0bf0d66dadb8b8c25b3"
     (digest lines)
 
 (* Detaching is complete: once the last sink goes, the last-writer
