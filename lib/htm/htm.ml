@@ -152,9 +152,7 @@ let illegal tx addr =
 
 let read tx addr =
   match tx.path with
-  | P_tle ->
-    tx.tle_reads <- tx.tle_reads + 1;
-    Simmem.read tx.mem tx.ctx addr
+  | P_tle -> tx.tle_reads <- tx.tle_reads + 1; Simmem.read tx.mem tx.ctx addr
   | P_stm -> Stm.read (sw tx) tx addr
   | P_hw ->
     let bi = find_write tx addr in
@@ -190,9 +188,7 @@ let consume_store_slot tx =
 
 let write tx addr v =
   match tx.path with
-  | P_tle ->
-    tx.tle_writes <- tx.tle_writes + 1;
-    Simmem.write tx.mem tx.ctx addr v
+  | P_tle -> tx.tle_writes <- tx.tle_writes + 1; Simmem.write tx.mem tx.ctx addr v
   | P_stm -> Stm.write (sw tx) tx addr v
   | P_hw ->
     if not (Simmem.is_allocated tx.mem addr) then illegal tx addr;

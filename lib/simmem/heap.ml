@@ -596,40 +596,25 @@ let read_cost_full t ctx addr =
   let line = addr lsr line_shift in
   let b = slot t tid in
   Obs.Metrics.incr_t t.c_reads tid;
-  if t.sw = 1 then begin
-    (* Paper-scale heaps: the whole sharer set is one word, exactly the
-       historical layout. *)
-    let bit = 1 lsl b in
-    let s = t.sharers.(line) in
-    if s land bit <> 0 then read_hit
-    else begin
-      t.sharers.(line) <- s lor bit;
-      Obs.Metrics.incr_t t.c_read_misses tid;
-      miss_cost t ctx ~write:false ~addr ~line
-        ~sharers:(if observed t then popcount s else 0)
-        ~base:read_miss
-    end
-  end
+  let w0 = line * t.sw in
+  let wi = w0 + (b / sh_bits) and bit = 1 lsl (b mod sh_bits) in
+  let s = t.sharers.(wi) in
+  if s land bit <> 0 then read_hit
   else begin
-    let w0 = line * t.sw in
-    let wi = w0 + (b / sh_bits) and bit = 1 lsl (b mod sh_bits) in
-    let s = t.sharers.(wi) in
-    if s land bit <> 0 then read_hit
-    else begin
-      t.sharers.(wi) <- s lor bit;
-      Obs.Metrics.incr_t t.c_read_misses tid;
-      let n = ref 0 in
-      if observed t then
-        for k = w0 to w0 + t.sw - 1 do
-          if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
-        done;
-      miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
-        ~base:read_miss
-    end
+    t.sharers.(wi) <- s lor bit;
+    Obs.Metrics.incr_t t.c_read_misses tid;
+    let n = ref 0 in
+    if observed t then
+      for k = w0 to w0 + t.sw - 1 do
+        if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
+      done;
+    miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
+      ~base:read_miss
   end
 
-(* Inlined into every load: a hit in a one-word sharer set is a bit test
-   and the read counter. Misses and wider sets take the path above. *)
+(* Inlined into every load: a hit in a paper-scale heap's one-word
+   sharer set is a bit test and the read counter. Misses and wider sets
+   take the general path above, which at one word is the same test. *)
 let[@inline] read_cost t ctx addr =
   let tid = Sim.tid ctx in
   let b = slot t tid in

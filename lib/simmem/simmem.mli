@@ -281,10 +281,8 @@ module Txn : sig
       ({!tracer_sink}) needs. *)
   type tx_event =
     | Tx_commit of {
-        tx_reads : int;
-            (** distinct addresses read; under the TLE lock, loads issued *)
-        tx_writes : int;
-            (** buffered writes; under the TLE lock, stores issued *)
+        tx_reads : int;  (** distinct addresses read; loads issued under TLE *)
+        tx_writes : int;  (** buffered writes; stores issued under TLE *)
         tx_path : tx_path;
         tx_attempt : int;
         tx_start : int;  (** the attempt's start clock *)

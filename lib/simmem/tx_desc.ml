@@ -92,11 +92,8 @@ let grow a = extend a (2 * Array.length a) 0
 let rec find_from d addr i =
   if i < 0 then -1 else if d.waddr.(i) = addr then i else find_from d addr (i - 1)
 
-(* Inlined into every transactional load: an empty write buffer, as
-   in a read-only transaction, answers without a call. *)
-let[@inline] find_write d addr =
-  let n = d.nwrites in
-  if n = 0 then -1 else find_from d addr (n - 1)
+(* Inlined: a read-only transaction's empty buffer answers without a call. *)
+let[@inline] find_write d addr = if d.nwrites = 0 then -1 else find_from d addr (d.nwrites - 1)
 
 let buffer_write d addr v =
   if d.nwrites = Array.length d.waddr then begin
